@@ -172,6 +172,82 @@ class MatchSpec:
             raise ConfigError("caliper must be >= 0")
 
 
+def _find(parent: list[int], p: int) -> int:
+    """Root of p in a pointer forest, halving the path on the way."""
+    while parent[p] != p:
+        parent[p] = parent[parent[p]]
+        p = parent[p]
+    return p
+
+
+def _greedy_match(
+    pi_hat: np.ndarray,
+    treated_idx: np.ndarray,
+    control_idx: np.ndarray,
+    caliper: float,
+    with_replacement: bool,
+) -> list[tuple[int, int]]:
+    """Greedy nearest-propensity matching in O(n log n).
+
+    Controls are sorted once by (propensity, index).  Available controls
+    are found through two pointer forests over sorted positions: nxt[p] is
+    p while position p is available and later positions otherwise (m is the
+    sentinel), prv[p + 1] likewise towards earlier positions (0 is the
+    sentinel).  Consuming a control unlinks it from both in O(1).
+
+    Computed distances |pi_c - pi_t| never decrease moving away from the
+    treated unit's insertion point, so the nearest available control lies
+    next to it on one side, and all controls at the same rounded distance
+    lie in consecutive groups of equal propensity on each side.  The lowest
+    available index of a group is its first available sorted position.
+    """
+    pi_c = pi_hat[control_idx]
+    order = np.argsort(pi_c, kind="stable")  # equal propensities stay in index order
+    sorted_pi = pi_c[order]
+    m = sorted_pi.size
+    new_group = np.ones(m, dtype=bool)
+    new_group[1:] = sorted_pi[1:] != sorted_pi[:-1]
+    starts = np.flatnonzero(new_group)
+    group_of = np.cumsum(new_group) - 1
+    group_start = starts[group_of].tolist()
+    group_end = np.append(starts[1:], m)[group_of].tolist()
+    insert = np.searchsorted(sorted_pi, pi_hat[treated_idx], side="left").tolist()
+    values = sorted_pi.tolist()
+    ids = control_idx[order].tolist()
+    nxt = list(range(m + 1))
+    prv = list(range(m + 1))
+    matches: list[tuple[int, int]] = []
+    for t, x, at in zip(treated_idx.tolist(), pi_hat[treated_idx].tolist(), insert):
+        right = _find(nxt, at)  # first available position >= at
+        left = _find(prv, at) - 1  # last available position < at
+        if right == m and left < 0:
+            continue  # every control is consumed
+        d_right = abs(values[right] - x) if right < m else np.inf
+        d_left = abs(values[left] - x) if left >= 0 else np.inf
+        best = min(d_right, d_left)
+        if best > caliper:
+            continue  # a caliper miss consumes nothing
+        pick = m
+        p = right
+        while p < m and abs(values[p] - x) == best:
+            if pick == m or ids[p] < ids[pick]:
+                pick = p
+            p = _find(nxt, group_end[p])
+        p = left
+        while p >= 0:
+            first = _find(nxt, group_start[p])
+            if abs(values[first] - x) != best:
+                break
+            if pick == m or ids[first] < ids[pick]:
+                pick = first
+            p = _find(prv, group_start[p]) - 1
+        matches.append((t, ids[pick]))
+        if not with_replacement:
+            nxt[pick] = pick + 1
+            prv[pick + 1] = pick
+    return matches
+
+
 def psm_att(
     dataset: ObservationalDataset,
     pi_hat: np.ndarray,
@@ -182,36 +258,36 @@ def psm_att(
 
     Treated units are visited in index order.  Each is matched to the
     control with the nearest propensity (distance <= caliper, inclusive);
-    ties go to the lowest control index.  Without replacement a control is
-    consumed by its first match.  Unmatched treated units are counted and
-    excluded.  Returns the estimate and the match table as (treated_index,
-    control_index) pairs.
+    ties in the computed distance go to the lowest control index.  Without
+    replacement a control is consumed by its first match.  Unmatched treated
+    units are counted and excluded.  Returns the estimate and the match
+    table as (treated_index, control_index) pairs.  Propensities must lie
+    in [0, 1].  Matching takes O(n log n) time.
+
+    Two limits apply.  The reported se is the standard error of the mean
+    paired difference: it ignores both the matching step and the estimation
+    of the propensities, so it is not the Abadie-Imbens (2006) variance.
+    Greedy matching without replacement is biased when controls run short
+    near the treated units' propensities: late treated units take distant
+    controls.  The diagnostics report the mean and the largest absolute
+    propensity gap over the matched pairs.
     """
     require_both_arms(dataset, "psm_att")
     pi_hat = np.asarray(pi_hat, dtype=float)
     if pi_hat.shape != (dataset.n,):
         raise ValidationError(f"pi_hat must have shape ({dataset.n},), got {pi_hat.shape}")
+    if not np.all((pi_hat >= 0.0) & (pi_hat <= 1.0)):
+        raise ValidationError("pi_hat must lie in [0, 1]")
     treated_idx = np.flatnonzero(dataset.a == 1)
     control_idx = np.flatnonzero(dataset.a == 0)
     caliper = np.inf if spec.caliper is None else float(spec.caliper)
-    available = np.ones(control_idx.size, dtype=bool)
-    matches: list[tuple[int, int]] = []
-    for t in treated_idx:
-        pool = available if not spec.with_replacement else np.ones(control_idx.size, dtype=bool)
-        if not pool.any():
-            continue
-        dist = np.abs(pi_hat[control_idx] - pi_hat[t])
-        dist = np.where(pool, dist, np.inf)
-        best = int(np.argmin(dist))  # argmin takes the first minimum: lowest index wins ties
-        if dist[best] <= caliper:
-            matches.append((int(t), int(control_idx[best])))
-            if not spec.with_replacement:
-                available[best] = False
+    matches = _greedy_match(pi_hat, treated_idx, control_idx, caliper, spec.with_replacement)
     if not matches:
         raise EmptyMatchError("no treated unit found a control within the caliper")
     t_ids = np.array([m[0] for m in matches])
     c_ids = np.array([m[1] for m in matches])
     diffs = dataset.y[t_ids] - dataset.y[c_ids]
+    gaps = np.abs(pi_hat[t_ids] - pi_hat[c_ids])
     psi = float(diffs.mean())
     if diffs.size >= 2:
         se = float(np.sqrt(np.var(diffs, ddof=1) / diffs.size))
@@ -231,6 +307,8 @@ def psm_att(
             "n_pairs": len(matches),
             "unmatched_count": int(treated_idx.size - len(matches)),
             "with_replacement": spec.with_replacement,
+            "mean_match_distance": float(gaps.mean()),
+            "max_match_distance": float(gaps.max()),
         },
     )
     return estimate, matches

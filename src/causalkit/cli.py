@@ -602,10 +602,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
                 normalization = _choice(normalization, "normalization", ("horvitz_thompson", "hajek"))
                 config["normalization"] = normalization
                 estimate = ipw(dataset, fit.pi_hat, normalization, level=level)
-                estimate.diagnostics["clip_count"] = fit.clip_count
             elif method == "gformula":
                 estimate = g_formula(dataset, fit.mu0_hat, fit.mu1_hat, level=level)
-                estimate.diagnostics["clip_count"] = fit.clip_count
             elif method == "psm":
                 caliper = r.get("caliper", "caliper", None, _cast_float)
                 with_repl = bool(r.get("with_replacement", "with_replacement", False, _cast_bool))
@@ -613,9 +611,13 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
                 config["with_replacement"] = with_repl
                 spec = MatchSpec(caliper=caliper, with_replacement=with_repl)
                 estimate, _ = psm_att(dataset, fit.pi_hat, spec, level=level)
-                estimate.diagnostics["clip_count"] = fit.clip_count
             else:
                 estimate = aipw(dataset, fit, level=level)
+            estimate.diagnostics.update(
+                clip_count=fit.clip_count,
+                irls_converged=all(fit.irls_converged),
+                irls_iterations=list(fit.irls_iterations),
+            )
         report = {
             "method": estimate.method,
             "psi_hat": estimate.psi_hat,

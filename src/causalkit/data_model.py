@@ -236,10 +236,16 @@ class PanelDataset:
         pairs = np.stack([unit, period], axis=1)
         if np.unique(pairs, axis=0).shape[0] != n:
             raise ValidationError("(unit_id, period_id) pairs must be unique")
-        for u in np.unique(unit):
-            g = group[unit == u]
-            if np.any(g != g[0]):
-                raise ValidationError(f"group flag varies within unit {u}")
+        # sort by unit and compare each record's flag with its unit's first
+        order = np.argsort(unit, kind="stable")
+        sorted_unit, sorted_group = unit[order], group[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = sorted_unit[1:] != sorted_unit[:-1]
+        unit_flag = sorted_group[np.flatnonzero(first)][np.cumsum(first) - 1]
+        varies = sorted_group != unit_flag
+        if varies.any():
+            u = sorted_unit[np.argmax(varies)]  # the lowest offending unit
+            raise ValidationError(f"group flag varies within unit {u}")
         _freeze(unit, period, a, y, group)
         object.__setattr__(self, "unit_id", unit)
         object.__setattr__(self, "period_id", period)

@@ -250,7 +250,11 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
 
 @dataclass(frozen=True)
 class NuisanceFit:
-    """Out-of-fold nuisance predictions with clipping bookkeeping."""
+    """Out-of-fold nuisance predictions with clipping and IRLS bookkeeping.
+
+    irls_converged and irls_iterations hold one entry per fold's propensity
+    fit, in fold order; they are empty for fits not made by cross_fit.
+    """
 
     pi_hat: np.ndarray
     mu0_hat: np.ndarray
@@ -259,6 +263,8 @@ class NuisanceFit:
     clip_lo: float
     clip_hi: float
     clip_count: int = 0
+    irls_converged: tuple[bool, ...] = ()
+    irls_iterations: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("pi_hat", "mu0_hat", "mu1_hat"):
@@ -290,7 +296,8 @@ def cross_fit(
 
     For each fold j, all three models are fitted on the other folds and
     evaluated on fold j only.  Propensities are then clipped to `clip` and
-    the number of clipped units recorded.
+    the number of clipped units recorded, along with each fold's IRLS
+    convergence flag and iteration count.
     """
     clip_lo, clip_hi = float(clip[0]), float(clip[1])
     if not (0.0 < clip_lo < clip_hi < 1.0):
@@ -300,6 +307,7 @@ def cross_fit(
     pi_raw = np.empty(n)
     mu0 = np.empty(n)
     mu1 = np.empty(n)
+    props = []
     for j in range(k):
         test = folds.indices(j)
         train = folds.complement(j)
@@ -318,6 +326,7 @@ def cross_fit(
         m0 = fit_linear(
             x_tr[a_tr == 0], dataset.y[train][a_tr == 0], outcome_lambda, features=outcome_features, arm=0
         )
+        props.append(prop)
         pi_raw[test] = prop.predict_proba(x_te)
         mu1[test] = m1.predict(x_te)
         mu0[test] = m0.predict(x_te)
@@ -331,4 +340,6 @@ def cross_fit(
         clip_lo=clip_lo,
         clip_hi=clip_hi,
         clip_count=clip_count,
+        irls_converged=tuple(p.converged for p in props),
+        irls_iterations=tuple(p.iterations for p in props),
     )

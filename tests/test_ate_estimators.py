@@ -14,6 +14,7 @@ Oracle values frozen from hand derivations:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from statistics import NormalDist
 
 from causalkit import (
@@ -42,6 +43,130 @@ from causalkit.errors import (
 from causalkit.nuisance import NuisanceFit
 
 Z975 = NormalDist().inv_cdf(0.975)
+
+
+def _psm_reference(dataset, pi_hat, spec=MatchSpec(), level=0.95):
+    """Quadratic greedy matching: each treated unit scans every control.
+
+    The oracle for psm_att: argmin of the computed |pi_c - pi_t| over the
+    available controls, the first minimum (lowest control index) winning.
+    Returns the estimate fields compared by the tests and the match table.
+    """
+    treated_idx = np.flatnonzero(dataset.a == 1)
+    control_idx = np.flatnonzero(dataset.a == 0)
+    caliper = np.inf if spec.caliper is None else float(spec.caliper)
+    available = np.ones(control_idx.size, dtype=bool)
+    matches = []
+    for t in treated_idx:
+        pool = available if not spec.with_replacement else np.ones(control_idx.size, dtype=bool)
+        if not pool.any():
+            continue
+        dist = np.abs(pi_hat[control_idx] - pi_hat[t])
+        dist = np.where(pool, dist, np.inf)
+        best = int(np.argmin(dist))
+        if dist[best] <= caliper:
+            matches.append((int(t), int(control_idx[best])))
+            if not spec.with_replacement:
+                available[best] = False
+    if not matches:
+        return None, matches
+    t_ids = np.array([m[0] for m in matches])
+    c_ids = np.array([m[1] for m in matches])
+    diffs = dataset.y[t_ids] - dataset.y[c_ids]
+    gaps = np.abs(pi_hat[t_ids] - pi_hat[c_ids])
+    psi = float(diffs.mean())
+    if diffs.size >= 2:
+        se = float(np.sqrt(np.var(diffs, ddof=1) / diffs.size))
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
+        ci = (psi - z * se, psi + z * se)
+    else:
+        se, ci = None, (None, None)
+    fields = {
+        "psi_hat": psi,
+        "se": se,
+        "ci_low": ci[0],
+        "ci_high": ci[1],
+        "diagnostics": {
+            "estimand": "att",
+            "n_pairs": len(matches),
+            "unmatched_count": int(treated_idx.size - len(matches)),
+            "with_replacement": spec.with_replacement,
+            "mean_match_distance": float(gaps.mean()),
+            "max_match_distance": float(gaps.max()),
+        },
+    }
+    return fields, matches
+
+
+def _assert_psm_equals_reference(dataset, pi_hat, spec):
+    want, want_matches = _psm_reference(dataset, pi_hat, spec)
+    if want is None:
+        with pytest.raises(EmptyMatchError):
+            psm_att(dataset, pi_hat, spec)
+        return
+    est, matches = psm_att(dataset, pi_hat, spec)
+    assert matches == want_matches
+    got = {
+        "psi_hat": est.psi_hat,
+        "se": est.se,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "diagnostics": est.diagnostics,
+    }
+    assert got == want
+
+
+# Propensity grids that make the greedy rule's ties matter.
+_PROPENSITY_GRIDS = (
+    # equal propensities and distances that differ only by rounding (k / 10)
+    st.integers(0, 10).map(lambda k: k / 10),
+    # large groups at the usual clip bounds
+    st.sampled_from([0.01, 0.99, 0.01, 0.99, 0.5, 0.02, 0.98]),
+    # neighbours one ulp apart
+    st.sampled_from(
+        [0.1, 0.2, 0.3, 0.30000000000000004, 0.19999999999999998, 0.7, 1.0 - 2**-53, 1.0]
+    ),
+    # distinct controls below 0.5 at the same rounded distance 0.5 from it,
+    # and 1.0 at that distance above
+    st.sampled_from([0.0, 1e-17, 2e-17, 0.5, 1.0]),
+    # from 0.25 + 2**-54, controls 0.75 + k * 2**-53 for k = 2, 3 (and 4, 5)
+    # round to one distance: distinct values tied above the treated unit
+    st.sampled_from(
+        [0.25 + 2**-54, 0.75 + 2 * 2**-53, 0.75 + 3 * 2**-53, 0.75 + 4 * 2**-53, 0.75 + 5 * 2**-53]
+    ),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def _matching_problems(draw):
+    n_treated = draw(st.integers(1, 12))
+    n_control = draw(st.integers(1, 12))
+    n = n_treated + n_control
+    values = draw(
+        st.lists(draw(st.sampled_from(_PROPENSITY_GRIDS)), min_size=n, max_size=n)
+    )
+    # one-sided arms: every control above (or below) every treated unit
+    layout = draw(st.sampled_from(["mixed", "controls_above", "controls_below"]))
+    if layout != "mixed":
+        values = sorted(values, reverse=layout == "controls_below")
+    arms = [1] * n_treated + [0] * n_control
+    order = draw(st.permutations(range(n)))
+    a = np.array([arms[i] for i in order])
+    pi = np.array([values[i] for i in order])
+    y = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=float)
+    kind = draw(st.sampled_from(["none", "zero", "boundary"]))
+    if kind == "none":
+        caliper = None
+    elif kind == "zero":
+        caliper = 0.0
+    else:
+        # exactly one computed treated-control distance
+        t = draw(st.sampled_from(list(np.flatnonzero(a == 1))))
+        c = draw(st.sampled_from(list(np.flatnonzero(a == 0))))
+        caliper = float(abs(pi[c] - pi[t]))
+    spec = MatchSpec(caliper=caliper, with_replacement=draw(st.booleans()))
+    return ObservationalDataset(x=np.zeros((n, 0)), a=a, y=y), pi, spec
 
 
 def _nuisance(dataset, pi, mu0, mu1, k=2, seed=0):
@@ -209,6 +334,37 @@ class TestPsm:
         est, matches = psm_att(ds, pi, MatchSpec(with_replacement=True))
         assert matches == [(0, 2), (1, 2)]
         assert est.psi_hat == 4.5
+
+
+    def test_rejects_propensities_outside_unit_interval(self):
+        ds = ObservationalDataset(x=np.zeros((2, 0)), a=[1, 0], y=[4.0, 1.0])
+        for bad in (np.nan, 1.5, -0.1):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                psm_att(ds, np.array([0.5, bad]))
+
+    def test_match_distance_diagnostics(self):
+        ds = ObservationalDataset(
+            x=np.zeros((5, 0)),
+            a=[1, 1, 0, 0, 0],
+            y=[5.0, 7.0, 1.0, 2.0, 0.0],
+        )
+        pi = np.array([0.30, 0.50, 0.25, 0.41, 0.60])
+        est, _ = psm_att(ds, pi, MatchSpec(caliper=0.1))
+        gaps = [abs(0.25 - 0.30), abs(0.41 - 0.50)]
+        assert est.diagnostics["mean_match_distance"] == pytest.approx(np.mean(gaps), abs=1e-15)
+        assert est.diagnostics["max_match_distance"] == max(gaps)
+
+    @given(_matching_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_quadratic_reference(self, problem):
+        _assert_psm_equals_reference(*problem)
+
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_equals_quadratic_reference_at_scale(self, with_replacement):
+        cfg = ObsDgpConfig(n=20000, d=3, confounding_strength=0.5, tau=2.0)
+        ds, _ = generate_observational(cfg, 11)
+        pi = cross_fit(ds, seed=3).pi_hat
+        _assert_psm_equals_reference(ds, pi, MatchSpec(with_replacement=with_replacement))
 
 
 class TestAipw:

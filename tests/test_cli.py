@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from causalkit import cross_fit
 from causalkit.cli import main
 
 REPORT_KEYS = ["method", "psi_hat", "se", "ci_low", "ci_high", "n", "diagnostics", "config", "version"]
@@ -114,6 +116,23 @@ class TestEstimate:
             assert code == 0, method
             report = json.loads(capsys.readouterr().out)
             assert list(report.keys()) == REPORT_KEYS
+            if method != "naive":
+                assert report["diagnostics"]["irls_converged"] is True
+                assert len(report["diagnostics"]["irls_iterations"]) == 5
+            if method == "psm":
+                diag = report["diagnostics"]
+                assert 0.0 <= diag["mean_match_distance"] <= diag["max_match_distance"]
+
+    def test_reports_irls_non_convergence(self, obs_csv, capsys, monkeypatch):
+        monkeypatch.setattr("causalkit.cli.cross_fit", functools.partial(cross_fit, max_iter=1))
+        code = run_cli(
+            "estimate", "--method", "aipw", "--input", obs_csv,
+            "--covariates", "x1,x2", "--k", "3",
+        )
+        assert code == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["irls_converged"] is False
+        assert diag["irls_iterations"] == [1, 1, 1]
 
     def test_quasi_methods(self, panel_csv, iv_csv, capsys):
         assert run_cli("estimate", "--method", "did", "--input", panel_csv) == 0

@@ -129,6 +129,17 @@ class TestPanelDataset:
                 unit_id=[0, 0], period_id=[0, 1], a=[0, 1], y=[1.0, 2.0], group=[0, 1]
             )
 
+    def test_error_names_lowest_offending_unit(self):
+        # units 9 and 4 both vary; unit 9's records come first, unit 2 is consistent
+        with pytest.raises(ValidationError, match=r"^group flag varies within unit 4$"):
+            PanelDataset(
+                unit_id=[9, 9, 2, 4, 2, 4],
+                period_id=[0, 1, 0, 0, 1, 1],
+                a=[0, 0, 0, 0, 0, 0],
+                y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                group=[1, 0, 1, 0, 1, 1],
+            )
+
 
 class TestFormatNumber:
     def test_integers_render_without_decimal(self):

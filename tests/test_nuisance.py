@@ -218,6 +218,16 @@ class TestCrossFit:
         other = fit.folds.complement(j)
         assert not np.array_equal(fit.mu1_hat[other], fit2.mu1_hat[other])
 
+    def test_records_irls_outcome_per_fold(self):
+        ds = _sim_dataset()
+        fit = cross_fit(ds, k=4, seed=0)
+        assert fit.irls_converged == (True,) * 4
+        assert len(fit.irls_iterations) == 4
+        assert all(it >= 1 for it in fit.irls_iterations)
+        capped = cross_fit(ds, k=4, seed=0, max_iter=1)
+        assert capped.irls_converged == (False,) * 4
+        assert capped.irls_iterations == (1,) * 4
+
     def test_clipping_records_count(self):
         rng = np.random.default_rng(1)
         x = np.concatenate([np.full(30, -6.0), np.full(30, 6.0)])
