@@ -15,25 +15,23 @@ double robustness.
 from .ate_estimators import (
     MatchSpec,
     aipw,
-    eif_closed_form,
     g_formula,
     ipw,
     naive_dim,
+    normal_ci,
     psm_att,
     variance_ci,
 )
 from .data_model import (
-    AteEstimate,
+    Estimate,
     GroundTruth,
     IvDataset,
     ObservationalDataset,
     PanelDataset,
-    Summary,
     format_number,
     load_csv,
     load_iv_csv,
     load_panel_csv,
-    summarize,
     write_csv,
     write_ground_truth_csv,
     write_iv_csv,
@@ -92,10 +90,6 @@ from .nuisance import (
     make_folds,
 )
 from .quasi_experimental import (
-    DidEstimate,
-    FeEstimate,
-    IvEstimate,
-    RdEstimate,
     RdSpec,
     did,
     did_placebo,
@@ -114,10 +108,9 @@ __all__ = [
     # data model
     "ObservationalDataset",
     "GroundTruth",
-    "AteEstimate",
+    "Estimate",
     "PanelDataset",
     "IvDataset",
-    "Summary",
     "load_csv",
     "load_iv_csv",
     "load_panel_csv",
@@ -125,7 +118,6 @@ __all__ = [
     "write_iv_csv",
     "write_panel_csv",
     "write_ground_truth_csv",
-    "summarize",
     "format_number",
     # dgp
     "ObsDgpConfig",
@@ -150,7 +142,7 @@ __all__ = [
     "g_formula",
     "psm_att",
     "aipw",
-    "eif_closed_form",
+    "normal_ci",
     "variance_ci",
     "MatchSpec",
     # quasi-experimental
@@ -161,11 +153,7 @@ __all__ = [
     "tsls",
     "fe_within",
     "weak_iv_study",
-    "DidEstimate",
     "RdSpec",
-    "RdEstimate",
-    "IvEstimate",
-    "FeEstimate",
     # eif engine
     "DiscreteMeasure",
     "ScoreVector",

@@ -1,9 +1,11 @@
 """Average-treatment-effect estimators: naive, IPW, g-formula, matching, AIPW.
 
-Every estimator is a pure function returning an :class:`AteEstimate`.  Where a
+Every estimator is a pure function returning an :class:`Estimate`.  Where a
 per-unit influence-function vector has a standard closed form it is stored on
-the estimate (centered, mean zero) and drives the standard error and normal
-CI.  The doubly-robust estimator consumes out-of-fold nuisances from
+the estimate (centered, mean zero) and drives the standard error through
+:func:`variance_ci`.  Every interval, here and in the quasi-experimental
+module, is :func:`normal_ci` of the point estimate and its standard error.
+The doubly-robust estimator consumes out-of-fold nuisances from
 :func:`causalkit.nuisance.cross_fit`.
 """
 
@@ -14,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import AteEstimate, ObservationalDataset, require_both_arms
+from .data_model import Estimate, ObservationalDataset, require_both_arms
 from .errors import (
     ConfigError,
     EmptyMatchError,
@@ -31,9 +33,19 @@ __all__ = [
     "g_formula",
     "psm_att",
     "aipw",
-    "eif_closed_form",
+    "normal_ci",
     "variance_ci",
 ]
+
+
+def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
+    """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
+    if not (0.0 < level < 1.0):
+        raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
+    if se is None:
+        return None, None
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    return float(psi - z * se), float(psi + z * se)
 
 
 def variance_ci(eif: np.ndarray, psi_hat: float, level: float = 0.95) -> tuple[float, tuple[float, float]]:
@@ -47,14 +59,11 @@ def variance_ci(eif: np.ndarray, psi_hat: float, level: float = 0.95) -> tuple[f
         raise ValidationError("eif must be a non-empty vector")
     if eif.size < 2:
         raise InsufficientDataError("need at least 2 observations for a variance estimate")
-    if not (0.0 < level < 1.0):
-        raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
     se = float(np.sqrt(np.var(eif, ddof=1) / eif.size))
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    return se, (float(psi_hat - z * se), float(psi_hat + z * se))
+    return se, normal_ci(psi_hat, se, level)
 
 
-def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> AteEstimate:
+def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> Estimate:
     """Difference in arm means, with the two-sample standard error."""
     require_both_arms(dataset, "naive_dim")
     treated = dataset.a == 1
@@ -70,11 +79,10 @@ def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> AteEstimate
     )
     if n1 >= 2 and n0 >= 2:
         se = float(np.sqrt(np.var(y1, ddof=1) / n1 + np.var(y0, ddof=1) / n0))
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-        ci = (psi - z * se, psi + z * se)
     else:
-        se, ci = None, (None, None)
-    return AteEstimate(
+        se = None
+    ci = normal_ci(psi, se, level)
+    return Estimate(
         psi_hat=psi,
         method="naive",
         n=dataset.n,
@@ -91,7 +99,7 @@ def ipw(
     pi_hat: np.ndarray,
     normalization: str = "hajek",
     level: float = 0.95,
-) -> AteEstimate:
+) -> Estimate:
     """Inverse-propensity weighting.
 
     horvitz_thompson: psi = mean(a*y/pi) - mean((1-a)*y/(1-pi)).
@@ -121,7 +129,7 @@ def ipw(
         eif = w1 * (y - psi1) / float(np.mean(w1)) - w0 * (y - psi0) / float(np.mean(w0))
     psi = psi1 - psi0
     se, ci = variance_ci(eif, psi, level) if dataset.n >= 2 else (None, (None, None))
-    return AteEstimate(
+    return Estimate(
         psi_hat=psi,
         method="ipw",
         n=dataset.n,
@@ -138,7 +146,7 @@ def g_formula(
     mu0_hat: np.ndarray,
     mu1_hat: np.ndarray,
     level: float = 0.95,
-) -> AteEstimate:
+) -> Estimate:
     """Outcome-regression (standardization) estimator: mean(mu1 - mu0)."""
     mu0_hat = np.asarray(mu0_hat, dtype=float)
     mu1_hat = np.asarray(mu1_hat, dtype=float)
@@ -149,7 +157,7 @@ def g_formula(
     psi = float(contrast.mean())
     eif = contrast - psi
     se, ci = variance_ci(eif, psi, level) if dataset.n >= 2 else (None, (None, None))
-    return AteEstimate(
+    return Estimate(
         psi_hat=psi,
         method="gformula",
         n=dataset.n,
@@ -253,7 +261,7 @@ def psm_att(
     pi_hat: np.ndarray,
     spec: MatchSpec = MatchSpec(),
     level: float = 0.95,
-) -> tuple[AteEstimate, list[tuple[int, int]]]:
+) -> tuple[Estimate, list[tuple[int, int]]]:
     """Greedy one-to-one propensity-score matching; reports the ATT.
 
     Treated units are visited in index order.  Each is matched to the
@@ -289,13 +297,9 @@ def psm_att(
     diffs = dataset.y[t_ids] - dataset.y[c_ids]
     gaps = np.abs(pi_hat[t_ids] - pi_hat[c_ids])
     psi = float(diffs.mean())
-    if diffs.size >= 2:
-        se = float(np.sqrt(np.var(diffs, ddof=1) / diffs.size))
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-        ci = (psi - z * se, psi + z * se)
-    else:
-        se, ci = None, (None, None)
-    estimate = AteEstimate(
+    se = float(np.sqrt(np.var(diffs, ddof=1) / diffs.size)) if diffs.size >= 2 else None
+    ci = normal_ci(psi, se, level)
+    estimate = Estimate(
         psi_hat=psi,
         method="psm",
         n=dataset.n,
@@ -322,7 +326,7 @@ def _aipw_terms(
     return a * (y - mu1) / pi - (1.0 - a) * (y - mu0) / (1.0 - pi) + mu1 - mu0
 
 
-def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.95) -> AteEstimate:
+def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.95) -> Estimate:
     """Cross-fitted augmented IPW (doubly robust) estimator of the ATE.
 
     psi_hat is the full-sample mean of the per-unit doubly-robust terms;
@@ -345,7 +349,7 @@ def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.
     arm1 = a * (dataset.y - nuisance.mu1_hat) / pi + nuisance.mu1_hat
     arm0 = (1.0 - a) * (dataset.y - nuisance.mu0_hat) / (1.0 - pi) + nuisance.mu0_hat
     fold_means = [float(terms[nuisance.folds.indices(j)].mean()) for j in range(nuisance.folds.k)]
-    return AteEstimate(
+    return Estimate(
         psi_hat=psi,
         method="aipw",
         n=dataset.n,
@@ -362,16 +366,3 @@ def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.
             "k": nuisance.folds.k,
         },
     )
-
-
-def eif_closed_form(dataset: ObservationalDataset, nuisance: NuisanceFit, psi_hat: float) -> np.ndarray:
-    """Closed-form per-unit influence values for the ATE at the given psi_hat.
-
-    Equals the eif vector stored by :func:`aipw` when psi_hat is its point
-    estimate.
-    """
-    if nuisance.folds.n != dataset.n:
-        raise ValidationError(
-            f"nuisance fit covers {nuisance.folds.n} units, dataset has {dataset.n}"
-        )
-    return _aipw_terms(dataset, nuisance.pi_hat, nuisance.mu0_hat, nuisance.mu1_hat) - float(psi_hat)

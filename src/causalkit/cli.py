@@ -17,19 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from statistics import NormalDist
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
-from .ate_estimators import MatchSpec, aipw, g_formula, ipw, naive_dim, psm_att
 from .data_model import (
     _parse_cell,
     _read_rows,
     format_number,
-    load_csv,
-    load_iv_csv,
-    load_panel_csv,
     write_csv,
     write_ground_truth_csv,
     write_iv_csv,
@@ -64,41 +60,17 @@ from .errors import (
     InputError,
     SchemaError,
 )
-from .montecarlo import ESTIMATORS, SCENARIOS, McConfig, McReport, run_mc
+from .methods import METHODS
+from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, McReport, run_mc
 from .nuisance import FEATURE_MAPS, cross_fit
-from .quasi_experimental import (
-    KERNELS,
-    RdSpec,
-    did,
-    did_placebo,
-    fe_within,
-    iv_wald,
-    rd_local_linear,
-    tsls,
-)
+from .quasi_experimental import KERNELS
 from .rng import stream
 
 __all__ = ["main", "parse_args", "emit_report"]
 
 PROG = "causalkit"
 
-ATE_METHODS = ("naive", "ipw", "gformula", "psm", "aipw")
-QUASI_METHODS = ("did", "rd", "iv", "tsls", "fe")
-
-_MC_COLUMNS = (
-    "estimator",
-    "n_ok",
-    "n_failed",
-    "mean_estimate",
-    "bias",
-    "mc_se_mean",
-    "variance",
-    "mse",
-    "coverage",
-    "mean_se",
-    "mean_clip_count",
-    "mean_unmatched",
-)
+_MC_COLUMNS = tuple(f.name for f in fields(EstimatorSummary))
 
 
 class UsageError(Exception):
@@ -268,13 +240,6 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
     else:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-
-
-def _ci_from_se(psi: float, se: float | None, level: float) -> tuple[float | None, float | None]:
-    if se is None:
-        return None, None
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    return psi - z * se, psi + z * se
 
 
 # ---------------------------------------------------------------------------
@@ -466,39 +431,45 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 # estimate
 
 
-_ESTIMATE_CONFIG_KEYS = (
-    "method",
-    "input",
-    "output",
-    "treatment",
-    "outcome",
-    "covariates",
-    "instrument",
-    "unit",
-    "period",
-    "group",
-    "running",
-    "seed",
-    "level",
-    "normalization",
-    "caliper",
-    "with_replacement",
-    "cutoff",
-    "bandwidth",
-    "kernel",
-    "placebo",
-    "crossfit.k",
-    "crossfit.clip",
-    "propensity.lambda",
-    "outcome.lambda",
-    "propensity.features",
-    "outcome.features",
-)
+_REQUIRED = object()
+
+# config key -> (flag dest, default, cast, allowed values).  A string value,
+# from a flag or the config file, goes through the cast.
+_ESTIMATE_OPTIONS = {
+    "treatment": ("treatment", "a", _cast_str, None),
+    "outcome": ("outcome", "y", _cast_str, None),
+    "covariates": ("covariates", (), _cast_names, None),
+    "instrument": ("instrument", "z", _cast_str, None),
+    "unit": ("unit", "unit", _cast_str, None),
+    "period": ("period", "period", _cast_str, None),
+    "group": ("group", "group", _cast_str, None),
+    "running": ("running", "x", _cast_str, None),
+    "seed": ("seed", 0, _cast_int, None),
+    "level": ("level", 0.95, _cast_float, None),
+    "normalization": ("normalization", "hajek", _cast_str, ("horvitz_thompson", "hajek")),
+    "caliper": ("caliper", None, _cast_float, None),
+    "with_replacement": ("with_replacement", False, _cast_bool, None),
+    "cutoff": ("cutoff", _REQUIRED, _cast_float, None),
+    "bandwidth": ("bandwidth", 1.0, _cast_float, None),
+    "kernel": ("kernel", "rectangular", _cast_str, KERNELS),
+    "placebo": ("placebo", False, _cast_bool, None),
+    "crossfit.k": ("k", 5, _cast_int, None),
+    "crossfit.clip": ("clip", (0.01, 0.99), _cast_pair, None),
+    "propensity.lambda": ("propensity_lambda", 1e-6, _cast_float, None),
+    "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
+    "propensity.features": ("propensity_features", "linear", _cast_str, FEATURE_MAPS),
+    "outcome.features": ("outcome_features", "linear", _cast_str, FEATURE_MAPS),
+}
+
+_ESTIMATE_CONFIG_KEYS = ("method", "input", "output", *_ESTIMATE_OPTIONS)
+
+# resolved for every method, as the loaders read them
+_ESTIMATE_COMMON = ("treatment", "outcome", "covariates", "seed", "level")
 
 
 def _add_estimate_parser(sub) -> None:
     p = sub.add_parser("estimate", help="run an estimator on a CSV dataset")
-    p.add_argument("--method", choices=ATE_METHODS + QUASI_METHODS)
+    p.add_argument("--method", choices=tuple(METHODS))
     p.add_argument("--input")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help="report path (default: stdout)")
@@ -530,217 +501,56 @@ def _add_estimate_parser(sub) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
     r = _Resolver(args, _ESTIMATE_CONFIG_KEYS)
-    method = r.get("method", "method", None, _cast_str)
-    if method is None:
+    name = r.get("method", "method", None, _cast_str)
+    if name is None:
         raise UsageError("--method is required")
-    if method not in ATE_METHODS + QUASI_METHODS:
-        raise ConfigError(f"unknown method '{method}'")
+    if name not in METHODS:
+        raise ConfigError(f"unknown method '{name}'")
+    method = METHODS[name]
     input_path = r.get("input", "input", None, _cast_str)
     if input_path is None:
         raise UsageError("--input is required")
     out_path = args.out if args.out is not None else r.get("out", "output", None, _cast_str)
-    treatment = r.get("treatment", "treatment", "a", _cast_str)
-    outcome = r.get("outcome", "outcome", "y", _cast_str)
-    covariates = r.get("covariates", "covariates", "", _cast_str)
-    if isinstance(covariates, str):
-        covariates = [c.strip() for c in covariates.split(",") if c.strip()]
-    seed = r.get("seed", "seed", 0, _cast_int)
-    level = r.get("level", "level", 0.95, _cast_float)
-    config: dict = {"subcommand": "estimate", "method": method, "input": input_path}
+    values = {}
+    for key in dict.fromkeys(_ESTIMATE_COMMON + method.keys):
+        dest, default, cast, allowed = _ESTIMATE_OPTIONS[key]
+        value = r.get(dest, key, default, cast)
+        if value is _REQUIRED:
+            raise UsageError(f"--{dest} is required for --method {name}")
+        if isinstance(value, str):
+            value = cast(value, key)
+        values[key] = value if allowed is None else _choice(value, key, allowed)
 
-    if method in ATE_METHODS:
-        schema = {"treatment": treatment, "outcome": outcome, "covariates": covariates}
-        dataset = load_csv(input_path, schema)
-        config.update(
-            {
-                "treatment": treatment,
-                "outcome": outcome,
-                "covariates": list(covariates),
-                "seed": seed,
-                "level": level,
-            }
+    data = method.load(input_path, values)
+    fit = None
+    if method.nuisance:
+        fit = cross_fit(
+            data,
+            k=values["crossfit.k"],
+            clip=values["crossfit.clip"],
+            propensity_lambda=values["propensity.lambda"],
+            outcome_lambda=values["outcome.lambda"],
+            propensity_features=values["propensity.features"],
+            outcome_features=values["outcome.features"],
+            seed=values["seed"],
         )
-        if method == "naive":
-            estimate = naive_dim(dataset, level=level)
-        else:
-            k = r.get("k", "crossfit.k", 5, _cast_int)
-            clip = _parse_clip(r.get("clip", "crossfit.clip", (0.01, 0.99), _cast_pair))
-            p_lambda = r.get("propensity_lambda", "propensity.lambda", 1e-6, _cast_float)
-            o_lambda = r.get("outcome_lambda", "outcome.lambda", 1e-8, _cast_float)
-            p_feat = _choice(
-                r.get("propensity_features", "propensity.features", "linear", _cast_str),
-                "propensity.features",
-                FEATURE_MAPS,
-            )
-            o_feat = _choice(
-                r.get("outcome_features", "outcome.features", "linear", _cast_str),
-                "outcome.features",
-                FEATURE_MAPS,
-            )
-            config.update(
-                {
-                    "crossfit.k": k,
-                    "crossfit.clip": list(clip),
-                    "propensity.lambda": p_lambda,
-                    "outcome.lambda": o_lambda,
-                    "propensity.features": p_feat,
-                    "outcome.features": o_feat,
-                }
-            )
-            fit = cross_fit(
-                dataset,
-                k=k,
-                clip=clip,
-                propensity_lambda=p_lambda,
-                outcome_lambda=o_lambda,
-                propensity_features=p_feat,
-                outcome_features=o_feat,
-                seed=seed,
-            )
-            if method == "ipw":
-                normalization = r.get("normalization", "normalization", "hajek", _cast_str)
-                normalization = _choice(normalization, "normalization", ("horvitz_thompson", "hajek"))
-                config["normalization"] = normalization
-                estimate = ipw(dataset, fit.pi_hat, normalization, level=level)
-            elif method == "gformula":
-                estimate = g_formula(dataset, fit.mu0_hat, fit.mu1_hat, level=level)
-            elif method == "psm":
-                caliper = r.get("caliper", "caliper", None, _cast_float)
-                with_repl = bool(r.get("with_replacement", "with_replacement", False, _cast_bool))
-                config["caliper"] = caliper
-                config["with_replacement"] = with_repl
-                spec = MatchSpec(caliper=caliper, with_replacement=with_repl)
-                estimate, _ = psm_att(dataset, fit.pi_hat, spec, level=level)
-            else:
-                estimate = aipw(dataset, fit, level=level)
-            estimate.diagnostics.update(
-                clip_count=fit.clip_count,
-                irls_converged=all(fit.irls_converged),
-                irls_iterations=list(fit.irls_iterations),
-            )
-        report = {
-            "method": estimate.method,
-            "psi_hat": estimate.psi_hat,
-            "se": estimate.se,
-            "ci_low": estimate.ci_low,
-            "ci_high": estimate.ci_high,
-            "n": estimate.n,
-            "diagnostics": estimate.diagnostics,
-            "config": config,
-            "version": __version__,
-        }
-        emit_report(report, "json", out_path)
-        return
-
-    # quasi-experimental methods
-    if method in ("did", "fe"):
-        unit = r.get("unit", "unit", "unit", _cast_str)
-        period = r.get("period", "period", "period", _cast_str)
-        group = r.get("group", "group", "group", _cast_str)
-        panel = load_panel_csv(
-            input_path,
-            {"unit": unit, "period": period, "group": group, "treatment": treatment, "outcome": outcome},
+    estimate = method.run(data, fit, values["level"], **{k: values[k] for k in method.options})
+    if fit is not None:
+        estimate.diagnostics.update(
+            clip_count=fit.clip_count,
+            irls_converged=all(fit.irls_converged),
+            irls_iterations=list(fit.irls_iterations),
         )
-        config.update(
-            {
-                "unit": unit,
-                "period": period,
-                "group": group,
-                "treatment": treatment,
-                "outcome": outcome,
-                "seed": seed,
-                "level": level,
-            }
-        )
-        if method == "did":
-            placebo = bool(r.get("placebo", "placebo", False, _cast_bool))
-            config["placebo"] = placebo
-            est = did_placebo(panel) if placebo else did(panel)
-            psi, se = est.estimate, est.se
-            diagnostics = {
-                "cell_means": list(est.cell_means),
-                "cell_counts": list(est.cell_counts),
-                "pre_period": est.pre_period,
-                "post_period": est.post_period,
-                "placebo": placebo,
-            }
-            n = panel.n
-        else:
-            est = fe_within(panel)
-            psi, se = est.estimate, est.se
-            diagnostics = {
-                "n_units": est.n_units,
-                "n_units_identifying": est.n_units_identifying,
-            }
-            n = panel.n
-    elif method == "rd":
-        running = r.get("running", "running", "x", _cast_str)
-        cutoff = r.get("cutoff", "cutoff", None, _cast_float)
-        if cutoff is None:
-            raise UsageError("--cutoff is required for --method rd")
-        bandwidth = r.get("bandwidth", "bandwidth", 1.0, _cast_float)
-        kernel = _choice(r.get("kernel", "kernel", "rectangular", _cast_str), "kernel", KERNELS)
-        dataset = load_csv(input_path, {"treatment": treatment, "outcome": outcome, "covariates": [running]})
-        config.update(
-            {
-                "running": running,
-                "outcome": outcome,
-                "cutoff": cutoff,
-                "bandwidth": bandwidth,
-                "kernel": kernel,
-                "seed": seed,
-                "level": level,
-            }
-        )
-        est = rd_local_linear(dataset, RdSpec(cutoff=cutoff, bandwidth=bandwidth, kernel=kernel))
-        psi, se = est.estimate, est.se
-        diagnostics = {
-            "intercept_left": est.intercept_left,
-            "intercept_right": est.intercept_right,
-            "slope_left": est.slope_left,
-            "slope_right": est.slope_right,
-            "n_left": est.n_left,
-            "n_right": est.n_right,
-        }
-        n = dataset.n
-    else:  # iv, tsls
-        instrument = r.get("instrument", "instrument", "z", _cast_str)
-        iv_data = load_iv_csv(
-            input_path,
-            {
-                "instrument": instrument,
-                "treatment": treatment,
-                "outcome": outcome,
-                "covariates": covariates,
-            },
-        )
-        config.update(
-            {
-                "instrument": instrument,
-                "treatment": treatment,
-                "outcome": outcome,
-                "covariates": list(covariates),
-                "seed": seed,
-                "level": level,
-            }
-        )
-        est = iv_wald(iv_data) if method == "iv" else tsls(iv_data)
-        psi, se = est.late, est.se
-        diagnostics = {
-            "first_stage": est.first_stage,
-            "reduced_form": est.reduced_form,
-            "weak_flag": est.weak_flag,
-        }
-        n = iv_data.n
-    ci_low, ci_high = _ci_from_se(psi, se, level)
+    config = {"subcommand": "estimate", "method": name, "input": input_path}
+    config.update((k, values[k]) for k in method.keys)
     report = {
-        "method": method,
-        "psi_hat": psi,
-        "se": se,
-        "ci_low": ci_low,
-        "ci_high": ci_high,
-        "n": n,
-        "diagnostics": diagnostics,
+        "method": estimate.method,
+        "psi_hat": estimate.psi_hat,
+        "se": estimate.se,
+        "ci_low": estimate.ci_low,
+        "ci_high": estimate.ci_high,
+        "n": estimate.n,
+        "diagnostics": estimate.diagnostics,
         "config": config,
         "version": __version__,
     }
@@ -796,35 +606,7 @@ def _add_montecarlo_parser(sub) -> None:
 
 
 def _mc_report_dict(report: McReport, config: dict) -> dict:
-    rows = []
-    for s in report.rows:
-        rows.append(
-            {
-                "estimator": s.estimator,
-                "n_ok": s.n_ok,
-                "n_failed": s.n_failed,
-                "mean_estimate": s.mean_estimate,
-                "bias": s.bias,
-                "mc_se_mean": s.mc_se_mean,
-                "variance": s.variance,
-                "mse": s.mse,
-                "coverage": s.coverage,
-                "mean_se": s.mean_se,
-                "mean_clip_count": s.mean_clip_count,
-                "mean_unmatched": s.mean_unmatched,
-            }
-        )
-    return {
-        "scenario": report.scenario,
-        "true_ate": report.true_ate,
-        "replications": report.replications,
-        "n": report.n,
-        "seed": report.seed,
-        "rows": rows,
-        "failures": list(report.failures),
-        "config": config,
-        "version": __version__,
-    }
+    return {**asdict(report), "config": config, "version": __version__}
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> None:

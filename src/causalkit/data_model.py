@@ -31,10 +31,9 @@ from .errors import (
 __all__ = [
     "ObservationalDataset",
     "GroundTruth",
-    "AteEstimate",
+    "Estimate",
     "PanelDataset",
     "IvDataset",
-    "Summary",
     "load_csv",
     "load_iv_csv",
     "load_panel_csv",
@@ -42,7 +41,6 @@ __all__ = [
     "write_iv_csv",
     "write_panel_csv",
     "write_ground_truth_csv",
-    "summarize",
     "format_number",
 ]
 
@@ -172,13 +170,15 @@ _EIF_MEAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class AteEstimate:
-    """Point estimate with optional influence-based inference.
+class Estimate:
+    """The result of every estimator: a point estimate with its inference.
 
-    ``eif`` holds per-unit influence values centered by construction
-    (mean zero); ``se``/``ci_low``/``ci_high`` are present when the estimator
-    provides inference.  ``diagnostics`` carries estimator-specific extras
-    (clip counts, fold means, unmatched counts) that the report layer emits.
+    ``eif`` holds per-unit influence values, centered (mean zero), when the
+    estimator has them; for difference-in-differences the units are panel
+    units, not records.  ``se``/``ci_low``/``ci_high`` are present when the
+    estimator provides inference.  ``diagnostics`` carries method-specific
+    values (cell means, first stage, clip counts, match distances) in the
+    order the report emits them.
     """
 
     psi_hat: float
@@ -292,30 +292,6 @@ class IvDataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-
-@dataclass(frozen=True)
-class Summary:
-    n: int
-    d: int
-    n_treated: int
-    n_control: int
-    treated_mean: float | None
-    control_mean: float | None
-
-
-def summarize(dataset: ObservationalDataset) -> Summary:
-    """Arm counts and outcome means; absent aggregates are None."""
-    treated = dataset.y[dataset.a == 1]
-    control = dataset.y[dataset.a == 0]
-    return Summary(
-        n=dataset.n,
-        d=dataset.d,
-        n_treated=int(treated.size),
-        n_control=int(control.size),
-        treated_mean=float(np.mean(treated)) if treated.size else None,
-        control_mean=float(np.mean(control)) if control.size else None,
-    )
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:

@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .ate_estimators import aipw, g_formula, ipw, naive_dim, psm_att
-from .data_model import AteEstimate, GroundTruth, ObservationalDataset, require_both_arms
+from .ate_estimators import ipw
+from .data_model import Estimate, GroundTruth, ObservationalDataset, require_both_arms
 from .dgp import FORMS, ObsDgpConfig, generate_observational
 from .errors import CausalKitError, ConfigError, EstimationError
+from .methods import METHODS
 from .nuisance import cross_fit
 from .rng import child_seed
 
@@ -220,32 +221,11 @@ def error_decomposition(dataset: ObservationalDataset, truth: GroundTruth) -> Er
     )
 
 
-_NEEDS_NUISANCE = {"ipw", "gformula", "psm", "aipw"}
-
-
-def _apply_estimator(
-    name: str,
-    dataset: ObservationalDataset,
-    truth: GroundTruth,
-    nuisance,
-    level: float,
-) -> AteEstimate:
-    if name == "naive":
-        return naive_dim(dataset, level=level)
-    if name == "ipw":
-        return ipw(dataset, nuisance.pi_hat, "hajek", level=level)
-    if name == "ipw_oracle":
-        if truth.pi is None:
-            raise EstimationError("ipw_oracle requires ground-truth propensities")
-        return ipw(dataset, truth.pi, "horvitz_thompson", level=level)
-    if name == "gformula":
-        return g_formula(dataset, nuisance.mu0_hat, nuisance.mu1_hat, level=level)
-    if name == "psm":
-        estimate, _ = psm_att(dataset, nuisance.pi_hat, level=level)
-        return estimate
-    if name == "aipw":
-        return aipw(dataset, nuisance, level=level)
-    raise ConfigError(f"unknown estimator '{name}'")
+def _ipw_oracle(dataset: ObservationalDataset, truth: GroundTruth, level: float) -> Estimate:
+    """Horvitz-Thompson IPW with the true propensities, which only a simulation knows."""
+    if truth.pi is None:
+        raise EstimationError("ipw_oracle requires ground-truth propensities")
+    return ipw(dataset, truth.pi, "horvitz_thompson", level=level)
 
 
 def run_mc(config: McConfig) -> McReport:
@@ -260,7 +240,9 @@ def run_mc(config: McConfig) -> McReport:
     effective_dgp = replace(config.dgp, n=config.n)
     prop_feat, out_feat = scenario_feature_maps(effective_dgp, config.scenario)
     true_ate = float(config.dgp.tau)
-    needs_nuisance = any(e in _NEEDS_NUISANCE for e in config.estimators)
+    # every estimator but the simulation-only ipw_oracle runs from the method table
+    methods = {e: METHODS.get(e) for e in config.estimators}
+    needs_nuisance = any(m is not None and m.nuisance for m in methods.values())
     values: dict[str, list[float]] = {e: [] for e in config.estimators}
     ses: dict[str, list[float | None]] = {e: [] for e in config.estimators}
     covered: dict[str, list[bool]] = {e: [] for e in config.estimators}
@@ -287,14 +269,17 @@ def run_mc(config: McConfig) -> McReport:
                 )
             except CausalKitError as exc:
                 nuisance_error = exc
-        for name in config.estimators:
-            if name in _NEEDS_NUISANCE and nuisance_error is not None:
+        for name, method in methods.items():
+            if method is not None and method.nuisance and nuisance_error is not None:
                 failed[name] += 1
                 if len(failure_notes) < 10:
                     failure_notes.append(f"rep {r} {name}: {nuisance_error}")
                 continue
             try:
-                est = _apply_estimator(name, dataset, truth, nuisance, config.level)
+                if method is None:
+                    est = _ipw_oracle(dataset, truth, config.level)
+                else:
+                    est = method.run(dataset, nuisance, config.level)
             except CausalKitError as exc:
                 failed[name] += 1
                 if len(failure_notes) < 10:

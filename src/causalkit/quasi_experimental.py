@@ -3,8 +3,12 @@
 These designs trade the unconfoundedness-plus-positivity route for structural
 assumptions: parallel trends (DID), continuity at a threshold (RD), exclusion
 and relevance of an instrument (IV), or time-invariant unit heterogeneity
-(FE).  Standard errors here are diagnostics from the usual textbook formulas,
-not the package's influence-function machinery.
+(FE).  Each returns an :class:`Estimate` whose interval is
+:func:`normal_ci`.  DID, RD and the Wald ratio build per-unit influence
+values and take their standard error from :func:`variance_ci`, as the ATE
+estimators do; DID's units are panel units, so its se is clustered by unit.
+Two-stage least squares and the within estimator keep their homoskedastic
+textbook standard errors.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import IvDataset, ObservationalDataset, PanelDataset
+from .ate_estimators import normal_ci, variance_ci
+from .data_model import Estimate, IvDataset, ObservationalDataset, PanelDataset
 from .dgp import IvDgpConfig, generate_iv
 from .errors import (
     BandwidthError,
@@ -29,11 +34,7 @@ from .errors import (
 from .rng import child_seed
 
 __all__ = [
-    "DidEstimate",
     "RdSpec",
-    "RdEstimate",
-    "IvEstimate",
-    "FeEstimate",
     "WeakIvRow",
     "did",
     "did_placebo",
@@ -51,82 +52,73 @@ KERNELS = ("rectangular", "triangular")
 WEAK_IV_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
-class DidEstimate:
+def _did_cells(panel: PanelDataset, pre: int, post: int, placebo: bool, level: float) -> Estimate:
     """Double difference of the four group-by-period cell means.
 
     The estimate is always (m11 - m10) - (m01 - m00) computed from the
-    stored means, so it can be reproduced from them bit-for-bit.
+    reported cell means, so it can be reproduced from them bit-for-bit.
+    Unit u among the U units with a record in either period has the
+    influence value U * sum over its records i of s_c (y_i - m_c) / n_c,
+    where c is the record's cell, s_c is +1 for (treated, post) and
+    (control, pre) and -1 otherwise, and n_c counts the cell's records.
+    The se is None unless both groups have at least 2 such units.
     """
-
-    estimate: float
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-    pre_period: int
-    post_period: int
-    se: float | None = None
-    cell_counts: tuple[int, int, int, int] = (0, 0, 0, 0)
-
-    @property
-    def cell_means(self) -> tuple[float, float, float, float]:
-        return (self.m00, self.m01, self.m10, self.m11)
-
-
-def _did_cells(panel: PanelDataset, pre: int, post: int) -> DidEstimate:
-    cells = {}
-    counts = {}
+    masks, means = {}, {}
     for g in (0, 1):
-        for t, label in ((pre, "pre"), (post, "post")):
+        for t in (pre, post):
             mask = (panel.group == g) & (panel.period_id == t)
             if not mask.any():
                 raise CellError(f"empty cell (group={g}, period={t})")
-            cells[(g, label)] = panel.y[mask]
-            counts[(g, label)] = int(mask.sum())
-    m00 = float(cells[(0, "pre")].mean())
-    m01 = float(cells[(0, "post")].mean())
-    m10 = float(cells[(1, "pre")].mean())
-    m11 = float(cells[(1, "post")].mean())
+            masks[g, t] = mask
+            means[g, t] = float(panel.y[mask].mean())
+    m00, m01, m10, m11 = means[0, pre], means[0, post], means[1, pre], means[1, post]
     estimate = (m11 - m10) - (m01 - m00)
-    if all(v.size >= 2 for v in cells.values()):
-        se = float(
-            np.sqrt(sum(np.var(v, ddof=1) / v.size for v in cells.values()))
-        )
+    record_terms = np.zeros(panel.n)
+    for (g, t), mask in masks.items():
+        sign = 1.0 if (g == 1) == (t == post) else -1.0
+        record_terms[mask] = sign * (panel.y[mask] - means[g, t]) / mask.sum()
+    window = (panel.period_id == pre) | (panel.period_id == post)
+    _, unit_of = np.unique(panel.unit_id[window], return_inverse=True)
+    n_units = int(unit_of.max()) + 1
+    eif = n_units * np.bincount(unit_of, weights=record_terms[window], minlength=n_units)
+    eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
+    n_treated = int(np.count_nonzero(np.bincount(unit_of, weights=panel.group[window])))
+    if min(n_treated, n_units - n_treated) >= 2:
+        se, (ci_low, ci_high) = variance_ci(eif, estimate, level)
     else:
-        se = None
-    return DidEstimate(
-        estimate=estimate,
-        m00=m00,
-        m01=m01,
-        m10=m10,
-        m11=m11,
-        pre_period=int(pre),
-        post_period=int(post),
+        se, ci_low, ci_high = None, None, None
+    return Estimate(
+        psi_hat=estimate,
+        method="did",
+        n=panel.n,
+        eif=eif,
         se=se,
-        cell_counts=(
-            counts[(0, "pre")],
-            counts[(0, "post")],
-            counts[(1, "pre")],
-            counts[(1, "post")],
-        ),
+        ci_low=ci_low,
+        ci_high=ci_high,
+        diagnostics={
+            "cell_means": [m00, m01, m10, m11],
+            "cell_counts": [int(masks[c].sum()) for c in ((0, pre), (0, post), (1, pre), (1, post))],
+            "pre_period": int(pre),
+            "post_period": int(post),
+            "placebo": placebo,
+        },
     )
 
 
-def did(panel: PanelDataset) -> DidEstimate:
+def did(panel: PanelDataset, level: float = 0.95) -> Estimate:
     """Difference-in-differences on a two-group panel.
 
     With more than two periods the comparison collapses to the first and
-    last period.  The standard error combines the four cell variances; no
-    clustering.
+    last period.  The standard error comes from unit-level influence values,
+    so it allows any correlation between a unit's records.
     """
     periods = np.unique(panel.period_id)
     if periods.size < 2:
         raise InsufficientDataError("DID needs at least 2 periods")
-    return _did_cells(panel, pre=int(periods[0]), post=int(periods[-1]))
+    return _did_cells(panel, int(periods[0]), int(periods[-1]), placebo=False, level=level)
 
 
-def did_placebo(panel: PanelDataset) -> DidEstimate:
+def did_placebo(panel: PanelDataset, level: float = 0.95) -> Estimate:
     """Pre-trend placebo: DID on the last two pre-treatment periods.
 
     A period counts as pre-treatment when no record in it is treated.
@@ -138,7 +130,7 @@ def did_placebo(panel: PanelDataset) -> DidEstimate:
         raise InsufficientDataError(
             f"placebo test needs at least 2 pre-treatment periods, found {len(pre_periods)}"
         )
-    return _did_cells(panel, pre=pre_periods[-2], post=pre_periods[-1])
+    return _did_cells(panel, pre_periods[-2], pre_periods[-1], placebo=True, level=level)
 
 
 @dataclass(frozen=True)
@@ -154,20 +146,12 @@ class RdSpec:
             raise ConfigError(f"unknown kernel '{self.kernel}', expected one of {KERNELS}")
 
 
-@dataclass(frozen=True)
-class RdEstimate:
-    estimate: float
-    intercept_left: float
-    intercept_right: float
-    slope_left: float
-    slope_right: float
-    n_left: int
-    n_right: int
-    se: float | None = None
+def _wls_line(u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least squares of y on (1, u).
 
-
-def _wls_line(u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """Weighted least squares of y on (1, u); returns coefficients and intercept se."""
+    Returns the coefficients and each point's term [(X'WX)^-1 x_i w_i r_i]_0
+    in the intercept; the normal equations make these terms sum to zero.
+    """
     design = np.column_stack([np.ones(u.size), u])
     gram = design.T @ (design * w[:, None])
     rhs = design.T @ (w * y)
@@ -177,25 +161,22 @@ def _wls_line(u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, 
         raise BandwidthError(
             "degenerate local fit: in-bandwidth running-variable values are not distinct"
         ) from None
-    resid = y - design @ beta
-    df = u.size - 2
-    if df > 0:
-        sigma2 = float(np.sum(w * resid * resid) / df)
-        cov = sigma2 * np.linalg.inv(gram)
-        se0 = float(np.sqrt(max(cov[0, 0], 0.0)))
-    else:
-        se0 = None
-    return beta, se0
+    row0 = np.linalg.solve(gram, np.array([1.0, 0.0]))  # first row of the symmetric inverse
+    return beta, (design @ row0) * w * (y - design @ beta)
 
 
-def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec) -> RdEstimate:
+def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 0.95) -> Estimate:
     """Sharp regression discontinuity by local-linear fits on each side.
 
     The running variable is the first covariate column.  Within the
     bandwidth (inclusive), y is regressed on (1, x - cutoff) separately for
     x < cutoff and x >= cutoff; the jump is the difference of intercepts.
     The rectangular kernel weights all in-window points equally, so each
-    side reduces to plain OLS on the window.
+    side reduces to plain OLS on the window.  Each in-window unit's influence
+    value is +-n times its term in its side's intercept (+ on the right),
+    and 0 outside the window, which gives the heteroskedasticity-robust
+    sandwich se for either kernel.  With only 2 points on a side the line
+    fits exactly and the se is None.
     """
     if dataset.d < 1:
         raise ValidationError("RD needs a running variable as the first covariate column")
@@ -212,42 +193,63 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec) -> RdEstimate:
         raise BandwidthError(
             f"need at least 2 in-bandwidth points per side, got left={n_left}, right={n_right}"
         )
-    beta_l, se_l = _wls_line(u[left], dataset.y[left], w[left])
-    beta_r, se_r = _wls_line(u[right], dataset.y[right], w[right])
-    se = float(np.sqrt(se_l**2 + se_r**2)) if se_l is not None and se_r is not None else None
-    return RdEstimate(
-        estimate=float(beta_r[0] - beta_l[0]),
-        intercept_left=float(beta_l[0]),
-        intercept_right=float(beta_r[0]),
-        slope_left=float(beta_l[1]),
-        slope_right=float(beta_r[1]),
-        n_left=n_left,
-        n_right=n_right,
+    beta_l, terms_l = _wls_line(u[left], dataset.y[left], w[left])
+    beta_r, terms_r = _wls_line(u[right], dataset.y[right], w[right])
+    estimate = float(beta_r[0] - beta_l[0])
+    eif = np.zeros(dataset.n)
+    eif[left] = -dataset.n * terms_l
+    eif[right] = dataset.n * terms_r
+    eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
+    if n_left > 2 and n_right > 2:
+        se, (ci_low, ci_high) = variance_ci(eif, estimate, level)
+    else:
+        se, ci_low, ci_high = None, None, None
+    return Estimate(
+        psi_hat=estimate,
+        method="rd",
+        n=dataset.n,
+        eif=eif,
         se=se,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        diagnostics={
+            "intercept_left": float(beta_l[0]),
+            "intercept_right": float(beta_r[0]),
+            "slope_left": float(beta_l[1]),
+            "slope_right": float(beta_r[1]),
+            "n_left": n_left,
+            "n_right": n_right,
+        },
     )
 
 
-@dataclass(frozen=True)
-class IvEstimate:
-    """Instrumental-variable estimate with its two building blocks.
+def _iv_estimate(
+    method: str, iv: IvDataset, late: float, first_stage: float, reduced_form: float,
+    se: float | None, weak_threshold: float, level: float,
+) -> Estimate:
+    ci_low, ci_high = normal_ci(late, se, level)
+    return Estimate(
+        psi_hat=late,
+        method=method,
+        n=iv.n,
+        se=se,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        diagnostics={
+            "first_stage": first_stage,
+            "reduced_form": reduced_form,
+            "weak_flag": bool(abs(first_stage) < weak_threshold),
+        },
+    )
 
-    late = reduced_form / first_stage whenever first_stage is non-zero.
-    """
 
-    late: float
-    first_stage: float
-    reduced_form: float
-    se: float | None = None
-    weak_flag: bool = False
-    method: str = "wald"
-
-
-def iv_wald(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD) -> IvEstimate:
+def iv_wald(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: float = 0.95) -> Estimate:
     """Binary-instrument Wald ratio.
 
-    late = (E[y|z=1] - E[y|z=0]) / (E[a|z=1] - E[a|z=0]).  The weak flag
-    fires when the first-stage difference is below the threshold in
-    magnitude.  A zero first stage means the instrument is irrelevant.
+    late = (E[y|z=1] - E[y|z=0]) / (E[a|z=1] - E[a|z=0]), and
+    late = reduced_form / first_stage exactly.  The weak flag fires when the
+    first-stage difference is below the threshold in magnitude.  A zero
+    first stage means the instrument is irrelevant.
     """
     z1 = iv.z == 1
     n1, n0 = int(z1.sum()), int((~z1).sum())
@@ -265,15 +267,8 @@ def iv_wald(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD) -> IvEstim
     resid1 = (iv.y - float(y1.mean())) - late * (iv.a - float(a1.mean()))
     resid0 = (iv.y - float(y0.mean())) - late * (iv.a - float(a0.mean()))
     phi = (np.where(z1, resid1, 0.0) / p - np.where(z1, 0.0, resid0) / (1.0 - p)) / first_stage
-    se = float(np.sqrt(np.var(phi, ddof=1) / iv.n)) if iv.n >= 2 else None
-    return IvEstimate(
-        late=late,
-        first_stage=first_stage,
-        reduced_form=reduced_form,
-        se=se,
-        weak_flag=bool(abs(first_stage) < weak_threshold),
-        method="wald",
-    )
+    se = variance_ci(phi, late, level)[0]  # both instrument arms are non-empty, so n >= 2
+    return _iv_estimate("iv", iv, late, first_stage, reduced_form, se, weak_threshold, level)
 
 
 def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
@@ -283,13 +278,14 @@ def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
     return beta
 
 
-def tsls(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD) -> IvEstimate:
+def tsls(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: float = 0.95) -> Estimate:
     """Just-identified two-stage least squares.
 
     Stage 1 regresses a on (1, z, covariates); stage 2 regresses y on
     (1, fitted a, covariates).  The effect is the stage-2 coefficient on
-    fitted a.  With a binary instrument and no covariates this equals the
-    Wald ratio.
+    fitted a, and reduced_form is late * first_stage.  With a binary
+    instrument and no covariates this equals the Wald ratio.  The se is the
+    homoskedastic 2SLS one.
     """
     ones = np.ones(iv.n)
     z = iv.z.astype(float)
@@ -321,31 +317,17 @@ def tsls(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD) -> IvEstimate
         se = float(np.sqrt(max(cov[1, 1], 0.0)))
     else:
         se = None
-    return IvEstimate(
-        late=late,
-        first_stage=first_stage,
-        reduced_form=late * first_stage,
-        se=se,
-        weak_flag=bool(abs(first_stage) < weak_threshold),
-        method="tsls",
-    )
+    return _iv_estimate("tsls", iv, late, first_stage, late * first_stage, se, weak_threshold, level)
 
 
-@dataclass(frozen=True)
-class FeEstimate:
-    estimate: float
-    n_units: int
-    n_units_identifying: int
-    se: float | None = None
-
-
-def fe_within(panel: PanelDataset) -> FeEstimate:
+def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
     """Fixed-effects slope via the within transform.
 
     Outcome and treatment are demeaned within unit and the pooled slope is
     sum(a~ * y~) / sum(a~^2).  Units whose treatment never varies have a
     demeaned treatment of zero, so they contribute nothing to either sum;
-    they are counted but not dropped.
+    they are counted but not dropped.  The se is the homoskedastic one of
+    the dummy-variable regression.
     """
     units, inverse = np.unique(panel.unit_id, return_inverse=True)
     counts = np.bincount(inverse).astype(float)
@@ -363,11 +345,15 @@ def fe_within(panel: PanelDataset) -> FeEstimate:
     resid = y_t - slope * a_t
     df = panel.n - units.size - 1
     se = float(np.sqrt((resid @ resid) / df / denom)) if df > 0 else None
-    return FeEstimate(
-        estimate=slope,
-        n_units=int(units.size),
-        n_units_identifying=identifying,
+    ci_low, ci_high = normal_ci(slope, se, level)
+    return Estimate(
+        psi_hat=slope,
+        method="fe",
+        n=panel.n,
         se=se,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        diagnostics={"n_units": int(units.size), "n_units_identifying": identifying},
     )
 
 
@@ -422,7 +408,7 @@ def weak_iv_study(
             except InstrumentError:
                 failed += 1
                 continue
-            lates.append(est.late)
+            lates.append(est.psi_hat)
             widths.append(2.0 * z * est.se if est.se is not None else np.inf)
         if not lates:
             raise InstrumentError(

@@ -140,7 +140,7 @@ def test_criterion_1_exact_finite_sample_identities():
     a_iv = np.where(complier, z, rng.integers(0, 2, 200))
     y_iv = 2.0 * a_iv + rng.normal(size=200)
     iv_ds = IvDataset(z=z, a=a_iv, y=y_iv)
-    assert iv_wald(iv_ds).late == pytest.approx(tsls(iv_ds).late, abs=1e-10)
+    assert iv_wald(iv_ds).psi_hat == pytest.approx(tsls(iv_ds).psi_hat, abs=1e-10)
 
     # (d) The within transform reproduces dummy-variable OLS (estimate and
     # standard error) on a 6-unit panel with one never-treated unit.
@@ -166,7 +166,7 @@ def test_criterion_1_exact_finite_sample_identities():
     resid = y_fe - design @ beta
     df = len(y_fe) - n_units - 1
     cov = (resid @ resid / df) * np.linalg.inv(design.T @ design)
-    assert est_fe.estimate == pytest.approx(beta[-1], abs=1e-8)
+    assert est_fe.psi_hat == pytest.approx(beta[-1], abs=1e-8)
     assert est_fe.se == pytest.approx(np.sqrt(cov[-1, -1]), abs=1e-8)
 
     # (e) The difference-in-differences estimate is recomputable from its own
@@ -179,8 +179,8 @@ def test_criterion_1_exact_finite_sample_identities():
         group=np.repeat(np.arange(10) % 2, 2),
     )
     est_did = did(did_panel)
-    m00, m01, m10, m11 = est_did.cell_means
-    assert est_did.estimate == (m11 - m10) - (m01 - m00)
+    m00, m01, m10, m11 = est_did.diagnostics["cell_means"]
+    assert est_did.psi_hat == (m11 - m10) - (m01 - m00)
 
     # (f) Rectangular-kernel local-linear RD equals two windowed OLS fits.
     x_rd = rng.uniform(-1, 1, size=200)
@@ -196,7 +196,7 @@ def test_criterion_1_exact_finite_sample_identities():
         dmat = np.column_stack([np.ones(mask.sum()), x_rd[mask]])
         beta_rd, *_ = np.linalg.lstsq(dmat, y_rd[mask], rcond=None)
         jumps.append(beta_rd[0])
-    assert est_rd.estimate == pytest.approx(jumps[1] - jumps[0], abs=1e-10)
+    assert est_rd.psi_hat == pytest.approx(jumps[1] - jumps[0], abs=1e-10)
 
     # (g) The naive-gap decomposition is additive on the 4-unit hand dataset.
     ds4 = ObservationalDataset(

@@ -22,7 +22,6 @@ from causalkit import (
     ObservationalDataset,
     aipw,
     cross_fit,
-    eif_closed_form,
     fit_linear,
     g_formula,
     generate_observational,
@@ -371,8 +370,11 @@ class TestAipw:
     def test_influence_value_hand_oracle(self):
         ds = ObservationalDataset(x=np.zeros((2, 0)), a=[1, 0], y=[3.0, 1.0])
         fit = _nuisance(ds, [0.5, 0.5], [1.0, 1.0], [2.0, 2.0])
-        phi = eif_closed_form(ds, fit, psi_hat=1.0)
-        assert phi[0] == pytest.approx(2.0, abs=1e-12)
+        # per-unit terms: (3 - 2)/0.5 + 2 - 1 = 3 and -(1 - 1)/0.5 + 2 - 1 = 1,
+        # so psi_hat = 2 and the centered influence values are [1, -1]
+        est = aipw(ds, fit)
+        assert est.psi_hat == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(est.eif, [1.0, -1.0], rtol=0, atol=1e-12)
 
     def test_zero_outcome_models_equal_ht_ipw_per_unit(self):
         rng = np.random.default_rng(8)

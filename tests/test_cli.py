@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
 import functools
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +220,29 @@ class TestEstimate:
             )
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+def _load_golden_script():
+    path = Path(__file__).parent / "golden" / "regenerate_estimate_reports.py"
+    spec = importlib.util.spec_from_file_location("regenerate_estimate_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN_REPORTS = _load_golden_script()
+
+
+@pytest.fixture(scope="module")
+def estimate_reports():
+    return GOLDEN_REPORTS.build_reports()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS.CASES))
+def test_estimate_report_matches_golden_bytes(case, estimate_reports):
+    """Every `causalkit estimate` report is byte-identical to its frozen form."""
+    frozen = json.loads(GOLDEN_REPORTS.GOLDEN.read_text(encoding="utf-8"))
+    assert estimate_reports[case] == json.dumps(frozen[case], indent=2) + "\n"
 
 
 class TestMontecarlo:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalkit import (
-    AteEstimate,
+    Estimate,
     GroundTruth,
     IvDataset,
     ObservationalDataset,
@@ -13,7 +13,6 @@ from causalkit import (
     load_csv,
     load_iv_csv,
     load_panel_csv,
-    summarize,
     write_csv,
     write_ground_truth_csv,
     write_iv_csv,
@@ -101,19 +100,19 @@ class TestGroundTruth:
 class TestAteEstimate:
     def test_uncentered_eif_rejected(self):
         with pytest.raises(ValidationError, match="centered"):
-            AteEstimate(psi_hat=1.0, method="test", n=2, eif=np.array([1.0, 2.0]))
+            Estimate(psi_hat=1.0, method="test", n=2, eif=np.array([1.0, 2.0]))
 
     def test_ci_must_contain_point(self):
         with pytest.raises(ValidationError, match="contain"):
-            AteEstimate(psi_hat=5.0, method="test", n=2, ci_low=1.0, ci_high=2.0)
+            Estimate(psi_hat=5.0, method="test", n=2, ci_low=1.0, ci_high=2.0)
 
     def test_ci_bounds_come_together(self):
         with pytest.raises(ValidationError, match="together"):
-            AteEstimate(psi_hat=1.0, method="test", n=2, ci_low=0.0)
+            Estimate(psi_hat=1.0, method="test", n=2, ci_low=0.0)
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValidationError):
-            AteEstimate(psi_hat=float("nan"), method="test", n=2)
+            Estimate(psi_hat=float("nan"), method="test", n=2)
 
 
 class TestPanelDataset:
@@ -256,14 +255,3 @@ class TestLoaders:
                 {"unit": "unit", "period": "period", "group": "group", "treatment": "a", "outcome": "y"},
             )
 
-
-class TestSummarize:
-    def test_counts_and_means(self):
-        s = summarize(small_dataset())
-        assert (s.n, s.d, s.n_treated, s.n_control) == (4, 2, 2, 2)
-        assert s.treated_mean == 2.5
-        assert s.control_mean == 0.75
-
-    def test_empty_arm_gives_none(self):
-        ds = ObservationalDataset(x=np.zeros((2, 1)), a=[1, 1], y=[1.0, 2.0])
-        assert summarize(ds).control_mean is None

@@ -201,7 +201,7 @@ def test_wald_ratio_identity_bitwise(seed):
         est = iv_wald(ds)
     except Exception:
         return  # degenerate first stage; other tests cover the error path
-    assert est.late == est.reduced_form / est.first_stage
+    assert est.psi_hat == est.diagnostics["reduced_form"] / est.diagnostics["first_stage"]
 
 
 @given(st.integers(0, 10**6))

@@ -18,11 +18,13 @@ from causalkit import (
     ObservationalDataset,
     PanelDataset,
     PanelDgpConfig,
+    RdDgpConfig,
     RdSpec,
     did,
     did_placebo,
     fe_within,
     generate_panel,
+    generate_rd,
     iv_wald,
     rd_local_linear,
     tsls,
@@ -52,10 +54,10 @@ class TestDid:
             group=[0, 0, 1, 1],
         )
         est = did(panel)
-        assert est.estimate == 2.0
-        assert est.cell_means == (1.0, 2.0, 3.0, 6.0)
-        assert est.cell_counts == (1, 1, 1, 1)
-        assert est.se is None  # singleton cells carry no variance estimate
+        assert est.psi_hat == 2.0
+        assert est.diagnostics["cell_means"] == [1.0, 2.0, 3.0, 6.0]
+        assert est.diagnostics["cell_counts"] == [1, 1, 1, 1]
+        assert est.se is None  # one unit per group carries no variance estimate
 
     def test_estimate_recomputable_from_cell_means(self):
         cfg = PanelDgpConfig(
@@ -63,8 +65,8 @@ class TestDid:
         )
         panel, _, _ = generate_panel(cfg, 3)
         est = did(panel)
-        m00, m01, m10, m11 = est.cell_means
-        assert est.estimate == (m11 - m10) - (m01 - m00)
+        m00, m01, m10, m11 = est.diagnostics["cell_means"]
+        assert est.psi_hat == (m11 - m10) - (m01 - m00)
 
     def test_multi_period_uses_first_and_last(self):
         base = dict(
@@ -75,8 +77,8 @@ class TestDid:
         )
         panel = make_panel(y=[1.0, 99.0, 2.0, 3.0, -99.0, 6.0], **base)
         est = did(panel)
-        assert est.estimate == 2.0
-        assert (est.pre_period, est.post_period) == (0, 2)
+        assert est.psi_hat == 2.0
+        assert (est.diagnostics["pre_period"], est.diagnostics["post_period"]) == (0, 2)
 
     def test_empty_cell_raises(self):
         panel = make_panel(
@@ -94,13 +96,29 @@ class TestDid:
             unit=[0, 1, 2, 3, 0, 1, 2, 3],
             period=[0, 0, 0, 0, 1, 1, 1, 1],
             a=[0, 0, 0, 0, 0, 0, 1, 1],
-            y=[1.0, 3.0, 2.0, 4.0, 2.0, 4.0, 7.0, 9.0],
+            y=[1.0, 3.0, 2.0, 4.0, 2.0, 6.0, 6.0, 10.0],
             group=[0, 0, 1, 1, 0, 0, 1, 1],
         )
         est = did(panel)
-        # every cell has two points with sample variance 2, each mean has
-        # variance 2/2 = 1, so se = sqrt(4) = 2
-        assert est.se == pytest.approx(2.0, abs=1e-12)
+        # cell means (2, 4) for controls and (3, 8) for treated give
+        # (8 - 3) - (4 - 2) = 3.  The per-unit changes are (1, 3) and (4, 6):
+        # each unit is 1 away from its group's mean change, so with U = 4
+        # units and 2 units per group its influence value is 4 * (+-1) / 2 =
+        # +-2.  Then se = sqrt(sum(phi^2) / (U - 1) / U) = sqrt(16/3/4) = 2/sqrt(3).
+        assert est.psi_hat == 3.0
+        np.testing.assert_allclose(est.eif, [2.0, -2.0, -2.0, 2.0], rtol=0, atol=1e-12)
+        assert est.se == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
+
+    def test_unit_clustered_coverage(self):
+        # Unit effects make each unit's pre and post records move together; a
+        # four-cell se that treats the cells as independent covers at 1.000 here.
+        cfg = PanelDgpConfig(n_units=200, unit_effect_sd=2.0, treatment_effect=1.0)
+        hits = []
+        for seed in range(1000):
+            panel, true_effect, _ = generate_panel(cfg, seed)
+            est = did(panel)
+            hits.append(est.ci_low <= true_effect <= est.ci_high)
+        assert 0.92 <= np.mean(hits) <= 0.97
 
     def test_noiseless_violation_recovered_exactly(self):
         cfg = PanelDgpConfig(
@@ -116,7 +134,7 @@ class TestDid:
         panel, _, _ = generate_panel(cfg, 0)
         est = did(panel)
         # the trend break adds violation * (post - pre) on top of the effect
-        assert est.estimate == pytest.approx(2.5, abs=1e-12)
+        assert est.psi_hat == pytest.approx(2.5, abs=1e-12)
 
 
 class TestDidPlacebo:
@@ -132,8 +150,9 @@ class TestDidPlacebo:
         )
         panel, _, _ = generate_panel(cfg, 0)
         est = did_placebo(panel)
-        assert (est.pre_period, est.post_period) == (1, 2)
-        assert est.estimate == pytest.approx(0.0, abs=1e-12)
+        assert (est.diagnostics["pre_period"], est.diagnostics["post_period"]) == (1, 2)
+        assert est.diagnostics["placebo"] is True
+        assert est.psi_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_detects_trend_violation_exactly(self):
         cfg = PanelDgpConfig(
@@ -148,7 +167,7 @@ class TestDidPlacebo:
         )
         panel, _, _ = generate_panel(cfg, 0)
         est = did_placebo(panel)
-        assert est.estimate == pytest.approx(0.4, abs=1e-12)
+        assert est.psi_hat == pytest.approx(0.4, abs=1e-12)
 
     def test_two_period_panel_has_no_placebo(self):
         cfg = PanelDgpConfig(n_units=6, n_periods=2, treatment_effect=1.0)
@@ -169,10 +188,10 @@ class TestRd:
         x = np.array([-0.8, -0.6, -0.4, -0.2, 0.1, 0.3, 0.5, 0.7])
         y = np.where(x >= 0, 3.0 + 1.0 * x, 1.0 + 0.5 * x)
         est = rd_local_linear(make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=1.0))
-        assert est.estimate == pytest.approx(2.0, abs=1e-10)
-        assert est.slope_left == pytest.approx(0.5, abs=1e-10)
-        assert est.slope_right == pytest.approx(1.0, abs=1e-10)
-        assert (est.n_left, est.n_right) == (4, 4)
+        assert est.psi_hat == pytest.approx(2.0, abs=1e-10)
+        assert est.diagnostics["slope_left"] == pytest.approx(0.5, abs=1e-10)
+        assert est.diagnostics["slope_right"] == pytest.approx(1.0, abs=1e-10)
+        assert (est.diagnostics["n_left"], est.diagnostics["n_right"]) == (4, 4)
 
     def test_rectangular_equals_windowed_ols(self):
         rng = np.random.default_rng(6)
@@ -186,13 +205,14 @@ class TestRd:
             design = np.column_stack([np.ones(mask.sum()), x[mask]])
             beta, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
             jumps.append(beta[0])
-        assert est.estimate == pytest.approx(jumps[1] - jumps[0], abs=1e-10)
+        assert est.psi_hat == pytest.approx(jumps[1] - jumps[0], abs=1e-10)
 
     def test_bandwidth_boundary_inclusive(self):
         x = np.array([-0.5, -0.2, 0.2, 0.5])
         y = np.array([0.0, 0.3, 2.2, 2.5])
         est = rd_local_linear(make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=0.5))
-        assert (est.n_left, est.n_right) == (2, 2)
+        assert (est.diagnostics["n_left"], est.diagnostics["n_right"]) == (2, 2)
+        assert est.se is None  # two points fit each line exactly
 
     def test_triangular_downweights_far_points(self):
         # place an outlier near the edge: triangular deweights it, so the
@@ -201,7 +221,19 @@ class TestRd:
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 9.0])
         rect = rd_local_linear(make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=1.0))
         tri = rd_local_linear(make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=1.0, kernel="triangular"))
-        assert rect.estimate != pytest.approx(tri.estimate, abs=1e-6)
+        assert rect.psi_hat != pytest.approx(tri.psi_hat, abs=1e-6)
+
+    def test_triangular_sandwich_coverage(self):
+        # Under the triangular kernel the homoskedastic se of the weighted fit
+        # understates the spread of the jump and covers at 0.875 here.
+        cfg = RdDgpConfig(n=2000, jump=1.0, slope_left=0.5, slope_right=1.0)
+        spec = RdSpec(cutoff=0.0, bandwidth=0.5, kernel="triangular")
+        hits = []
+        for seed in range(1000):
+            ds, _, true_jump = generate_rd(cfg, seed)
+            est = rd_local_linear(ds, spec)
+            hits.append(est.ci_low <= true_jump <= est.ci_high)
+        assert 0.92 <= np.mean(hits) <= 0.97
 
     def test_triangular_zero_weight_at_bandwidth_excluded(self):
         x = np.array([-1.0, -0.5, -0.1, 0.1, 0.5, 1.0])
@@ -209,7 +241,7 @@ class TestRd:
         est = rd_local_linear(
             make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=1.0, kernel="triangular")
         )
-        assert (est.n_left, est.n_right) == (2, 2)
+        assert (est.diagnostics["n_left"], est.diagnostics["n_right"]) == (2, 2)
 
     def test_too_few_points_raises(self):
         x = np.array([-0.1, 0.1, 0.2])
@@ -223,7 +255,7 @@ class TestRd:
         y = np.where(x >= 2.0, 5.0, 1.0)
         ds = ObservationalDataset(x=x.reshape(-1, 1), a=a, y=y)
         est = rd_local_linear(ds, RdSpec(cutoff=2.0, bandwidth=1.0))
-        assert est.estimate == pytest.approx(4.0, abs=1e-10)
+        assert est.psi_hat == pytest.approx(4.0, abs=1e-10)
 
 
 def wald_dataset():
@@ -236,10 +268,10 @@ def wald_dataset():
 class TestIv:
     def test_wald_hand_oracle(self):
         est = iv_wald(wald_dataset())
-        assert est.late == 4.0
-        assert est.first_stage == pytest.approx(0.5, abs=1e-12)
-        assert est.reduced_form == pytest.approx(2.0, abs=1e-12)
-        assert not est.weak_flag
+        assert est.psi_hat == 4.0
+        assert est.diagnostics["first_stage"] == pytest.approx(0.5, abs=1e-12)
+        assert est.diagnostics["reduced_form"] == pytest.approx(2.0, abs=1e-12)
+        assert not est.diagnostics["weak_flag"]
 
     def test_ratio_identity_is_exact(self):
         rng = np.random.default_rng(3)
@@ -247,7 +279,7 @@ class TestIv:
         a = np.where(rng.random(100) < 0.3, 1 - z, z)
         y = 1.5 * a + rng.normal(size=100)
         est = iv_wald(IvDataset(z=z, a=a, y=y))
-        assert est.late == est.reduced_form / est.first_stage
+        assert est.psi_hat == est.diagnostics["reduced_form"] / est.diagnostics["first_stage"]
 
     def test_weak_flag_threshold(self):
         rng = np.random.default_rng(4)
@@ -257,8 +289,8 @@ class TestIv:
         a = np.where(complier, z, rng.integers(0, 2, size=n))
         y = a + rng.normal(size=n)
         est = iv_wald(IvDataset(z=z, a=a, y=y))
-        assert abs(est.first_stage) < 0.05
-        assert est.weak_flag
+        assert abs(est.diagnostics["first_stage"]) < 0.05
+        assert est.diagnostics["weak_flag"]
 
     def test_constant_instrument_rejected(self):
         with pytest.raises(InstrumentError):
@@ -284,8 +316,10 @@ class TestTsls:
         ds = IvDataset(z=z, a=a, y=y)
         w = iv_wald(ds)
         t = tsls(ds)
-        assert t.late == pytest.approx(w.late, abs=1e-10)
-        assert t.reduced_form == pytest.approx(t.late * t.first_stage, abs=1e-12)
+        assert t.psi_hat == pytest.approx(w.psi_hat, abs=1e-10)
+        assert t.diagnostics["reduced_form"] == pytest.approx(
+            t.psi_hat * t.diagnostics["first_stage"], abs=1e-12
+        )
 
     def test_exact_recovery_with_covariate(self):
         z = np.array([0, 0, 0, 0, 1, 1, 1, 1])
@@ -294,7 +328,7 @@ class TestTsls:
         y = 2.0 * a + 3.0 * x
         ds = IvDataset(z=z, a=a, y=y, x=x.reshape(-1, 1))
         est = tsls(ds)
-        assert est.late == pytest.approx(2.0, abs=1e-10)
+        assert est.psi_hat == pytest.approx(2.0, abs=1e-10)
 
     def test_covariate_shifts_estimate_when_confounded(self):
         rng = np.random.default_rng(12)
@@ -306,7 +340,7 @@ class TestTsls:
         y = 1.0 * a + 2.0 * x + 0.1 * rng.normal(size=n)
         with_x = tsls(IvDataset(z=z, a=a, y=y, x=x.reshape(-1, 1)))
         without_x = tsls(IvDataset(z=z, a=a, y=y))
-        assert abs(with_x.late - 1.0) < abs(without_x.late - 1.0)
+        assert abs(with_x.psi_hat - 1.0) < abs(without_x.psi_hat - 1.0)
 
 
 class TestFeWithin:
@@ -319,9 +353,9 @@ class TestFeWithin:
             group=[1, 1, 0, 0],
         )
         est = fe_within(panel)
-        assert est.estimate == pytest.approx(2.0, abs=1e-12)
-        assert est.n_units == 2
-        assert est.n_units_identifying == 1
+        assert est.psi_hat == pytest.approx(2.0, abs=1e-12)
+        assert est.diagnostics["n_units"] == 2
+        assert est.diagnostics["n_units_identifying"] == 1
 
     def test_equals_dummy_variable_ols(self):
         rng = np.random.default_rng(9)
@@ -339,7 +373,7 @@ class TestFeWithin:
         dummies = np.equal.outer(unit, np.arange(n_units)).astype(float)
         design = np.column_stack([dummies, a.astype(float)])
         beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert est.estimate == pytest.approx(beta[-1], abs=1e-8)
+        assert est.psi_hat == pytest.approx(beta[-1], abs=1e-8)
 
         resid = y - design @ beta
         df = len(y) - n_units - 1
