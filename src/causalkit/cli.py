@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .data_model import (
-    _parse_cell,
-    _read_rows,
+    _parse_fields,
+    _row_blocks,
+    _write_table,
     format_number,
     write_csv,
     write_ground_truth_csv,
@@ -154,6 +155,9 @@ def _choice(value: str, key: str, choices: tuple[str, ...]) -> str:
     return value
 
 
+_REQUIRED = object()  # the default of a key that must be given
+
+
 class _Resolver:
     """Flag > config-file entry > default, with strict unknown-key checking."""
 
@@ -175,11 +179,22 @@ class _Resolver:
             return False
         return default
 
+    def resolve(self, options: dict, keys, required: str = "") -> dict:
+        """Resolve ``keys`` in order, each from its ``options`` entry.
 
-def _parse_clip(value: str | tuple[float, float]) -> tuple[float, float]:
-    if isinstance(value, tuple):
-        return value
-    return _cast_pair(value, "crossfit.clip")
+        An entry is (flag dest, default, cast, allowed values).  A string
+        value, from a flag or the config file, goes through the cast.
+        """
+        values = {}
+        for key in keys:
+            dest, default, cast, allowed = options[key]
+            value = self.get(dest, key, default, cast)
+            if value is _REQUIRED:
+                raise UsageError(f"--{dest} is required{required}")
+            if isinstance(value, str):
+                value = cast(value, key)
+            values[key] = value if allowed is None else _choice(value, key, allowed)
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +235,10 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
             raise ConfigError("csv format requires a report with a 'rows' table")
         lines = [",".join(_MC_COLUMNS)]
         for row in rows:
-            cells = []
-            for col in _MC_COLUMNS:
-                v = row.get(col)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, str):
-                    cells.append(v)
-                elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(format_number(float(v)))
-            lines.append(",".join(cells))
+            cells = (row.get(col) for col in _MC_COLUMNS)
+            lines.append(",".join(
+                "" if v is None else v if isinstance(v, str) else format_number(v) for v in cells
+            ))
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown report format '{format}'")
@@ -317,8 +324,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
         dataset, truth = generate_observational(config, seed)
         write_csv(dataset, args.out)
-        if args.truth_out:
-            write_ground_truth_csv(truth, args.truth_out)
         summary["config"] = {
             "n": config.n,
             "d": config.d,
@@ -349,8 +354,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
         dataset, truth, true_late = generate_iv(config, seed)
         write_iv_csv(dataset, args.out)
-        if args.truth_out:
-            write_ground_truth_csv(truth, args.truth_out)
         summary["config"] = {
             "n": config.n,
             "p_always": config.p_always,
@@ -380,11 +383,12 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         panel, true_effect, unit_effects = generate_panel(config, seed)
         write_panel_csv(panel, args.out)
         if args.truth_out:
-            lines = ["unit,unit_effect,true_effect"]
-            for u, alpha in enumerate(unit_effects):
-                lines.append(f"{u},{format_number(float(alpha))},{format_number(true_effect)}")
-            with open(args.truth_out, "w", encoding="utf-8", newline="") as f:
-                f.write("\n".join(lines) + "\n")
+            n_units = unit_effects.shape[0]
+            _write_table(
+                args.truth_out,
+                ["unit", "unit_effect", "true_effect"],
+                [np.arange(n_units), unit_effects, np.full(n_units, true_effect)],
+            )
         summary["config"] = {
             "n_units": config.n_units,
             "n_periods": config.n_periods,
@@ -411,8 +415,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
         dataset, truth, true_jump = generate_rd(config, seed)
         write_csv(dataset, args.out, schema={"covariates": ["x"]})
-        if args.truth_out:
-            write_ground_truth_csv(truth, args.truth_out)
         summary["config"] = {
             "n": config.n,
             "cutoff": config.cutoff,
@@ -424,6 +426,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         }
         summary["rows"] = dataset.n
         summary["true_jump"] = true_jump
+    if args.truth_out and args.dgp != "panel":  # the panel sidecar is written above
+        write_ground_truth_csv(truth, args.truth_out)
     emit_report(summary, "json", None)
 
 
@@ -431,10 +435,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 # estimate
 
 
-_REQUIRED = object()
-
-# config key -> (flag dest, default, cast, allowed values).  A string value,
-# from a flag or the config file, goes through the cast.
+# config key -> (flag dest, default, cast, allowed values); see _Resolver.resolve
 _ESTIMATE_OPTIONS = {
     "treatment": ("treatment", "a", _cast_str, None),
     "outcome": ("outcome", "y", _cast_str, None),
@@ -511,15 +512,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     if input_path is None:
         raise UsageError("--input is required")
     out_path = args.out if args.out is not None else r.get("out", "output", None, _cast_str)
-    values = {}
-    for key in dict.fromkeys(_ESTIMATE_COMMON + method.keys):
-        dest, default, cast, allowed = _ESTIMATE_OPTIONS[key]
-        value = r.get(dest, key, default, cast)
-        if value is _REQUIRED:
-            raise UsageError(f"--{dest} is required for --method {name}")
-        if isinstance(value, str):
-            value = cast(value, key)
-        values[key] = value if allowed is None else _choice(value, key, allowed)
+    keys = dict.fromkeys(_ESTIMATE_COMMON + method.keys)
+    values = r.resolve(_ESTIMATE_OPTIONS, keys, f" for --method {name}")
 
     data = method.load(input_path, values)
     fit = None
@@ -561,24 +555,25 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 # montecarlo
 
 
-_MC_CONFIG_KEYS = (
-    "scenario",
-    "reps",
-    "n",
-    "seed",
-    "estimators",
-    "level",
-    "d",
-    "confounding",
-    "tau",
-    "noise_sd",
-    "outcome_form",
-    "propensity_form",
-    "crossfit.k",
-    "crossfit.clip",
-    "propensity.lambda",
-    "outcome.lambda",
-)
+# config key -> (flag dest, default, cast, allowed values), in report order
+_MC_OPTIONS = {
+    "scenario": ("scenario", "both_correct", _cast_str, SCENARIOS),
+    "reps": ("reps", 100, _cast_int, None),
+    "n": ("n", 1000, _cast_int, None),
+    "seed": ("seed", 0, _cast_int, None),
+    "estimators": ("estimators", "naive,ipw,gformula,aipw", _cast_names, None),
+    "level": ("level", 0.95, _cast_float, None),
+    "d": ("d", 1, _cast_int, None),
+    "confounding": ("confounding", 0.0, _cast_float, None),
+    "tau": ("tau", 0.0, _cast_float, None),
+    "noise_sd": ("noise_sd", 1.0, _cast_float, None),
+    "outcome_form": ("outcome_form", "linear", _cast_str, FORMS),
+    "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
+    "crossfit.k": ("k", 5, _cast_int, None),
+    "crossfit.clip": ("clip", (0.01, 0.99), _cast_pair, None),
+    "propensity.lambda": ("propensity_lambda", 1e-6, _cast_float, None),
+    "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
+}
 
 
 def _add_montecarlo_parser(sub) -> None:
@@ -610,72 +605,30 @@ def _mc_report_dict(report: McReport, config: dict) -> dict:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> None:
-    r = _Resolver(args, _MC_CONFIG_KEYS)
-    scenario = _choice(r.get("scenario", "scenario", "both_correct", _cast_str), "scenario", SCENARIOS)
-    reps = r.get("reps", "reps", 100, _cast_int)
-    n = r.get("n", "n", 1000, _cast_int)
-    seed = r.get("seed", "seed", 0, _cast_int)
-    level = r.get("level", "level", 0.95, _cast_float)
-    estimators = r.get("estimators", "estimators", "naive,ipw,gformula,aipw", _cast_str)
-    if isinstance(estimators, str):
-        estimators = tuple(e.strip() for e in estimators.split(",") if e.strip())
-    d = r.get("d", "d", 1, _cast_int)
-    confounding = r.get("confounding", "confounding", 0.0, _cast_float)
-    tau = r.get("tau", "tau", 0.0, _cast_float)
-    noise_sd = r.get("noise_sd", "noise_sd", 1.0, _cast_float)
-    outcome_form = _choice(
-        r.get("outcome_form", "outcome_form", "linear", _cast_str), "outcome_form", FORMS
-    )
-    propensity_form = _choice(
-        r.get("propensity_form", "propensity_form", "linear", _cast_str), "propensity_form", FORMS
-    )
-    k = r.get("k", "crossfit.k", 5, _cast_int)
-    clip = _parse_clip(r.get("clip", "crossfit.clip", (0.01, 0.99), _cast_pair))
-    p_lambda = r.get("propensity_lambda", "propensity.lambda", 1e-6, _cast_float)
-    o_lambda = r.get("outcome_lambda", "outcome.lambda", 1e-8, _cast_float)
+    values = _Resolver(args, tuple(_MC_OPTIONS)).resolve(_MC_OPTIONS, _MC_OPTIONS)
     dgp = ObsDgpConfig(
-        n=n,
-        d=d,
-        confounding_strength=confounding,
-        tau=tau,
-        outcome_noise_sd=noise_sd,
-        outcome_form=outcome_form,
-        propensity_form=propensity_form,
+        n=values["n"],
+        d=values["d"],
+        confounding_strength=values["confounding"],
+        tau=values["tau"],
+        outcome_noise_sd=values["noise_sd"],
+        outcome_form=values["outcome_form"],
+        propensity_form=values["propensity_form"],
     )
     mc = McConfig(
         dgp=dgp,
-        estimators=estimators,
-        replications=reps,
-        n=n,
-        seed=seed,
-        scenario=scenario,
-        k=k,
-        clip=clip,
-        propensity_lambda=p_lambda,
-        outcome_lambda=o_lambda,
-        level=level,
+        estimators=tuple(values["estimators"]),
+        replications=values["reps"],
+        n=values["n"],
+        seed=values["seed"],
+        scenario=values["scenario"],
+        k=values["crossfit.k"],
+        clip=values["crossfit.clip"],
+        propensity_lambda=values["propensity.lambda"],
+        outcome_lambda=values["outcome.lambda"],
+        level=values["level"],
     )
-    report = run_mc(mc)
-    config = {
-        "subcommand": "montecarlo",
-        "scenario": scenario,
-        "reps": reps,
-        "n": n,
-        "seed": seed,
-        "estimators": list(estimators),
-        "level": level,
-        "d": d,
-        "confounding": confounding,
-        "tau": tau,
-        "noise_sd": noise_sd,
-        "outcome_form": outcome_form,
-        "propensity_form": propensity_form,
-        "crossfit.k": k,
-        "crossfit.clip": list(clip),
-        "propensity.lambda": p_lambda,
-        "outcome.lambda": o_lambda,
-    }
-    report_dict = _mc_report_dict(report, config)
+    report_dict = _mc_report_dict(run_mc(mc), {"subcommand": "montecarlo", **values})
     emit_report(report_dict, "json", args.out)
     if args.csv:
         emit_report(report_dict, "csv", args.csv)
@@ -686,23 +639,19 @@ def _cmd_montecarlo(args: argparse.Namespace) -> None:
 
 
 def _load_measure_csv(path: str, prob_column: str = "prob") -> DiscreteMeasure:
-    header, rows = _read_rows(path)
+    blocks = _row_blocks(path)
+    header = next(blocks)
     if prob_column not in header:
         raise SchemaError(f"measure file {path} has no '{prob_column}' column")
     if len(header) < 2:
         raise SchemaError("measure file needs at least one coordinate column plus probabilities")
     prob_idx = header.index(prob_column)
-    names = tuple(h for i, h in enumerate(header) if i != prob_idx)
-    coord_idx = [i for i in range(len(header)) if i != prob_idx]
-    support = np.empty((len(rows), len(names)))
-    probs = np.empty(len(rows))
-    for rnum, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {rnum} has {len(row)} cells, expected {len(header)}")
-        for j, i in enumerate(coord_idx):
-            support[rnum - 2, j] = _parse_cell(row, i, header[i], rnum)
-        probs[rnum - 2] = _parse_cell(row, prob_idx, prob_column, rnum)
-    return DiscreteMeasure(names=names, support=support, probs=probs)
+    coords = [(i, h) for i, h in enumerate(header) if i != prob_idx]
+    # row numbers count the header as row 1
+    values, _ = _parse_fields(path, blocks, [*coords, (prob_idx, prob_column)], 2, len(header))
+    return DiscreteMeasure(
+        names=tuple(h for _, h in coords), support=np.column_stack(values[:-1]), probs=values[-1]
+    )
 
 
 def _add_eif_check_parser(sub) -> None:

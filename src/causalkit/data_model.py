@@ -9,7 +9,8 @@ CSV is the sole file format: comma-separated, first row header, UTF-8,
 "." decimal separator.  Column meaning is given by an explicit schema
 mapping — there is no header inference.  Floats are written with their
 shortest round-trip representation, so write(load(f)) reproduces numeric
-values bit-exactly.
+values bit-exactly.  Files are read and written in blocks of _BLOCK_ROWS
+rows, a whole column of a block at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,11 +49,10 @@ __all__ = [
 
 
 def format_number(v: float | int) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    f = float(v)
-    if f == int(f) and abs(f) < 1e16 and isinstance(v, (int, np.integer)):
+    """Shortest round-trip text: integers below 1e16 as integers, all else ``repr(float(v))``."""
+    if isinstance(v, (int, np.integer)) and abs(float(v)) < 1e16:
         return str(int(v))
-    return repr(f)
+    return repr(float(v))
 
 
 def _as_float_vector(name: str, values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -63,11 +65,7 @@ def _as_float_vector(name: str, values: Sequence[float] | np.ndarray) -> np.ndar
 
 
 def _as_binary_vector(name: str, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
+    arr = _as_float_vector(name, values)
     if not np.all((arr == 0.0) | (arr == 1.0)):
         bad = arr[(arr != 0.0) & (arr != 1.0)][0]
         raise ValidationError(f"{name} must contain only 0/1, found {format_number(bad)}")
@@ -294,7 +292,11 @@ class IvDataset:
         return self.y.shape[0]
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+_BLOCK_ROWS = 8192  # rows per block read or written; bounds the cell strings held at once
+
+
+def _row_blocks(path: str) -> Iterator[list]:
+    """Yield the stripped header, then the non-empty rows in blocks of _BLOCK_ROWS."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
@@ -302,10 +304,12 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: file is empty, expected a header row") from None
-            rows = [row for row in reader if row]
+            yield [h.strip() for h in header]
+            rows = filter(None, reader)
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                yield block
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return [h.strip() for h in header], rows
 
 
 def _column_index(header: list[str], column: str, path: str) -> int:
@@ -327,17 +331,44 @@ def _parse_cell(row: list[str], idx: int, column: str, row_number: int) -> float
     return value
 
 
-def _parse_columns(
-    path: str, columns: Sequence[str]
-) -> tuple[dict[str, np.ndarray], int]:
+def _parse_fields(
+    path: str, blocks: Iterable[list], fields: Sequence[tuple[int, str]], first_row: int = 1,
+    width: int | None = None,
+) -> tuple[list[np.ndarray], int]:
+    """Parse each row's ``(cell index, column name)`` fields: one float vector per field, row count.
+
+    Each value is ``float(cell)``, a whole block column at a time.  A failing block is scanned
+    again row by row with _parse_cell, so the error names the first bad row (numbered from
+    ``first_row``) and column.  With ``width`` set, a row of any other length is a SchemaError.
+    """
+    parts: list[list[np.ndarray]] = [[] for _ in fields]
+    row_number = first_row
+    for block in blocks:
+        m = len(block)
+        try:
+            if width is not None and set(map(len, block)) != {width}:
+                raise IndexError
+            for part, (idx, _) in zip(parts, fields):
+                part.append(np.fromiter(map(float, map(itemgetter(idx), block)), float, m))
+        except (IndexError, ValueError):
+            for r, row in enumerate(block, start=row_number):
+                if width is not None and len(row) != width:
+                    raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {width}") from None
+                for idx, column in fields:
+                    _parse_cell(row, idx, column, r)
+            raise
+        row_number += m
+    return [np.concatenate(p) if p else np.empty(0) for p in parts], row_number - first_row
+
+
+def _parse_columns(path: str, columns: Sequence[str]) -> tuple[dict[str, np.ndarray], int]:
     """Parse the named columns into float vectors.  Row numbers are 1-based data rows."""
-    header, rows = _read_rows(path)
-    indices = {c: _column_index(header, c, path) for c in columns}
-    out: dict[str, list[float]] = {c: [] for c in columns}
-    for i, row in enumerate(rows, start=1):
-        for c in columns:
-            out[c].append(_parse_cell(row, indices[c], c, i))
-    return {c: np.asarray(v, dtype=float) for c, v in out.items()}, len(rows)
+    blocks = _row_blocks(path)
+    header = next(blocks)
+    names = list(dict.fromkeys(columns))
+    fields = [(_column_index(header, c, path), c) for c in names]
+    values, n = _parse_fields(path, blocks, fields)
+    return dict(zip(names, values)), n
 
 
 def _schema_value(schema: Mapping[str, object], key: str, path: str) -> str:
@@ -373,11 +404,7 @@ def load_csv(path: str, schema: Mapping[str, object]) -> ObservationalDataset:
             f"row {bad[0] + 1}, column '{treatment}': treatment must be 0 or 1, "
             f"found {format_number(a_raw[bad[0]])}"
         )
-    x = (
-        np.column_stack([cols[c] for c in covariates])
-        if covariates
-        else np.empty((n, 0))
-    )
+    x = np.column_stack([cols[c] for c in covariates]) if covariates else np.empty((n, 0))
     return ObservationalDataset(x=x, a=a_raw, y=cols[outcome])
 
 
@@ -387,12 +414,8 @@ def load_iv_csv(path: str, schema: Mapping[str, object]) -> IvDataset:
     treatment = _schema_value(schema, "treatment", path)
     outcome = _schema_value(schema, "outcome", path)
     covariates = _schema_covariates(schema)
-    cols, n = _parse_columns(path, [instrument, treatment, outcome, *covariates])
-    x = (
-        np.column_stack([cols[c] for c in covariates])
-        if covariates
-        else None
-    )
+    cols, _ = _parse_columns(path, [instrument, treatment, outcome, *covariates])
+    x = np.column_stack([cols[c] for c in covariates]) if covariates else None
     return IvDataset(z=cols[instrument], a=cols[treatment], y=cols[outcome], x=x)
 
 
@@ -416,12 +439,34 @@ def load_panel_csv(path: str, schema: Mapping[str, object]) -> PanelDataset:
     )
 
 
-def _write_table(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def _block_cells(part: np.ndarray | Sequence[str]) -> Iterable[str]:
+    """One column block's cells: numbers as format_number writes them, strings as they are."""
+    if not isinstance(part, np.ndarray):
+        return part
+    if part.dtype == np.float64:
+        return map(repr, part.tolist())
+    if part.dtype.kind in "iu" and np.all(np.abs(part.astype(float)) < 1e16):
+        return map(str, part.tolist())
+    return map(format_number, part)
+
+
+def _write_table(path: str, header: list[str], columns: Sequence[np.ndarray | Sequence[str]]) -> None:
+    """Write a header and equal-length columns, _BLOCK_ROWS rows at a time.
+
+    Numeric cells never need quoting, so numeric rows are joined directly; a
+    table with a string column goes through csv.writer, which quotes them.
+    """
+    quote = any(not isinstance(col, np.ndarray) for col in columns)
+    n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for i in range(columns[0].shape[0] if columns else 0):
-            writer.writerow([format_number(col[i]) for col in columns])
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = zip(*(_block_cells(col[start:start + _BLOCK_ROWS]) for col in columns))
+            if quote:
+                writer.writerows(rows)
+            else:
+                f.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_csv(dataset: ObservationalDataset, path: str, schema: Mapping[str, object] | None = None) -> None:
@@ -475,19 +520,13 @@ def write_panel_csv(panel: PanelDataset, path: str, schema: Mapping[str, object]
 def write_ground_truth_csv(truth: GroundTruth, path: str) -> None:
     """Write the ground-truth sidecar: y1, y0, plus propensity/type when known."""
     header = ["y1", "y0"]
-    columns: list[np.ndarray] = [truth.y1, truth.y0]
+    columns: list[np.ndarray | Sequence[str]] = [truth.y1, truth.y0]
     if truth.pi is not None:
         header.append("pi")
         columns.append(truth.pi)
     if truth.labels is not None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header + ["type"])
-            for i in range(truth.y1.shape[0]):
-                row = [format_number(col[i]) for col in columns]
-                row.append(truth.labels[i])
-                writer.writerow(row)
-        return
+        header.append("type")
+        columns.append(tuple(truth.labels))  # a text column, whatever sequence holds it
     _write_table(path, header, columns)
 
 

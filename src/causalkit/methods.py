@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .ate_estimators import MatchSpec, aipw, g_formula, ipw, naive_dim, psm_att
-from .data_model import Estimate, load_csv, load_iv_csv, load_panel_csv
+from .data_model import Estimate, ObservationalDataset, _parse_columns
+from .data_model import load_csv, load_iv_csv, load_panel_csv
 from .quasi_experimental import RdSpec, did, did_placebo, fe_within, iv_wald, rd_local_linear, tsls
 
 __all__ = ["Method", "METHODS"]
@@ -62,6 +63,14 @@ def _load_panel(path: str, values: dict):
 
 def _load_iv(path: str, values: dict):
     return load_iv_csv(path, values)
+
+
+def _load_rd(path: str, values: dict):
+    # a sharp design: the running variable is the only covariate and the
+    # treatment is x >= cutoff, so the file needs no treatment column
+    cols, _ = _parse_columns(path, [values["running"], values["outcome"]])
+    x = cols[values["running"]]
+    return ObservationalDataset(x=x, a=x >= values["cutoff"], y=cols[values["outcome"]])
 
 
 def _psm(data, fit, level: float, **options) -> Estimate:
@@ -109,8 +118,7 @@ METHODS: dict[str, Method] = {
     ),
     "rd": Method(
         ("running", "outcome", "cutoff", "bandwidth", "kernel", "seed", "level"),
-        # the running variable is read as the only covariate
-        lambda path, values: load_csv(path, {**values, "covariates": [values["running"]]}),
+        _load_rd,
         lambda data, fit, level, **options: rd_local_linear(data, RdSpec(**options), level=level),
         options=("cutoff", "bandwidth", "kernel"),
     ),

@@ -165,6 +165,33 @@ class TestEstimate:
             "estimate", "--method", "rd", "--input", str(rd), "--cutoff", "0",
         ) == 0
 
+    def test_rd_reads_only_running_and_outcome(self, tmp_path, capsys):
+        """A file with only x and y gives the report of the full simulated file."""
+        rd = tmp_path / "rd.csv"
+        run_cli("simulate", "--dgp", "rd", "--n", "200", "--jump", "1.0", "--seed", "4", "--out", str(rd))
+        xy = tmp_path / "xy.csv"
+        xy.write_text(
+            "".join(f"{x},{y}\n" for x, _, y in (line.split(",") for line in rd.read_text().splitlines()))
+        )
+        assert xy.read_text().splitlines()[0] == "x,y"
+        capsys.readouterr()
+        reports = []
+        for path in (rd, xy):
+            assert run_cli("estimate", "--method", "rd", "--input", str(path), "--cutoff", "0") == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["config"]["input"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_treatment_is_validation_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,y\n1,1.0\n{cell},2.0\n0,0.5\n")
+        assert run_cli("estimate", "--method", "naive", "--input", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: row 2, column 'a': treatment must be 0 or 1, found {cell}\n"
+        )
+
     def test_config_file_and_flag_precedence(self, obs_csv, tmp_path, capsys):
         conf = tmp_path / "est.conf"
         conf.write_text(
@@ -245,6 +272,31 @@ def test_estimate_report_matches_golden_bytes(case, estimate_reports):
     assert estimate_reports[case] == json.dumps(frozen[case], indent=2) + "\n"
 
 
+def _load_simulate_golden_script():
+    path = Path(__file__).parent / "golden" / "regenerate_simulate_outputs.py"
+    spec = importlib.util.spec_from_file_location("regenerate_simulate_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN_SIMULATE = _load_simulate_golden_script()
+
+
+@pytest.fixture(scope="module")
+def simulate_outputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("simulate")
+    GOLDEN_SIMULATE.write_outputs(directory)
+    return directory
+
+
+@pytest.mark.parametrize("name", GOLDEN_SIMULATE.file_names())
+def test_simulate_files_match_golden_bytes(name, simulate_outputs):
+    """Every data and truth file `causalkit simulate` writes is byte-identical to its frozen form."""
+    frozen = GOLDEN_SIMULATE.GOLDEN_DIR / name
+    assert (simulate_outputs / name).read_bytes() == frozen.read_bytes()
+
+
 class TestMontecarlo:
     def test_json_and_csv_outputs(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
@@ -290,6 +342,25 @@ class TestMontecarlo:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["scenario"] == "both_wrong"
+
+    def test_config_file_and_flag_precedence(self, tmp_path, capsys):
+        conf = tmp_path / "mc.conf"
+        conf.write_text(
+            "scenario = pi_wrong\nreps = 3\nn = 150\nestimators = naive , aipw\n"
+            "crossfit.clip = 0.02,0.98\npropensity.lambda = 1e-5\nseed = 11\n"
+        )
+        assert run_cli("montecarlo", "--config", str(conf), "--reps", "2", "--k", "3") == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {
+            "subcommand": "montecarlo", "scenario": "pi_wrong", "reps": 2, "n": 150, "seed": 11,
+            "estimators": ["naive", "aipw"], "level": 0.95, "d": 1, "confounding": 0.0,
+            "tau": 0.0, "noise_sd": 1.0, "outcome_form": "linear", "propensity_form": "linear",
+            "crossfit.k": 3, "crossfit.clip": [0.02, 0.98], "propensity.lambda": 1e-5,
+            "outcome.lambda": 1e-8,
+        }
+        conf.write_text("outcome_form = cubic\n")
+        assert run_cli("montecarlo", "--config", str(conf)) == 2
+        assert "'outcome_form' must be one of" in capsys.readouterr().err
 
 
 MEASURE = (

@@ -152,6 +152,16 @@ class TestFormatNumber:
     def test_integral_float_keeps_float_form(self):
         assert format_number(2.0) == "2.0"
 
+    def test_non_finite_values_use_repr(self):
+        assert format_number(float("nan")) == "nan"
+        assert format_number(np.float64("inf")) == "inf"
+        assert format_number(-np.inf) == "-inf"
+
+    def test_integers_from_1e16_use_float_form(self):
+        assert format_number(9_999_999_999_999_998) == "9999999999999998"
+        assert format_number(np.int64(9_999_999_999_999_999)) == "1e+16"
+        assert format_number(True) == "1"
+
 
 class TestCsvRoundTrip:
     def test_observational_round_trip_bit_exact(self, tmp_path):
@@ -228,6 +238,14 @@ class TestLoaders:
         path = tmp_path / "d.csv"
         path.write_text("a,y\n1,2.0\n0,oops\n")
         with pytest.raises(ParseError, match="row 2, column 'y'"):
+            load_csv(str(path), {"treatment": "a", "outcome": "y"})
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_treatment_in_file(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,y\n0,1.0\n{cell},1.0\n")
+        message = f"^row 2, column 'a': treatment must be 0 or 1, found {cell}$"
+        with pytest.raises(ValidationError, match=message):
             load_csv(str(path), {"treatment": "a", "outcome": "y"})
 
     def test_non_binary_treatment_in_file(self, tmp_path):
