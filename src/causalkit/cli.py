@@ -155,9 +155,6 @@ def _choice(value: str, key: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-_REQUIRED = object()  # the default of a key that must be given
-
-
 class _Resolver:
     """Flag > config-file entry > default, with strict unknown-key checking."""
 
@@ -179,22 +176,11 @@ class _Resolver:
             return False
         return default
 
-    def resolve(self, options: dict, keys, required: str = "") -> dict:
-        """Resolve ``keys`` in order, each from its ``options`` entry.
 
-        An entry is (flag dest, default, cast, allowed values).  A string
-        value, from a flag or the config file, goes through the cast.
-        """
-        values = {}
-        for key in keys:
-            dest, default, cast, allowed = options[key]
-            value = self.get(dest, key, default, cast)
-            if value is _REQUIRED:
-                raise UsageError(f"--{dest} is required{required}")
-            if isinstance(value, str):
-                value = cast(value, key)
-            values[key] = value if allowed is None else _choice(value, key, allowed)
-        return values
+def _parse_clip(value: str | tuple[float, float]) -> tuple[float, float]:
+    if isinstance(value, tuple):
+        return value
+    return _cast_pair(value, "crossfit.clip")
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +221,18 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
             raise ConfigError("csv format requires a report with a 'rows' table")
         lines = [",".join(_MC_COLUMNS)]
         for row in rows:
-            cells = (row.get(col) for col in _MC_COLUMNS)
-            lines.append(",".join(
-                "" if v is None else v if isinstance(v, str) else format_number(v) for v in cells
-            ))
+            cells = []
+            for col in _MC_COLUMNS:
+                v = row.get(col)
+                if v is None:
+                    cells.append("")
+                elif isinstance(v, str):
+                    cells.append(v)
+                elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+                    cells.append(str(int(v)))
+                else:
+                    cells.append(format_number(float(v)))
+            lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown report format '{format}'")
@@ -324,6 +318,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
         dataset, truth = generate_observational(config, seed)
         write_csv(dataset, args.out)
+        if args.truth_out:
+            write_ground_truth_csv(truth, args.truth_out)
         summary["config"] = {
             "n": config.n,
             "d": config.d,
@@ -354,6 +350,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
         dataset, truth, true_late = generate_iv(config, seed)
         write_iv_csv(dataset, args.out)
+        if args.truth_out:
+            write_ground_truth_csv(truth, args.truth_out)
         summary["config"] = {
             "n": config.n,
             "p_always": config.p_always,
@@ -415,6 +413,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
         dataset, truth, true_jump = generate_rd(config, seed)
         write_csv(dataset, args.out, schema={"covariates": ["x"]})
+        if args.truth_out:
+            write_ground_truth_csv(truth, args.truth_out)
         summary["config"] = {
             "n": config.n,
             "cutoff": config.cutoff,
@@ -426,8 +426,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         }
         summary["rows"] = dataset.n
         summary["true_jump"] = true_jump
-    if args.truth_out and args.dgp != "panel":  # the panel sidecar is written above
-        write_ground_truth_csv(truth, args.truth_out)
     emit_report(summary, "json", None)
 
 
@@ -435,7 +433,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 # estimate
 
 
-# config key -> (flag dest, default, cast, allowed values); see _Resolver.resolve
+_REQUIRED = object()
+
+# config key -> (flag dest, default, cast, allowed values).  A string value,
+# from a flag or the config file, goes through the cast.
 _ESTIMATE_OPTIONS = {
     "treatment": ("treatment", "a", _cast_str, None),
     "outcome": ("outcome", "y", _cast_str, None),
@@ -512,8 +513,15 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     if input_path is None:
         raise UsageError("--input is required")
     out_path = args.out if args.out is not None else r.get("out", "output", None, _cast_str)
-    keys = dict.fromkeys(_ESTIMATE_COMMON + method.keys)
-    values = r.resolve(_ESTIMATE_OPTIONS, keys, f" for --method {name}")
+    values = {}
+    for key in dict.fromkeys(_ESTIMATE_COMMON + method.keys):
+        dest, default, cast, allowed = _ESTIMATE_OPTIONS[key]
+        value = r.get(dest, key, default, cast)
+        if value is _REQUIRED:
+            raise UsageError(f"--{dest} is required for --method {name}")
+        if isinstance(value, str):
+            value = cast(value, key)
+        values[key] = value if allowed is None else _choice(value, key, allowed)
 
     data = method.load(input_path, values)
     fit = None
@@ -555,25 +563,24 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 # montecarlo
 
 
-# config key -> (flag dest, default, cast, allowed values), in report order
-_MC_OPTIONS = {
-    "scenario": ("scenario", "both_correct", _cast_str, SCENARIOS),
-    "reps": ("reps", 100, _cast_int, None),
-    "n": ("n", 1000, _cast_int, None),
-    "seed": ("seed", 0, _cast_int, None),
-    "estimators": ("estimators", "naive,ipw,gformula,aipw", _cast_names, None),
-    "level": ("level", 0.95, _cast_float, None),
-    "d": ("d", 1, _cast_int, None),
-    "confounding": ("confounding", 0.0, _cast_float, None),
-    "tau": ("tau", 0.0, _cast_float, None),
-    "noise_sd": ("noise_sd", 1.0, _cast_float, None),
-    "outcome_form": ("outcome_form", "linear", _cast_str, FORMS),
-    "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
-    "crossfit.k": ("k", 5, _cast_int, None),
-    "crossfit.clip": ("clip", (0.01, 0.99), _cast_pair, None),
-    "propensity.lambda": ("propensity_lambda", 1e-6, _cast_float, None),
-    "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
-}
+_MC_CONFIG_KEYS = (
+    "scenario",
+    "reps",
+    "n",
+    "seed",
+    "estimators",
+    "level",
+    "d",
+    "confounding",
+    "tau",
+    "noise_sd",
+    "outcome_form",
+    "propensity_form",
+    "crossfit.k",
+    "crossfit.clip",
+    "propensity.lambda",
+    "outcome.lambda",
+)
 
 
 def _add_montecarlo_parser(sub) -> None:
@@ -605,30 +612,72 @@ def _mc_report_dict(report: McReport, config: dict) -> dict:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> None:
-    values = _Resolver(args, tuple(_MC_OPTIONS)).resolve(_MC_OPTIONS, _MC_OPTIONS)
+    r = _Resolver(args, _MC_CONFIG_KEYS)
+    scenario = _choice(r.get("scenario", "scenario", "both_correct", _cast_str), "scenario", SCENARIOS)
+    reps = r.get("reps", "reps", 100, _cast_int)
+    n = r.get("n", "n", 1000, _cast_int)
+    seed = r.get("seed", "seed", 0, _cast_int)
+    level = r.get("level", "level", 0.95, _cast_float)
+    estimators = r.get("estimators", "estimators", "naive,ipw,gformula,aipw", _cast_str)
+    if isinstance(estimators, str):
+        estimators = tuple(e.strip() for e in estimators.split(",") if e.strip())
+    d = r.get("d", "d", 1, _cast_int)
+    confounding = r.get("confounding", "confounding", 0.0, _cast_float)
+    tau = r.get("tau", "tau", 0.0, _cast_float)
+    noise_sd = r.get("noise_sd", "noise_sd", 1.0, _cast_float)
+    outcome_form = _choice(
+        r.get("outcome_form", "outcome_form", "linear", _cast_str), "outcome_form", FORMS
+    )
+    propensity_form = _choice(
+        r.get("propensity_form", "propensity_form", "linear", _cast_str), "propensity_form", FORMS
+    )
+    k = r.get("k", "crossfit.k", 5, _cast_int)
+    clip = _parse_clip(r.get("clip", "crossfit.clip", (0.01, 0.99), _cast_pair))
+    p_lambda = r.get("propensity_lambda", "propensity.lambda", 1e-6, _cast_float)
+    o_lambda = r.get("outcome_lambda", "outcome.lambda", 1e-8, _cast_float)
     dgp = ObsDgpConfig(
-        n=values["n"],
-        d=values["d"],
-        confounding_strength=values["confounding"],
-        tau=values["tau"],
-        outcome_noise_sd=values["noise_sd"],
-        outcome_form=values["outcome_form"],
-        propensity_form=values["propensity_form"],
+        n=n,
+        d=d,
+        confounding_strength=confounding,
+        tau=tau,
+        outcome_noise_sd=noise_sd,
+        outcome_form=outcome_form,
+        propensity_form=propensity_form,
     )
     mc = McConfig(
         dgp=dgp,
-        estimators=tuple(values["estimators"]),
-        replications=values["reps"],
-        n=values["n"],
-        seed=values["seed"],
-        scenario=values["scenario"],
-        k=values["crossfit.k"],
-        clip=values["crossfit.clip"],
-        propensity_lambda=values["propensity.lambda"],
-        outcome_lambda=values["outcome.lambda"],
-        level=values["level"],
+        estimators=estimators,
+        replications=reps,
+        n=n,
+        seed=seed,
+        scenario=scenario,
+        k=k,
+        clip=clip,
+        propensity_lambda=p_lambda,
+        outcome_lambda=o_lambda,
+        level=level,
     )
-    report_dict = _mc_report_dict(run_mc(mc), {"subcommand": "montecarlo", **values})
+    report = run_mc(mc)
+    config = {
+        "subcommand": "montecarlo",
+        "scenario": scenario,
+        "reps": reps,
+        "n": n,
+        "seed": seed,
+        "estimators": list(estimators),
+        "level": level,
+        "d": d,
+        "confounding": confounding,
+        "tau": tau,
+        "noise_sd": noise_sd,
+        "outcome_form": outcome_form,
+        "propensity_form": propensity_form,
+        "crossfit.k": k,
+        "crossfit.clip": list(clip),
+        "propensity.lambda": p_lambda,
+        "outcome.lambda": o_lambda,
+    }
+    report_dict = _mc_report_dict(report, config)
     emit_report(report_dict, "json", args.out)
     if args.csv:
         emit_report(report_dict, "csv", args.csv)

@@ -21,6 +21,7 @@ from causalkit import (
     ObservationalDataset,
     format_number,
     load_csv,
+    load_iv_csv,
     write_csv,
     write_ground_truth_csv,
 )
@@ -187,6 +188,22 @@ def test_first_bad_row_wins_across_blocks(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=rf"^row {BLOCK + 2}, column 'y': could not parse 'y'"):
         load_csv(str(path), {"treatment": "a", "outcome": "y"})
+
+
+@pytest.mark.parametrize(
+    "load, schema, column",
+    [
+        (load_csv, {"treatment": "a", "outcome": "y", "covariates": ["x", "y"]}, "y"),
+        (load_csv, {"treatment": "a", "outcome": "a"}, "a"),
+        (load_iv_csv, {"instrument": "z", "treatment": "a", "outcome": "y", "covariates": ["z"]}, "z"),
+    ],
+)
+def test_column_named_twice_in_schema_is_schema_error(tmp_path, load, schema, column):
+    path = tmp_path / "d.csv"
+    path.write_text("x,z,a,y\n0.5,1,1,2.0\n0.25,0,0,1.0\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load(str(path), schema)
+    assert str(err.value) == f"{path}: the schema names column '{column}' more than once"
 
 
 def test_measure_rows_are_numbered_as_file_lines_beyond_first_block(tmp_path):
