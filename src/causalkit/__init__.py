@@ -67,6 +67,7 @@ from .eif_engine import (
     random_score,
     score_of_path,
     second_order_remainder,
+    step_schedule,
 )
 from .errors import CausalKitError, EstimationError, InputError
 from .montecarlo import (
@@ -174,6 +175,7 @@ __all__ = [
     "central_identity_check",
     "one_step",
     "second_order_remainder",
+    "step_schedule",
     # monte carlo
     "McConfig",
     "McReport",

@@ -91,6 +91,7 @@ def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> Estimate:
         ci_low=ci[0],
         ci_high=ci[1],
         diagnostics={"treated_mean": m1, "control_mean": m0, "n_treated": n1, "n_control": n0},
+        input_scale=float(np.max(np.abs(dataset.y))),
     )
 
 
@@ -138,6 +139,7 @@ def ipw(
         ci_low=ci[0],
         ci_high=ci[1],
         diagnostics={"normalization": normalization, "psi1_hat": psi1, "psi0_hat": psi0},
+        input_scale=float(np.max(np.abs(y))),
     )
 
 

@@ -53,6 +53,7 @@ from .eif_engine import (
     pathwise_derivative,
     random_score,
     second_order_remainder,
+    step_schedule,
 )
 from .errors import (
     CausalKitError,
@@ -718,7 +719,8 @@ def _add_eif_check_parser(sub) -> None:
 def _cmd_eif_check(args: argparse.Namespace) -> None:
     measure = _load_measure_csv(args.measure, args.prob_column)
     f = make_functional(args.functional)
-    phi_num, err = eif_table(f, measure)
+    eps = step_schedule(f, measure)
+    phi_num, err = eif_table(f, measure, eps)
     phi_cf = closed_form_eif(f, measure)
     gaps = []
     for i in range(args.scores):
@@ -747,6 +749,8 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
         "phi_numerical": list(phi_num),
         "phi_closed_form": list(phi_cf),
         "phi_error_estimates": list(err),
+        "eps_schedule": list(eps),
+        "max_error_estimate": float(np.max(err)),
         "max_abs_diff": float(np.max(np.abs(phi_num - phi_cf))),
         "numerical_mean": float(measure.probs @ phi_num),
         "closed_form_mean": float(measure.probs @ phi_cf),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -166,9 +166,17 @@ class GroundTruth:
             raise ValidationError("observed outcomes do not match potential outcomes")
 
 
-# Tolerance for the centering invariant; scaled by the eif magnitude so the
-# check stays meaningful for outcomes far from unit scale.
+# Tolerance for the centering invariant, relative to the eif magnitude.
 _EIF_MEAN_TOL = 1e-10
+
+
+def _centering_tolerance(eif: np.ndarray, input_scale: float) -> float:
+    """Largest |mean(eif)| accepted: 1e-10 of max(1, max|eif|), plus the rounding
+    error of a mean of n values taken from inputs as large as ``input_scale``
+    (4 ulps per level of pairwise summation, log2(n) levels)."""
+    size = max(1.0, float(np.max(np.abs(eif))))
+    levels = max(1, eif.size.bit_length())
+    return _EIF_MEAN_TOL * size + 4.0 * levels * np.finfo(float).eps * max(size, input_scale)
 
 
 @dataclass(frozen=True)
@@ -181,6 +189,11 @@ class Estimate:
     estimator provides inference.  ``diagnostics`` carries method-specific
     values (cell means, first stage, clip counts, match distances) in the
     order the report emits them.
+
+    ``input_scale`` (not stored) is the magnitude of the values the
+    influence values were computed from, such as max|y| when they are
+    outcomes minus a rounded arm mean; it widens the centering check by the
+    rounding error of that mean.
     """
 
     psi_hat: float
@@ -191,15 +204,15 @@ class Estimate:
     ci_low: float | None = None
     ci_high: float | None = None
     diagnostics: dict = field(default_factory=dict)
+    input_scale: InitVar[float] = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, input_scale: float) -> None:
         if not math.isfinite(self.psi_hat):
             raise ValidationError(f"psi_hat is not finite: {self.psi_hat}")
         if self.eif is not None:
             eif = _as_float_vector("eif", self.eif)
-            scale = max(1.0, float(np.max(np.abs(eif))) if eif.size else 1.0)
-            if eif.size and abs(float(np.mean(eif))) > _EIF_MEAN_TOL * scale:
-                raise ValidationError("eif vector is not centered (mean exceeds 1e-10)")
+            if eif.size and abs(float(np.mean(eif))) > _centering_tolerance(eif, input_scale):
+                raise ValidationError("eif vector is not centered (mean exceeds its rounding tolerance)")
             _freeze(eif)
             object.__setattr__(self, "eif", eif)
         if self.se is not None and (not math.isfinite(self.se) or self.se < 0):
@@ -314,6 +327,8 @@ def _row_blocks(path: str) -> Iterator[list]:
                 yield block
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from exc
 
 
 def _column_index(header: list[str], column: str, path: str) -> int:

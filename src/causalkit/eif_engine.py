@@ -16,17 +16,25 @@ discrete measures:
 * the exact second-order remainder of the one-step ATE estimator and its
   Cauchy-Schwarz bound.
 
-Functionals are evaluated through a raw-array path that skips probability
-validation: central differences momentarily push masses negative, and every
-implemented functional is a ratio of linear forms in the masses, so those
-signed evaluations are well-defined.
+Every implemented functional is a ratio of linear forms in the masses: it
+builds an (m, r) matrix L of forms once per support and combines a (B, r)
+block of form values into B functional values.  A mixture step toward the
+point mass at row j has form values (1-eps)(p @ L) + eps L[j], and a score
+path ((1 + eps s) p) @ L, so all steps toward all points are one block.
+
+The default schedule EPS_SCHEDULE is shrunk on mixture paths to eps0 =
+min(1e-3, mass / EPS_MASS_RATIO), mass being the smallest nonzero
+denominator mass (arm-by-cell mass for the ATE); any other schedule is used
+as given.  A derivative whose error estimate exceeds RICHARDSON_RTOL *
+max(1, |derivative|) raises EpsError (``causalkit eif-check`` exits 3)
+rather than return a wrong value.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +49,11 @@ from .errors import (
 
 __all__ = [
     "EPS_SCHEDULE",
+    "EPS_MASS_RATIO",
+    "RICHARDSON_RTOL",
     "DiscreteMeasure",
     "ScoreVector",
+    "LinearForms",
     "Functional",
     "Mean",
     "CondMean",
@@ -54,6 +65,7 @@ __all__ = [
     "random_score",
     "factorize_score",
     "DerivativeResult",
+    "step_schedule",
     "gateaux_if",
     "eif_table",
     "closed_form_eif",
@@ -69,6 +81,14 @@ __all__ = [
 # collapse them to one high-order estimate whose error is the disagreement
 # between stages.  Rational-in-eps functionals converge fast on this schedule.
 EPS_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
+# The default mixture step is at most this fraction of the smallest
+# denominator mass, so each step moves every denominator by 2% or less.
+EPS_MASS_RATIO = 50.0
+# A derivative whose Richardson error estimate exceeds this multiple of
+# max(1, |derivative|) raises EpsError.
+RICHARDSON_RTOL = 1e-6
+# Form values held at once while evaluating a block of mixture steps.
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -137,10 +157,6 @@ class DiscreteMeasure:
         return cls(names=tuple(names), support=points, probs=counts / data.shape[0])
 
 
-def _row_key(row: np.ndarray) -> tuple[float, ...]:
-    return tuple(float(v) for v in row)
-
-
 def _point_as_row(measure_names: tuple[str, ...], z: Mapping[str, float] | Sequence[float]) -> np.ndarray:
     if isinstance(z, Mapping):
         missing = [n for n in measure_names if n not in z]
@@ -156,27 +172,56 @@ def _point_as_row(measure_names: tuple[str, ...], z: Mapping[str, float] | Seque
     return row
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry (row-major), or None."""
+    flat = np.flatnonzero(mask)
+    return int(flat[0]) if flat.size else None
+
+
+def _cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in sorted order, and the cell index of every row."""
+    if rows.shape[1] == 0:
+        return np.empty((1, 0)), np.zeros(rows.shape[0], dtype=np.intp)
+    cells, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return cells, inverse.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # functionals
+
+
+class LinearForms(NamedTuple):
+    """A functional at one support: psi(p) = combine(p @ matrix).
+
+    ``matrix`` is (m, r); ``combine`` maps a (B, r) block of form values to
+    B functional values and raises for the first row at which the functional
+    is undefined; ``denominators`` indexes the columns it divides by;
+    ``scale`` bounds the magnitude of the terms combine adds, which sets its
+    rounding error.
+    """
+
+    matrix: np.ndarray
+    denominators: np.ndarray
+    combine: Callable[[np.ndarray], np.ndarray]
+    scale: float
 
 
 class Functional:
     """Base class: a real-valued map of discrete measures.
 
-    Subclasses implement ``_value_arrays`` on raw (names, support, probs)
-    triples.  That path performs no probability validation so that signed
-    central-difference evaluations work; the public ``value`` goes through a
-    validated measure.
+    Subclasses implement ``forms`` on raw (names, support) pairs.  Masses
+    enter only through the linear forms, which take signed masses, so
+    central-difference evaluations need no probability validation; the
+    public ``value`` goes through a validated measure.
     """
 
     label: str = ""
 
     def value(self, measure: DiscreteMeasure) -> float:
-        return self._value_arrays(measure.names, measure.support, measure.probs)
+        forms = self.forms(measure.names, measure.support)
+        return float(forms.combine((measure.probs @ forms.matrix)[None, :])[0])
 
-    def _value_arrays(
-        self, names: tuple[str, ...], support: np.ndarray, probs: np.ndarray
-    ) -> float:
+    def forms(self, names: tuple[str, ...], support: np.ndarray) -> LinearForms:
         raise NotImplementedError
 
 
@@ -185,6 +230,18 @@ def _coord_index(names: tuple[str, ...], coord: str) -> int:
         return names.index(coord)
     except ValueError:
         raise ValidationError(f"measure has no coordinate '{coord}'") from None
+
+
+def _mean_forms(mask: np.ndarray, v: np.ndarray, message: str) -> LinearForms:
+    """Forms of the mean of v over the points in mask: their mass and v-weighted mass."""
+
+    def combine(values: np.ndarray) -> np.ndarray:
+        if np.any(values[:, 0] == 0.0):
+            raise EvaluabilityError(message)
+        return values[:, 1] / values[:, 0]
+
+    v = np.where(mask, v, 0.0)
+    return LinearForms(np.column_stack([mask.astype(float), v]), np.array([0]), combine, float(np.max(np.abs(v))))
 
 
 @dataclass(frozen=True)
@@ -197,12 +254,9 @@ class Mean(Functional):
     def label(self) -> str:
         return f"mean({self.coord})"
 
-    def _value_arrays(self, names, support, probs) -> float:
+    def forms(self, names, support) -> LinearForms:
         v = support[:, _coord_index(names, self.coord)]
-        total = float(probs.sum())
-        if total == 0.0:
-            raise EvaluabilityError("total mass is zero")
-        return float(probs @ v) / total
+        return _mean_forms(np.ones(v.shape, dtype=bool), v, "total mass is zero")
 
 
 @dataclass(frozen=True)
@@ -225,15 +279,10 @@ class CondMean(Functional):
             mask &= support[:, _coord_index(names, cname)] == cval
         return mask
 
-    def _value_arrays(self, names, support, probs) -> float:
-        mask = self._mask(names, support)
-        denom = float(probs[mask].sum())
-        if denom == 0.0:
-            raise EvaluabilityError(
-                f"conditioning event {dict(self.conditions)} has zero mass"
-            )
+    def forms(self, names, support) -> LinearForms:
         v = support[:, _coord_index(names, self.coord)]
-        return float(probs[mask] @ v[mask]) / denom
+        message = f"conditioning event {dict(self.conditions)} has zero mass"
+        return _mean_forms(self._mask(names, support), v, message)
 
 
 def _causal_columns(names: tuple[str, ...]) -> tuple[int, int, list[int]]:
@@ -243,12 +292,43 @@ def _causal_columns(names: tuple[str, ...]) -> tuple[int, int, list[int]]:
     return a_idx, y_idx, x_idx
 
 
-def _x_groups(support: np.ndarray, x_idx: list[int]) -> list[np.ndarray]:
-    """Row-index groups sharing identical covariate coordinates."""
-    if not x_idx:
-        return [np.arange(support.shape[0])]
-    _, inverse = np.unique(support[:, x_idx], axis=0, return_inverse=True)
-    return [np.flatnonzero(inverse == g) for g in range(int(inverse.max()) + 1)]
+def _arm_forms(names, support, arms: tuple[int, ...]) -> LinearForms:
+    """Forms of the arm means E[E[Y | A=arm, X]], combined as arm 1 minus arm 0
+    when both arms are given.
+
+    Columns: G cell indicators, then per arm G arm-by-cell indicators and G
+    y-weighted arm-by-cell indicators, cells in sorted covariate order.
+    """
+    a_idx, y_idx, x_idx = _causal_columns(names)
+    cells, inverse = _cells(support[:, x_idx])
+    g = cells.shape[0]
+    by_cell = np.eye(g)[inverse]
+    blocks = [by_cell]
+    for arm in arms:
+        in_arm = support[:, a_idx] == arm
+        blocks += [by_cell * in_arm[:, None], by_cell * np.where(in_arm, support[:, y_idx], 0.0)[:, None]]
+
+    def combine(values: np.ndarray) -> np.ndarray:
+        px = values[:, :g]
+        total = px.sum(axis=1)
+        if np.any(total == 0.0):
+            raise EvaluabilityError("total mass is zero")
+        means, undefined = [], []
+        for k in range(len(arms)):
+            pax = values[:, (2 * k + 1) * g : (2 * k + 2) * g]
+            ny = values[:, (2 * k + 2) * g : (2 * k + 3) * g]
+            undefined.append((pax == 0.0) & (px != 0.0))
+            mu = np.divide(ny, pax, out=np.zeros_like(ny), where=pax != 0.0)
+            means.append((px * mu).sum(axis=1) / total)
+        first = _first(np.hstack(undefined))  # row by row, arms in order, cells in order
+        if first is not None:
+            k, cell = divmod(first % (len(arms) * g), g)
+            raise EvaluabilityError(f"cell with covariates {cells[cell]} has zero mass on arm {arms[k]}")
+        return means[0] - means[1] if len(arms) == 2 else means[0]
+
+    denominators = np.hstack([np.arange((2 * k + 1) * g, (2 * k + 2) * g) for k in range(len(arms))])
+    scale = len(arms) * float(np.max(np.abs(support[:, y_idx])))
+    return LinearForms(np.hstack(blocks), denominators, combine, scale)
 
 
 @dataclass(frozen=True)
@@ -265,25 +345,8 @@ class CounterfactualMean(Functional):
     def label(self) -> str:
         return f"counterfactual_mean({self.arm})"
 
-    def _value_arrays(self, names, support, probs) -> float:
-        a_idx, y_idx, x_idx = _causal_columns(names)
-        total = float(probs.sum())
-        if total == 0.0:
-            raise EvaluabilityError("total mass is zero")
-        acc = 0.0
-        for rows in _x_groups(support, x_idx):
-            px = float(probs[rows].sum())
-            arm_rows = rows[support[rows, a_idx] == self.arm]
-            pax = float(probs[arm_rows].sum())
-            if pax == 0.0:
-                if px == 0.0:
-                    continue
-                raise EvaluabilityError(
-                    f"cell with covariates {support[rows[0], x_idx]} has zero mass on arm {self.arm}"
-                )
-            mu = float(probs[arm_rows] @ support[arm_rows, y_idx]) / pax
-            acc += px * mu
-        return acc / total
+    def forms(self, names, support) -> LinearForms:
+        return _arm_forms(names, support, (self.arm,))
 
 
 @dataclass(frozen=True)
@@ -294,10 +357,8 @@ class Ate(Functional):
     def label(self) -> str:
         return "ate"
 
-    def _value_arrays(self, names, support, probs) -> float:
-        m1 = CounterfactualMean(1)._value_arrays(names, support, probs)
-        m0 = CounterfactualMean(0)._value_arrays(names, support, probs)
-        return m1 - m0
+    def forms(self, names, support) -> LinearForms:
+        return _arm_forms(names, support, (1, 0))
 
 
 _COND_MEAN_RE = re.compile(r"cond_mean\(\s*(\w+)\s*\|\s*(.+?)\s*\)")
@@ -342,26 +403,16 @@ def make_functional(label: str) -> Functional:
 def _union_support(
     p_support: np.ndarray, g_support: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union of two supports; returns (union, p_indices, g_indices)."""
-    index = {_row_key(row): i for i, row in enumerate(p_support)}
-    extra_rows = []
-    g_pos = np.empty(g_support.shape[0], dtype=np.int64)
-    next_idx = p_support.shape[0]
-    for j, row in enumerate(g_support):
-        key = _row_key(row)
-        if key in index:
-            g_pos[j] = index[key]
-        else:
-            index[key] = next_idx
-            g_pos[j] = next_idx
-            extra_rows.append(row)
-            next_idx += 1
-    if extra_rows:
-        union = np.vstack([p_support, np.asarray(extra_rows)])
-    else:
-        union = p_support
-    p_pos = np.arange(p_support.shape[0])
-    return union, p_pos, g_pos
+    """Union of two supports, p's rows first; returns (union, p_indices, g_indices)."""
+    m = p_support.shape[0]
+    _, cell = _cells(np.vstack([p_support, g_support]))
+    position = np.full(int(cell.max()) + 1, -1)
+    position[cell[:m]] = np.arange(m)
+    g_pos = position[cell[m:]]
+    extra = g_pos < 0
+    g_pos[extra] = m + np.arange(int(extra.sum()))
+    union = np.vstack([p_support, g_support[extra]]) if extra.any() else p_support
+    return union, np.arange(m), g_pos
 
 
 def mix(p: DiscreteMeasure, g: DiscreteMeasure, eps: float) -> DiscreteMeasure:
@@ -405,25 +456,21 @@ def score_of_path(p: DiscreteMeasure, ptilde: DiscreteMeasure) -> ScoreVector:
     """
     if p.names != ptilde.names:
         raise ValidationError("measures must share coordinate names")
-    index = {_row_key(row): i for i, row in enumerate(p.support)}
+    pos = _union_support(p.support, ptilde.support)[2]
+    off = pos >= p.m
+    base = np.where(off, 0.0, p.probs[np.minimum(pos, p.m - 1)])
+    j = _first((ptilde.probs > 0) & (off | (base == 0.0)))
+    if j is not None:
+        point = dict(zip(p.names, ptilde.support[j]))
+        if off[j]:
+            raise SupportError(
+                f"domination violated: point {point} has mass "
+                "under the target but is outside the base support"
+            )
+        raise SupportError(f"domination violated at {point}: base mass is zero")
     ratio = np.zeros(p.m)
-    for j, row in enumerate(ptilde.support):
-        key = _row_key(row)
-        if key not in index:
-            if ptilde.probs[j] > 0:
-                raise SupportError(
-                    f"domination violated: point {dict(zip(p.names, row))} has mass "
-                    "under the target but is outside the base support"
-                )
-            continue
-        i = index[key]
-        if p.probs[i] == 0.0:
-            if ptilde.probs[j] > 0:
-                raise SupportError(
-                    f"domination violated at {dict(zip(p.names, row))}: base mass is zero"
-                )
-            continue
-        ratio[i] = ptilde.probs[j] / p.probs[i]
+    keep = base > 0.0
+    ratio[pos[keep]] = ptilde.probs[keep] / base[keep]
     return ScoreVector(values=ratio - 1.0)
 
 
@@ -447,15 +494,10 @@ def factorize_score(
     values = _score_values(s)
     if values.shape != (p.m,):
         raise ValidationError("score length must match the support size")
-    idx = [_coord_index(p.names, n) for n in given]
-    marginal = np.empty(p.m)
-    groups = _x_groups(p.support, idx) if idx else [np.arange(p.m)]
-    for rows in groups:
-        mass = float(p.probs[rows].sum())
-        if mass == 0.0:
-            marginal[rows] = 0.0
-            continue
-        marginal[rows] = float(p.probs[rows] @ values[rows]) / mass
+    cells, inverse = _cells(p.support[:, [_coord_index(p.names, n) for n in given]])
+    mass = np.bincount(inverse, p.probs, len(cells))
+    total = np.bincount(inverse, p.probs * values, len(cells))
+    marginal = np.divide(total, mass, out=np.zeros_like(total), where=mass != 0.0)[inverse]
     return ScoreVector(values=marginal), ScoreVector(values=values - marginal)
 
 
@@ -481,13 +523,89 @@ def _validate_schedule(eps_schedule: Sequence[float]) -> tuple[float, float, flo
     return eps
 
 
-def _richardson(evaluate, eps_schedule: Sequence[float]) -> DerivativeResult:
-    e1, e2, e3 = _validate_schedule(eps_schedule)
-    d = [(evaluate(e) - evaluate(-e)) / (2.0 * e) for e in (e1, e2, e3)]
-    r1 = (4.0 * d[1] - d[0]) / 3.0
-    r1b = (4.0 * d[2] - d[1]) / 3.0
+def step_schedule(
+    f: Functional, p: DiscreteMeasure, eps_schedule: Sequence[float] = EPS_SCHEDULE
+) -> tuple[float, float, float]:
+    """The schedule ``gateaux_if``, ``eif_table`` and ``one_step`` use for f at p:
+    EPS_SCHEDULE shrunk to the smallest nonzero denominator mass, or any other
+    schedule as given."""
+    forms = f.forms(p.names, p.support)
+    return _scaled_schedule(eps_schedule, (p.probs @ forms.matrix)[forms.denominators])
+
+
+def _scaled_schedule(eps_schedule: Sequence[float], masses: np.ndarray) -> tuple[float, float, float]:
+    eps = _validate_schedule(eps_schedule)
+    if eps != EPS_SCHEDULE or not np.any(masses > 0.0):
+        return eps
+    e0 = min(EPS_SCHEDULE[0], float(masses[masses > 0.0].min()) / EPS_MASS_RATIO)
+    return e0, e0 / 2.0, e0 / 4.0
+
+
+def _richardson(
+    values: np.ndarray, eps: tuple[float, float, float], scale: float, what: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extrapolated derivatives and error estimates from (n, 6) values at
+    steps eps0, -eps0, eps1, -eps1, eps2, -eps2.
+
+    The error estimate is the disagreement between the extrapolation stages
+    plus a bound on rounding: values carry errors of a few ulps of ``scale``,
+    which the differences divide by the steps and the extrapolation
+    amplifies about 6.6-fold; 32 ulps / eps0 covers both.  The first
+    derivative whose estimate exceeds RICHARDSON_RTOL * max(1, |value|)
+    raises EpsError naming ``what(row)``.
+    """
+    d = (values[:, 0::2] - values[:, 1::2]) / (2.0 * np.asarray(eps))
+    r1 = (4.0 * d[:, 1] - d[:, 0]) / 3.0
+    r1b = (4.0 * d[:, 2] - d[:, 1]) / 3.0
     value = (16.0 * r1b - r1) / 15.0
-    return DerivativeResult(value=value, error_estimate=abs(r1b - r1))
+    err = np.abs(r1b - r1) + 32.0 * np.finfo(float).eps * scale / eps[0]
+    j = _first(err > RICHARDSON_RTOL * np.maximum(1.0, np.abs(value)))
+    if j is not None:
+        raise EpsError(
+            f"{what(j)}: error estimate {err[j]:.3g} exceeds {RICHARDSON_RTOL:g} * "
+            f"max(1, |{value[j]:.6g}|) with eps schedule {eps}; is a denominator mass near zero?"
+        )
+    return value, err
+
+
+def _derivatives(
+    forms: LinearForms, center: np.ndarray, directions: np.ndarray, eps, what: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives at 0 of combine(center + eps * direction), one per row of
+    ``directions``, and their error estimates; the six steps of all rows are
+    combined in blocks.  A step that moves a positive denominator mass to
+    zero or below raises EpsError."""
+    denominators = center[forms.denominators]
+    steps = np.array([s for e in eps for s in (e, -e)])[None, :, None]
+    value, err = np.empty(len(directions)), np.empty(len(directions))
+    chunk = max(1, _BLOCK_VALUES // (steps.size * center.size))
+    for start in range(0, len(directions), chunk):
+        block = center + steps * directions[start : start + chunk, None, :]
+        if np.any((block[..., forms.denominators] <= 0.0) & (denominators > 0.0)):
+            raise EpsError(
+                f"eps schedule {eps} moves a denominator mass of "
+                f"{denominators[denominators > 0.0].min():.3g} through zero"
+            )
+        values = forms.combine(block.reshape(-1, center.size)).reshape(-1, steps.size)
+        value[start : start + chunk], err[start : start + chunk] = _richardson(
+            values, eps, forms.scale, lambda j: what(start + j)
+        )
+    return value, err
+
+
+def _influence_at(
+    f: Functional, p: DiscreteMeasure, points: np.ndarray, eps_schedule: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Influence values and error estimates of f at p for each row of ``points``,
+    from the mixture paths toward them on one set of forms over the union support."""
+    support, _, targets = _union_support(p.support, points)
+    forms = f.forms(p.names, support)
+    center = p.probs @ forms.matrix[: p.m]
+    eps = _scaled_schedule(eps_schedule, center[forms.denominators])  # as step_schedule(f, p)
+    point = lambda j: dict(zip(p.names, support[targets[j]].tolist()))  # noqa: E731
+    return _derivatives(
+        forms, center, forms.matrix[targets] - center, eps, lambda j: f"influence of {f.label} at {point(j)}"
+    )
 
 
 def gateaux_if(
@@ -499,40 +617,20 @@ def gateaux_if(
     """Influence of point z: d/deps f((1-eps) P + eps delta_z) at eps=0.
 
     Central differences on the mixture path with Richardson extrapolation;
-    the error estimate is the disagreement between extrapolation stages.
-    z need not lie in P's support.
+    the error estimate is the disagreement between extrapolation stages
+    plus a rounding bound.  z need not lie in P's support.  The default schedule is shrunk to the
+    smallest denominator mass (see ``step_schedule``); an error estimate
+    above RICHARDSON_RTOL * max(1, |value|) raises EpsError.
     """
-    row = _point_as_row(p.names, z)
-    key = _row_key(row)
-    match = [i for i in range(p.m) if _row_key(p.support[i]) == key]
-    if match:
-        support = p.support
-        j = match[0]
-    else:
-        support = np.vstack([p.support, row])
-        j = p.m
-    base = np.zeros(support.shape[0])
-    base[: p.m] = p.probs
-
-    def evaluate(eps: float) -> float:
-        probs = (1.0 - eps) * base
-        probs[j] += eps
-        return f._value_arrays(p.names, support, probs)
-
-    return _richardson(evaluate, eps_schedule)
+    phi, err = _influence_at(f, p, _point_as_row(p.names, z)[None, :], eps_schedule)
+    return DerivativeResult(value=float(phi[0]), error_estimate=float(err[0]))
 
 
 def eif_table(
     f: Functional, p: DiscreteMeasure, eps_schedule: Sequence[float] = EPS_SCHEDULE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerical influence values and error estimates at every support point."""
-    phi = np.empty(p.m)
-    err = np.empty(p.m)
-    for j in range(p.m):
-        result = gateaux_if(f, p, p.support[j], eps_schedule)
-        phi[j] = result.value
-        err[j] = result.error_estimate
-    return phi, err
+    return _influence_at(f, p, p.support, eps_schedule)
 
 
 def pathwise_derivative(
@@ -541,7 +639,12 @@ def pathwise_derivative(
     s: ScoreVector | np.ndarray,
     eps_schedule: Sequence[float] = EPS_SCHEDULE,
 ) -> float:
-    """d/deps f(measure with masses (1 + eps*s) p) at eps = 0."""
+    """d/deps f(measure with masses (1 + eps*s) p) at eps = 0.
+
+    The schedule is used as given: a step moves each mass by at most
+    eps*max|s| of itself.  An error estimate above RICHARDSON_RTOL *
+    max(1, |derivative|) raises EpsError.
+    """
     values = _score_values(s)
     if values.shape != (p.m,):
         raise ValidationError("score length must match the support size")
@@ -555,11 +658,12 @@ def pathwise_derivative(
             "perturbed mass would go negative: max |eps*s| "
             f"= {worst!r} exceeds 1; shrink the score or the schedule"
         )
-
-    def evaluate(e: float) -> float:
-        return f._value_arrays(p.names, p.support, (1.0 + e * values) * p.probs)
-
-    return _richardson(evaluate, eps_schedule).value
+    forms = f.forms(p.names, p.support)
+    slope = (values * p.probs) @ forms.matrix
+    d, _ = _derivatives(
+        forms, p.probs @ forms.matrix, slope[None, :], eps, lambda j: f"pathwise derivative of {f.label}"
+    )
+    return float(d[0])
 
 
 @dataclass(frozen=True)
@@ -586,48 +690,41 @@ def central_identity_check(
 # closed forms
 
 
-def _exact_conditionals(
-    p: DiscreteMeasure, arm: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-support-point P(A=arm|X) and E[Y|A=arm,X] from exact sums."""
-    a_idx, y_idx, x_idx = _causal_columns(p.names)
-    pi = np.empty(p.m)
-    mu = np.empty(p.m)
-    for rows in _x_groups(p.support, x_idx):
-        px = float(p.probs[rows].sum())
-        arm_rows = rows[p.support[rows, a_idx] == arm]
-        pax = float(p.probs[arm_rows].sum())
-        if px == 0.0 or pax == 0.0:
-            raise PositivityError(
-                f"cell with covariates {p.support[rows[0], x_idx]} has zero mass on arm {arm}"
-            )
-        pi[rows] = pax / px
-        mu[rows] = float(p.probs[arm_rows] @ p.support[arm_rows, y_idx]) / pax
-    return pi, mu
+def _arm_sums(
+    names: tuple[str, ...], support: np.ndarray, probs: np.ndarray, cell: np.ndarray, g: int, arm: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell: total mass, arm mass, and arm mass weighted by y."""
+    a_idx, y_idx, _ = _causal_columns(names)
+    arm_probs = np.where(support[:, a_idx] == arm, probs, 0.0)
+    return (
+        np.bincount(cell, probs, g),
+        np.bincount(cell, arm_probs, g),
+        np.bincount(cell, arm_probs * support[:, y_idx], g),
+    )
+
+
+def _require_positive(px, pax, cells, arm, present=True) -> None:
+    g = _first(present & ((px == 0.0) | (pax == 0.0)))
+    if g is not None:
+        raise PositivityError(f"cell with covariates {cells[g]} has zero mass on arm {arm}")
 
 
 def closed_form_eif(f: Functional, p: DiscreteMeasure) -> np.ndarray:
     """The analytic influence function of f at p, per support point."""
     if isinstance(f, Mean):
-        v = p.column(f.coord)
-        return v - f.value(p)
+        return p.column(f.coord) - f.value(p)
     if isinstance(f, CondMean):
+        psi = f.value(p)  # raises when the conditioning event has zero mass
         mask = f._mask(p.names, p.support)
-        mass = float(p.probs[mask].sum())
-        if mass == 0.0:
-            raise EvaluabilityError(
-                f"conditioning event {dict(f.conditions)} has zero mass"
-            )
-        v = p.column(f.coord)
-        psi = f.value(p)
-        return np.where(mask, (v - psi) / mass, 0.0)
+        return np.where(mask, (p.column(f.coord) - psi) / float(p.probs[mask].sum()), 0.0)
     if isinstance(f, CounterfactualMean):
-        a = p.column("a")
-        y = p.column("y")
-        pi, mu = _exact_conditionals(p, f.arm)
-        psi = f.value(p)
-        ind = (a == f.arm).astype(float)
-        return ind / pi * (y - mu) + mu - psi
+        # P(A=arm|X) and E[Y|A=arm,X] per point, from exact cell sums
+        cells, cell = _cells(p.support[:, _causal_columns(p.names)[2]])
+        px, pax, ny = _arm_sums(p.names, p.support, p.probs, cell, len(cells), f.arm)
+        _require_positive(px, pax, cells, f.arm)
+        pi, mu = (pax / px)[cell], (ny / pax)[cell]
+        ind = (p.column("a") == f.arm).astype(float)
+        return ind / pi * (p.column("y") - mu) + mu - f.value(p)
     if isinstance(f, Ate):
         return closed_form_eif(CounterfactualMean(1), p) - closed_form_eif(
             CounterfactualMean(0), p
@@ -649,18 +746,14 @@ def one_step(
 
     ``sample`` is an empirical (or exact) measure; the correction term is
     the sample-weighted mean of the numerical influence function of f at
-    p_est, evaluated at each sample point.
+    p_est, evaluated at each sample point of positive mass in one block.
     """
     if p_est.names != sample.names:
         raise ValidationError("estimate and sample must share coordinate names")
     plug_in = f.value(p_est)
-    correction = 0.0
-    for j in range(sample.m):
-        if sample.probs[j] == 0.0:
-            continue
-        phi = gateaux_if(f, p_est, sample.support[j], eps_schedule).value
-        correction += float(sample.probs[j]) * phi
-    return plug_in + correction
+    charged = sample.probs != 0.0
+    phi, _ = _influence_at(f, p_est, sample.support[charged], eps_schedule)
+    return plug_in + float(sample.probs[charged] @ phi)
 
 
 @dataclass(frozen=True)
@@ -692,45 +785,31 @@ def _arm_remainder(
     conditionals come from P_est.  X cells are matched by exact coordinate
     equality.
     """
-    _, _, x_idx_t = _causal_columns(p_true.names)
-    a_idx_e, y_idx_e, x_idx_e = _causal_columns(p_est.names)
-    est_groups = {}
-    for rows in _x_groups(p_est.support, x_idx_e):
-        key = _row_key(p_est.support[rows[0], x_idx_e])
-        est_groups[key] = rows
-    r2 = 0.0
-    err_pi_w2 = 0.0  # E_true[ ((pi - pi_hat)/pi_hat)^2 ]
-    err_pi2 = 0.0
-    err_mu2 = 0.0
-    pi_true, mu_true = _exact_conditionals(p_true, arm)
-    for rows in _x_groups(p_true.support, x_idx_t):
-        px = float(p_true.probs[rows].sum())
-        if px == 0.0:
-            continue
-        key = _row_key(p_true.support[rows[0], x_idx_t])
-        if key not in est_groups:
-            raise SupportError(
-                f"estimated measure has no mass at covariates {list(key)}"
-            )
-        erows = est_groups[key]
-        e_px = float(p_est.probs[erows].sum())
-        arm_rows = erows[p_est.support[erows, a_idx_e] == arm]
-        e_pax = float(p_est.probs[arm_rows].sum())
-        if e_px == 0.0 or e_pax == 0.0:
-            raise PositivityError(
-                f"estimated measure has zero arm-{arm} mass at covariates {list(key)}"
-            )
-        pi_hat = e_pax / e_px
-        mu_hat = float(p_est.probs[arm_rows] @ p_est.support[arm_rows, y_idx_e]) / e_pax
-        d_pi = float(pi_true[rows[0]]) - pi_hat
-        d_mu = float(mu_true[rows[0]]) - mu_hat
-        r2 += px * d_pi * d_mu / pi_hat
-        err_pi_w2 += px * (d_pi / pi_hat) ** 2
-        err_pi2 += px * d_pi**2
-        err_mu2 += px * d_mu**2
-    bound = float(np.sqrt(err_pi_w2) * np.sqrt(err_mu2))
-    rate_product = float(np.sqrt(err_pi2) * np.sqrt(err_mu2))
-    return r2, bound, rate_product
+    x_true, x_est = _causal_columns(p_true.names)[2], _causal_columns(p_est.names)[2]
+    if [p_true.names[i] for i in x_true] != [p_est.names[i] for i in x_est]:
+        raise ValidationError("true and estimated measures must share covariate names")
+    cells, cell = _cells(np.vstack([p_true.support[:, x_true], p_est.support[:, x_est]]))
+    g = len(cells)
+    cell_true, cell_est = cell[: p_true.m], cell[p_true.m :]
+    px, pax, ny = _arm_sums(p_true.names, p_true.support, p_true.probs, cell_true, g, arm)
+    _require_positive(px, pax, cells, arm, present=np.bincount(cell_true, minlength=g) > 0)
+    e_px, e_pax, e_ny = _arm_sums(p_est.names, p_est.support, p_est.probs, cell_est, g, arm)
+    live = px > 0.0
+    missing = live & (np.bincount(cell_est, minlength=g) == 0)
+    empty = live & ((e_px == 0.0) | (e_pax == 0.0))
+    k = _first(missing | empty)
+    if k is not None:
+        key = [float(v) for v in cells[k]]
+        if missing[k]:
+            raise SupportError(f"estimated measure has no mass at covariates {key}")
+        raise PositivityError(f"estimated measure has zero arm-{arm} mass at covariates {key}")
+    px, pi_hat = px[live], e_pax[live] / e_px[live]
+    d_pi = pax[live] / px - pi_hat
+    d_mu = ny[live] / pax[live] - e_ny[live] / e_pax[live]
+    r2 = float(np.sum(px * d_pi * d_mu / pi_hat))
+    err_pi_w2 = float(px @ (d_pi / pi_hat) ** 2)  # E_true[ ((pi - pi_hat)/pi_hat)^2 ]
+    err_mu = np.sqrt(float(px @ d_mu**2))
+    return r2, float(np.sqrt(err_pi_w2) * err_mu), float(np.sqrt(float(px @ d_pi**2)) * err_mu)
 
 
 def second_order_remainder(

@@ -86,7 +86,8 @@ class SupportError(EstimationError):
 
 
 class EpsError(EstimationError):
-    """A perturbation size would produce negative probability mass."""
+    """A perturbation step would produce negative mass, or cannot reach the
+    stated accuracy of a numerical derivative."""
 
 
 class InsufficientDataError(EstimationError):

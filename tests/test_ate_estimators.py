@@ -31,6 +31,7 @@ from causalkit import (
     psm_att,
     variance_ci,
 )
+from causalkit.data_model import Estimate
 from causalkit.dgp import ObsDgpConfig
 from causalkit.errors import (
     ConfigError,
@@ -414,3 +415,34 @@ class TestAipw:
         fit = cross_fit(other, k=2, seed=0)
         with pytest.raises(ValidationError):
             aipw(ds, fit)
+
+
+class TestCenteringFarFromZero:
+    """The centering check allows the rounding error of means of large outcomes."""
+
+    @staticmethod
+    def large_outcomes(seed, n=1000):
+        rng = np.random.default_rng(seed)
+        a = np.r_[0, 1, rng.integers(0, 2, n - 2)]
+        ds = ObservationalDataset(x=np.zeros((n, 0)), a=a, y=1e8 + rng.normal(0.0, 1.0, n))
+        return ds, rng.uniform(0.1, 0.9, n)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_naive_and_hajek_accept_large_outcomes(self, seed):
+        ds, pi = self.large_outcomes(seed)
+        for est in (naive_dim(ds), ipw(ds, pi), ipw(ds, pi, "horvitz_thompson")):
+            assert est.se > 0
+            assert est.ci_low <= est.psi_hat <= est.ci_high
+
+    def test_off_centre_vector_still_raises(self):
+        ds, _ = self.large_outcomes(0)
+        est = naive_dim(ds)
+        scale = max(1.0, float(np.max(np.abs(est.eif))))
+        for input_scale in (0.0, 1e8):
+            with pytest.raises(ValidationError, match="not centered"):
+                Estimate(
+                    psi_hat=est.psi_hat, method="naive", n=ds.n,
+                    eif=est.eif + 1e-6 * scale, input_scale=input_scale,
+                )
+        with pytest.raises(ValidationError, match="not centered"):
+            Estimate(psi_hat=0.0, method="t", n=3, eif=np.array([1.0, -1.0, 1e-6]))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import causalkit
 from causalkit import cross_fit
 from causalkit.cli import main
 
@@ -232,6 +233,13 @@ class TestEstimate:
     def test_missing_input_file_is_input_error(self, capsys):
         assert run_cli("estimate", "--method", "naive", "--input", "/nonexistent.csv") == 2
 
+    @pytest.mark.parametrize("content", [b"a,y\n1,1.0\n0,caf\xe9\n", b"a,y\xe9\n1,1.0\n0,2.0\n"])
+    def test_non_utf8_file_is_schema_error(self, tmp_path, capsys, content):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+        assert run_cli("estimate", "--method", "naive", "--input", str(path)) == 2
+        assert capsys.readouterr().err == f"error: SchemaError: {path}: not UTF-8 text (byte 0xe9)\n"
+
     def test_estimation_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "onearm.csv"
         path.write_text("a,y\n1,3.0\n1,4.0\n")
@@ -409,6 +417,37 @@ class TestEifCheck:
         m.write_text(MEASURE)
         assert run_cli("eif-check", "--measure", str(m), "--functional", "median(y)") == 2
 
+    def test_non_utf8_measure_is_schema_error(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_bytes(MEASURE.replace("1,1,1,0.2", "1,1,1,0.2\xe9").encode("latin-1"))
+        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate") == 2
+        assert capsys.readouterr().err == f"error: SchemaError: {m}: not UTF-8 text (byte 0xe9)\n"
+
+    def test_report_records_the_step(self, tmp_path, capsys):
+        # arm-by-cell (x=1, a=1) holds mass 1e-3, so the default step shrinks to 1e-3/50
+        m = tmp_path / "m.csv"
+        m.write_text(
+            "x,a,y,prob\n"
+            "0,0,0,0.15\n0,0,1,0.1\n0,1,0,0.1\n0,1,1,0.15\n"
+            "1,0,0,0.2\n1,0,1,0.299\n1,1,0,0.0005\n1,1,1,0.0005\n"
+        )
+        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate", "--scores", "3") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["eps_schedule"] == pytest.approx([2e-5, 1e-5, 5e-6], rel=1e-9)
+        assert report["max_error_estimate"] == max(report["phi_error_estimates"])
+        assert report["max_abs_diff"] < 1e-9
+
+    def test_unresolvable_cell_exits_3(self, tmp_path, capsys):
+        # arm-by-cell (x=1, a=1) holds mass 1e-13: rounding swamps any usable step
+        m = tmp_path / "m.csv"
+        m.write_text(
+            "x,a,y,prob\n"
+            "0,0,0,0.15\n0,0,1,0.1\n0,1,0,0.1\n0,1,1,0.15\n"
+            "1,0,0,0.2\n1,0,1,0.3\n1,1,0,1e-13\n1,1,1,0.0\n"
+        )
+        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate") == 3
+        assert capsys.readouterr().err.startswith("error: EpsError: ")
+
     def test_invalid_probabilities_rejected(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("x,a,y,prob\n0,0,0,0.9\n0,0,1,0.2\n")
@@ -425,6 +464,23 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0
         assert "causalkit" in capsys.readouterr().out
+
+    def test_import_loads_no_third_party_module_but_numpy(self):
+        # NumPy is the only runtime dependency; scipy is installed but must stay unused
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import causalkit, causalkit.cli\n"
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+        )
+        src = str(Path(causalkit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {"causalkit", "numpy"} <= loaded
+        assert loaded - set(sys.stdlib_module_names) == {"causalkit", "numpy"}
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -16,6 +16,7 @@ Hand-derived facts frozen as oracles:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from causalkit import (
     Ate,
@@ -36,7 +37,7 @@ from causalkit import (
     score_of_path,
     second_order_remainder,
 )
-from causalkit.eif_engine import EPS_SCHEDULE, ScoreVector
+from causalkit.eif_engine import EPS_SCHEDULE, RICHARDSON_RTOL, ScoreVector, step_schedule
 from causalkit.errors import (
     ConfigError,
     EpsError,
@@ -322,3 +323,308 @@ class TestOneStepAndRemainder:
     def test_unsupported_functional_rejected(self):
         with pytest.raises(ConfigError):
             second_order_remainder(hand_measure(), hand_measure(), functional="mean(y)")
+
+
+# ---------------------------------------------------------------------------
+# The per-point engine that the batched one replaced, kept as a reference:
+# one functional evaluation per perturbed mass vector, covariate cells found
+# by a group loop, rows matched by exact coordinate tuples.
+
+
+def _ref_key(row):
+    return tuple(float(v) for v in row)
+
+
+def _ref_value(f, names, support, probs):
+    if isinstance(f, Ate):
+        return _ref_value(CounterfactualMean(1), names, support, probs) - _ref_value(
+            CounterfactualMean(0), names, support, probs
+        )
+    total = float(probs.sum())
+    if isinstance(f, Mean):
+        if total == 0.0:
+            raise EvaluabilityError("total mass is zero")
+        return float(probs @ support[:, names.index(f.coord)]) / total
+    if isinstance(f, CondMean):
+        mask = np.ones(support.shape[0], dtype=bool)
+        for cname, cval in f.conditions:
+            mask &= support[:, names.index(cname)] == cval
+        denom = float(probs[mask].sum())
+        if denom == 0.0:
+            raise EvaluabilityError(f"conditioning event {dict(f.conditions)} has zero mass")
+        return float(probs[mask] @ support[mask, names.index(f.coord)]) / denom
+    # CounterfactualMean: one pass over the covariate cells
+    a_idx, y_idx = names.index("a"), names.index("y")
+    x_idx = [i for i in range(len(names)) if i not in (a_idx, y_idx)]
+    if total == 0.0:
+        raise EvaluabilityError("total mass is zero")
+    _, inverse = np.unique(support[:, x_idx], axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    acc = 0.0
+    for g in range(int(inverse.max()) + 1):
+        rows = np.flatnonzero(inverse == g)
+        px = float(probs[rows].sum())
+        arm_rows = rows[support[rows, a_idx] == f.arm]
+        pax = float(probs[arm_rows].sum())
+        if pax == 0.0:
+            if px == 0.0:
+                continue
+            raise EvaluabilityError(
+                f"cell with covariates {support[rows[0], x_idx]} has zero mass on arm {f.arm}"
+            )
+        acc += px * float(probs[arm_rows] @ support[arm_rows, y_idx]) / pax
+    return acc / total
+
+
+def _ref_gateaux(f, p, z, eps):
+    row = np.asarray(z, dtype=float)
+    match = [i for i in range(p.m) if _ref_key(p.support[i]) == _ref_key(row)]
+    support, j = (p.support, match[0]) if match else (np.vstack([p.support, row]), p.m)
+    base = np.zeros(support.shape[0])
+    base[: p.m] = p.probs
+
+    def evaluate(e):
+        probs = (1.0 - e) * base
+        probs[j] += e
+        return _ref_value(f, p.names, support, probs)
+
+    d = [(evaluate(e) - evaluate(-e)) / (2.0 * e) for e in eps]
+    r1 = (4.0 * d[1] - d[0]) / 3.0
+    r1b = (4.0 * d[2] - d[1]) / 3.0
+    return (16.0 * r1b - r1) / 15.0, abs(r1b - r1)
+
+
+def _ref_one_step(f, p_est, sample, eps):
+    correction = 0.0
+    for j in range(sample.m):
+        if sample.probs[j] == 0.0:
+            continue
+        correction += float(sample.probs[j]) * _ref_gateaux(f, p_est, sample.support[j], eps)[0]
+    return _ref_value(f, p_est.names, p_est.support, p_est.probs) + correction
+
+
+def _ref_score_of_path(p, ptilde):
+    index = {_ref_key(row): i for i, row in enumerate(p.support)}
+    ratio = np.zeros(p.m)
+    for j, row in enumerate(ptilde.support):
+        key = _ref_key(row)
+        if key not in index:
+            if ptilde.probs[j] > 0:
+                raise SupportError(
+                    f"domination violated: point {dict(zip(p.names, row))} has mass "
+                    "under the target but is outside the base support"
+                )
+            continue
+        i = index[key]
+        if p.probs[i] == 0.0:
+            if ptilde.probs[j] > 0:
+                raise SupportError(
+                    f"domination violated at {dict(zip(p.names, row))}: base mass is zero"
+                )
+            continue
+        ratio[i] = ptilde.probs[j] / p.probs[i]
+    return ratio - 1.0
+
+
+REF_RTOL = 1e-9
+FUNCTIONALS = (
+    Mean("y"),
+    CondMean("y", (("a", 1.0),)),
+    CondMean("y", (("x", 1.0), ("a", 0.0))),
+    CounterfactualMean(0),
+    CounterfactualMean(1),
+    Ate(),
+)
+
+
+def assert_close(batched, reference):
+    batched, reference = np.asarray(batched, float), np.asarray(reference, float)
+    assert np.all(np.abs(batched - reference) <= REF_RTOL * np.maximum(1.0, np.abs(reference)))
+
+
+def outcome_measure(seed: int, cells: int = 3) -> DiscreteMeasure:
+    """x in 0..cells-1, a in {0, 1}, two real outcomes per arm-by-cell."""
+    rng = stream(seed)
+    draws = rng.normal(0.0, 3.0, (cells, 2, 2)).round(3)
+    rows = [
+        [x, a, y]
+        for x in range(cells)
+        for a in (0, 1)
+        for y in (draws[x, a, 0], draws[x, a, 0] + 1.0 + abs(draws[x, a, 1]))
+    ]
+    probs = 0.3 / len(rows) + 0.7 * rng.dirichlet(np.ones(len(rows)))
+    return DiscreteMeasure(names=NAMES, support=np.array(rows, float), probs=probs / probs.sum())
+
+
+def outcomes(call):
+    """('ok', value) or (error type, message), to compare two engines."""
+    try:
+        return "ok", call()
+    except (EvaluabilityError, SupportError, PositivityError, EpsError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(batched, reference):
+    got, want = outcomes(batched), outcomes(reference)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        for g, w in zip(np.atleast_1d(got[1]), np.atleast_1d(want[1])):
+            assert_close(g, w)
+    else:
+        assert got[1] == want[1]
+
+
+MEASURES = [hand_measure(), random_measure(3), outcome_measure(1), outcome_measure(2, cells=5)]
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("p", MEASURES, ids=["hand", "random", "outcomes", "five_cells"])
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.label)
+    def test_values_and_eif_table(self, f, p):
+        assert_close(f.value(p), _ref_value(f, p.names, p.support, p.probs))
+        eps = step_schedule(f, p)
+        phi, err = eif_table(f, p)
+        ref = np.array([_ref_gateaux(f, p, row, eps) for row in p.support])
+        assert_close(phi, ref[:, 0])
+        assert_close(err, ref[:, 1])
+
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.label)
+    def test_gateaux_on_and_off_support(self, f):
+        p = outcome_measure(4)
+        eps = step_schedule(f, p)
+        points = [
+            p.support[5],  # on the support
+            [1.0, 1.0, 42.0],  # a new outcome in an existing arm-by-cell
+            [2.0, 0.0, -0.0],  # a new outcome, y = -0.0
+            [7.0, 1.0, 1.0],  # a new covariate cell, arm 1 only
+            [7.0, 0.0, 1.0],  # a new covariate cell, arm 0 only
+        ]
+        for z in points:
+            assert_same_outcome(
+                lambda: gateaux_if(f, p, z).value, lambda: _ref_gateaux(f, p, z, eps)[0]
+            )
+            assert_same_outcome(
+                lambda: gateaux_if(f, p, z).error_estimate, lambda: _ref_gateaux(f, p, z, eps)[1]
+            )
+
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.label)
+    def test_one_step_with_off_support_sample(self, f):
+        p_est = outcome_measure(5)
+        eps = step_schedule(f, p_est)
+        extra = np.array([[0.0, 1.0, 9.5], [2.0, 0.0, -4.0], [1.0, 1.0, 0.25]])
+        on_support = outcome_measure(6).support[:4]
+        for support in (on_support, np.vstack([on_support, extra]), np.vstack([extra, [[9.0, 1.0, 0.0]]])):
+            probs = stream(len(support)).dirichlet(np.ones(len(support)))
+            probs[1] = 0.0  # zero-mass sample points are skipped
+            sample = DiscreteMeasure(names=NAMES, support=support, probs=probs / probs.sum())
+            assert_same_outcome(
+                lambda: one_step(f, p_est, sample), lambda: _ref_one_step(f, p_est, sample, eps)
+            )
+
+    def test_zero_mass_cells(self):
+        # cell x=1 has no arm-1 mass; cell x=2 has no mass at all
+        support = np.array([[x, a, y] for x in (0.0, 1.0, 2.0) for a in (0.0, 1.0) for y in (0.0, 1.0)])
+        probs = np.array([0.1, 0.2, 0.15, 0.15, 0.2, 0.2, 0.0, 0.0, 0, 0, 0, 0])
+        no_arm = DiscreteMeasure(names=NAMES, support=support, probs=probs)
+        empty_cell = DiscreteMeasure(
+            names=NAMES, support=support, probs=np.r_[PROBS, 0, 0, 0, 0]
+        )
+        for p in (no_arm, empty_cell):
+            for f in FUNCTIONALS:
+                eps = step_schedule(f, p)
+                assert_same_outcome(
+                    lambda: f.value(p), lambda: _ref_value(f, p.names, p.support, p.probs)
+                )
+                assert_same_outcome(
+                    lambda: eif_table(f, p, eps)[0],
+                    lambda: [_ref_gateaux(f, p, row, eps)[0] for row in p.support],
+                )
+        with pytest.raises(EvaluabilityError, match=r"covariates \[1.\] has zero mass on arm 1"):
+            eif_table(Ate(), no_arm)
+        with pytest.raises(EvaluabilityError, match=r"covariates \[2.\] has zero mass on arm 1"):
+            eif_table(Ate(), empty_cell)
+        with pytest.raises(EvaluabilityError, match="zero mass"):
+            eif_table(CondMean("y", (("x", 2.0),)), empty_cell)
+
+    def test_score_of_path(self):
+        p = outcome_measure(7)
+        for seed in range(5):
+            probs = stream(seed).dirichlet(np.ones(p.m))
+            tilted = DiscreteMeasure(names=NAMES, support=p.support[::-1], probs=probs)
+            assert_close(score_of_path(p, tilted).values, _ref_score_of_path(p, tilted))
+        # an off-support point is allowed only without mass
+        off = np.vstack([p.support[:3], [[9.0, 0.0, 0.0]]])
+        for last in (0.0, 0.1):
+            probs = np.array([0.5, 0.3, 0.2 - last, last])
+            tilted = DiscreteMeasure(names=NAMES, support=off, probs=probs)
+            assert_same_outcome(
+                lambda: score_of_path(p, tilted).values, lambda: _ref_score_of_path(p, tilted)
+            )
+        # a zero-mass base point may carry no target mass
+        base = DiscreteMeasure(names=NAMES, support=GRID, probs=np.r_[PROBS[:7] / PROBS[:7].sum(), 0.0])
+        for last in (0.0, 0.2):
+            probs = np.r_[PROBS[:7] * (1.0 - last) / PROBS[:7].sum(), last]
+            tilted = DiscreteMeasure(names=NAMES, support=GRID, probs=probs)
+            assert_same_outcome(
+                lambda: score_of_path(base, tilted).values, lambda: _ref_score_of_path(base, tilted)
+            )
+
+    def test_default_schedule_is_shared_by_off_support_points(self):
+        p = random_measure(8)
+        z = {"x": 0.0, "a": 1.0, "y": 3.0}
+        assert gateaux_if(Ate(), p, z) == gateaux_if(Ate(), p, z, step_schedule(Ate(), p))
+
+
+class TestStepRule:
+    def small_cell_measure(self, mass):
+        """The hand measure with the (x=0, a=1) cell scaled to total mass `mass`."""
+        small = (GRID[:, 0] == 0) & (GRID[:, 1] == 1)
+        probs = np.where(small, PROBS * mass / PROBS[small].sum(), PROBS * (1 - mass) / PROBS[~small].sum())
+        return DiscreteMeasure(names=NAMES, support=GRID, probs=probs)
+
+    def test_default_schedule_scales_with_the_smallest_denominator(self):
+        p = self.small_cell_measure(1e-3)
+        assert step_schedule(Ate(), p) == pytest.approx((2e-5, 1e-5, 5e-6), rel=1e-12)
+        assert step_schedule(Mean("y"), p) == EPS_SCHEDULE
+        assert step_schedule(Ate(), hand_measure()) == EPS_SCHEDULE
+        # an explicit schedule is used as given
+        assert step_schedule(Ate(), p, (4e-3, 2e-3, 1e-3)) == (4e-3, 2e-3, 1e-3)
+
+    def test_small_cell_is_accurate_with_the_default(self):
+        p = self.small_cell_measure(1e-3)
+        phi, err = eif_table(Ate(), p)
+        assert np.max(np.abs(phi - closed_form_eif(Ate(), p))) < 1e-9
+
+    def test_fixed_large_step_fails_loud(self):
+        p = self.small_cell_measure(1e-3)
+        with pytest.raises(EpsError, match="error estimate .* exceeds"):
+            eif_table(Ate(), p, (0.999e-3, 0.4995e-3, 0.24975e-3))
+        with pytest.raises(EpsError):
+            gateaux_if(Ate(), p, GRID[2], (0.999e-3, 0.4995e-3, 0.24975e-3))
+
+    @given(
+        seed=st.integers(0, 10**6),
+        exponent=st.floats(0.5, 10.0),
+        arm=st.sampled_from((0, 1)),
+        e0=st.one_of(st.none(), st.floats(1e-7, 1e-2)),
+    )
+    @settings(max_examples=150, deadline=None)
+    # rounding swamps the stage disagreement: the rounding bound must raise
+    @example(seed=1158, exponent=7.0625, arm=1, e0=None)
+    # a step far above the cell mass jumps over the pole and looks smooth
+    @example(seed=2797, exponent=10.0, arm=0, e0=0.0078125)
+    def test_near_positivity_is_accurate_or_loud(self, seed, exponent, arm, e0):
+        # one arm-by-cell of a 3-cell measure with real outcomes holds mass 10^-exponent
+        p = outcome_measure(seed)
+        small = (p.support[:, 0] == 0) & (p.support[:, 1] == arm)
+        mass = 10.0**-exponent
+        probs = np.where(small, p.probs * mass / p.probs[small].sum(), p.probs * (1 - mass) / p.probs[~small].sum())
+        p = DiscreteMeasure(names=NAMES, support=p.support, probs=probs)
+        schedule = EPS_SCHEDULE if e0 is None else (e0, e0 / 2, e0 / 4)
+        for f in (Ate(), CounterfactualMean(arm)):
+            try:
+                phi, _ = eif_table(f, p, schedule)
+            except EpsError:
+                continue
+            phi_cf = closed_form_eif(f, p)
+            assert np.all(np.abs(phi - phi_cf) <= RICHARDSON_RTOL * np.maximum(1.0, np.abs(phi_cf)))
