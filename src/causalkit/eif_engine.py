@@ -16,18 +16,16 @@ discrete measures:
 * the exact second-order remainder of the one-step ATE estimator and its
   Cauchy-Schwarz bound.
 
-Every implemented functional is a ratio of linear forms in the masses: it
-builds an (m, r) matrix L of forms once per support and combines a (B, r)
-block of form values into B functional values.  A mixture step toward the
-point mass at row j has form values (1-eps)(p @ L) + eps L[j], and a score
-path ((1 + eps s) p) @ L, so all steps toward all points are one block.
+Every implemented functional is a ratio of linear forms in the masses,
+summed per covariate cell into a (G, k) table p @ L.  A mixture step toward
+row j has forms (1-eps)(p @ L) + eps L[j], and L[j] is nonzero in j's cell
+only, so all six steps toward all m points cost O(m).
 
 The default schedule EPS_SCHEDULE is shrunk on mixture paths to eps0 =
-min(1e-3, mass / EPS_MASS_RATIO), mass being the smallest nonzero
-denominator mass (arm-by-cell mass for the ATE); any other schedule is used
-as given.  A derivative whose error estimate exceeds RICHARDSON_RTOL *
-max(1, |derivative|) raises EpsError (``causalkit eif-check`` exits 3)
-rather than return a wrong value.
+min(1e-3, mass / EPS_MASS_RATIO) for the smallest nonzero denominator mass;
+any other schedule is used as given.  A derivative whose error estimate
+exceeds RICHARDSON_RTOL * max(1, |derivative|) raises EpsError
+(``causalkit eif-check`` exits 3) rather than return a wrong value.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "RICHARDSON_RTOL",
     "DiscreteMeasure",
     "ScoreVector",
-    "LinearForms",
     "Functional",
     "Mean",
     "CondMean",
@@ -87,8 +84,6 @@ EPS_MASS_RATIO = 50.0
 # A derivative whose Richardson error estimate exceeds this multiple of
 # max(1, |derivative|) raises EpsError.
 RICHARDSON_RTOL = 1e-6
-# Form values held at once while evaluating a block of mixture steps.
-_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -191,19 +186,56 @@ def _cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LinearForms(NamedTuple):
-    """A functional at one support: psi(p) = combine(p @ matrix).
+    """A functional at one support: masses w have the (G, k) table
+    ``table(w)``, cell c summing w[i] * unit[i] over its rows.
 
-    ``matrix`` is (m, r); ``combine`` maps a (B, r) block of form values to
-    B functional values and raises for the first row at which the functional
-    is undefined; ``denominators`` indexes the columns it divides by;
-    ``scale`` bounds the magnitude of the terms combine adds, which sets its
-    rounding error.
+    Columns: the mass, then per arm the arm mass and the y-weighted arm
+    mass; an arm mean is the sum over cells of mass * y-mass / arm-mass,
+    over the total mass.  ``undefined(k, c)`` names a charged cell c
+    without arm-k mass.
     """
 
-    matrix: np.ndarray
-    denominators: np.ndarray
-    combine: Callable[[np.ndarray], np.ndarray]
-    scale: float
+    cell: np.ndarray
+    unit: np.ndarray
+    labels: np.ndarray
+    undefined: Callable[[int, int], str]
+
+    def table(self, w: np.ndarray) -> np.ndarray:
+        return np.stack([np.bincount(self.cell, w * u, len(self.labels)) for u in self.unit.T], axis=-1)
+
+    def size(self) -> np.ndarray:
+        """A bound on what each row adds to the terms, which sets their rounding."""
+        return np.abs(self.unit[:, 2::2]).max(axis=1) * (self.unit.shape[1] // 2)
+
+    def terms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's term per arm, and where it is undefined."""
+        px, pax, ny = values[..., :1], values[..., 1::2], values[..., 2::2]
+        mu = np.divide(ny, pax, out=np.zeros_like(ny), where=pax != 0.0)
+        return px * mu, (pax == 0.0) & (px != 0.0)
+
+    def raise_undefined(self, zero_total: bool, bad: np.ndarray) -> None:
+        """Raise for an evaluation whose total is zero or whose (G, arms) terms
+        are undefined at ``bad``, naming the first cell of the first arm."""
+        if zero_total:
+            raise EvaluabilityError("total mass is zero")
+        k, c = divmod(_first(bad.T), len(self.labels))
+        raise EvaluabilityError(self.undefined(k, c))
+
+
+def _combine(sums: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Values from per-arm term sums (..., arms): arm 1 minus arm 0 when both are given."""
+    means = sums / total[..., None]
+    return means[..., 0] - means[..., 1] if means.shape[-1] == 2 else means[..., 0]
+
+
+def _evaluate(forms: LinearForms, tables: np.ndarray) -> np.ndarray:
+    """Values of a (B, G, k) block of tables; raises at the first undefined one."""
+    terms, bad = forms.terms(tables)
+    total = tables[..., 0].sum(axis=1)
+    r = _first((total == 0.0) | bad.any(axis=(1, 2)))
+    if r is not None:
+        forms.raise_undefined(total[r] == 0.0, bad[r])
+    return _combine(terms.sum(axis=1), total)
 
 
 class Functional:
@@ -219,7 +251,7 @@ class Functional:
 
     def value(self, measure: DiscreteMeasure) -> float:
         forms = self.forms(measure.names, measure.support)
-        return float(forms.combine((measure.probs @ forms.matrix)[None, :])[0])
+        return float(_evaluate(forms, forms.table(measure.probs)[None])[0])
 
     def forms(self, names: tuple[str, ...], support: np.ndarray) -> LinearForms:
         raise NotImplementedError
@@ -233,15 +265,10 @@ def _coord_index(names: tuple[str, ...], coord: str) -> int:
 
 
 def _mean_forms(mask: np.ndarray, v: np.ndarray, message: str) -> LinearForms:
-    """Forms of the mean of v over the points in mask: their mass and v-weighted mass."""
-
-    def combine(values: np.ndarray) -> np.ndarray:
-        if np.any(values[:, 0] == 0.0):
-            raise EvaluabilityError(message)
-        return values[:, 1] / values[:, 0]
-
+    """The mean of v over the points in mask, as an arm mean with one cell."""
     v = np.where(mask, v, 0.0)
-    return LinearForms(np.column_stack([mask.astype(float), v]), np.array([0]), combine, float(np.max(np.abs(v))))
+    unit = np.column_stack([np.ones(len(v)), mask, v])
+    return LinearForms(np.zeros(len(v), dtype=np.intp), unit, np.empty((1, 0)), lambda k, c: message)
 
 
 @dataclass(frozen=True)
@@ -293,42 +320,16 @@ def _causal_columns(names: tuple[str, ...]) -> tuple[int, int, list[int]]:
 
 
 def _arm_forms(names, support, arms: tuple[int, ...]) -> LinearForms:
-    """Forms of the arm means E[E[Y | A=arm, X]], combined as arm 1 minus arm 0
-    when both arms are given.
-
-    Columns: G cell indicators, then per arm G arm-by-cell indicators and G
-    y-weighted arm-by-cell indicators, cells in sorted covariate order.
-    """
+    """The arm means E[E[Y | A=arm, X]], cells in sorted covariate order."""
     a_idx, y_idx, x_idx = _causal_columns(names)
-    cells, inverse = _cells(support[:, x_idx])
-    g = cells.shape[0]
-    by_cell = np.eye(g)[inverse]
-    blocks = [by_cell]
+    labels, cell = _cells(support[:, x_idx])
+    y = support[:, y_idx]
+    columns = [np.ones(len(y))]
     for arm in arms:
         in_arm = support[:, a_idx] == arm
-        blocks += [by_cell * in_arm[:, None], by_cell * np.where(in_arm, support[:, y_idx], 0.0)[:, None]]
-
-    def combine(values: np.ndarray) -> np.ndarray:
-        px = values[:, :g]
-        total = px.sum(axis=1)
-        if np.any(total == 0.0):
-            raise EvaluabilityError("total mass is zero")
-        means, undefined = [], []
-        for k in range(len(arms)):
-            pax = values[:, (2 * k + 1) * g : (2 * k + 2) * g]
-            ny = values[:, (2 * k + 2) * g : (2 * k + 3) * g]
-            undefined.append((pax == 0.0) & (px != 0.0))
-            mu = np.divide(ny, pax, out=np.zeros_like(ny), where=pax != 0.0)
-            means.append((px * mu).sum(axis=1) / total)
-        first = _first(np.hstack(undefined))  # row by row, arms in order, cells in order
-        if first is not None:
-            k, cell = divmod(first % (len(arms) * g), g)
-            raise EvaluabilityError(f"cell with covariates {cells[cell]} has zero mass on arm {arms[k]}")
-        return means[0] - means[1] if len(arms) == 2 else means[0]
-
-    denominators = np.hstack([np.arange((2 * k + 1) * g, (2 * k + 2) * g) for k in range(len(arms))])
-    scale = len(arms) * float(np.max(np.abs(support[:, y_idx])))
-    return LinearForms(np.hstack(blocks), denominators, combine, scale)
+        columns += [in_arm, np.where(in_arm, y, 0.0)]
+    message = lambda k, c: f"cell with covariates {labels[c]} has zero mass on arm {arms[k]}"  # noqa: E731
+    return LinearForms(cell, np.column_stack(columns).astype(float), labels, message)
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ def make_functional(label: str) -> Functional:
 def _union_support(
     p_support: np.ndarray, g_support: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union of two supports, p's rows first; returns (union, p_indices, g_indices)."""
+    """Union of two supports, p's rows first; returns (union, g_indices)."""
     m = p_support.shape[0]
     _, cell = _cells(np.vstack([p_support, g_support]))
     position = np.full(int(cell.max()) + 1, -1)
@@ -412,7 +413,7 @@ def _union_support(
     extra = g_pos < 0
     g_pos[extra] = m + np.arange(int(extra.sum()))
     union = np.vstack([p_support, g_support[extra]]) if extra.any() else p_support
-    return union, np.arange(m), g_pos
+    return union, g_pos
 
 
 def mix(p: DiscreteMeasure, g: DiscreteMeasure, eps: float) -> DiscreteMeasure:
@@ -421,9 +422,9 @@ def mix(p: DiscreteMeasure, g: DiscreteMeasure, eps: float) -> DiscreteMeasure:
         raise ValidationError("measures must share coordinate names to be mixed")
     if not (0.0 <= eps <= 1.0):
         raise EpsError(f"mixture eps must lie in [0, 1], got {eps!r}")
-    union, p_pos, g_pos = _union_support(p.support, g.support)
+    union, g_pos = _union_support(p.support, g.support)
     probs = np.zeros(union.shape[0])
-    np.add.at(probs, p_pos, (1.0 - eps) * p.probs)
+    probs[: p.m] = (1.0 - eps) * p.probs
     np.add.at(probs, g_pos, eps * g.probs)
     return DiscreteMeasure(names=p.names, support=union, probs=probs)
 
@@ -456,7 +457,7 @@ def score_of_path(p: DiscreteMeasure, ptilde: DiscreteMeasure) -> ScoreVector:
     """
     if p.names != ptilde.names:
         raise ValidationError("measures must share coordinate names")
-    pos = _union_support(p.support, ptilde.support)[2]
+    pos = _union_support(p.support, ptilde.support)[1]
     off = pos >= p.m
     base = np.where(off, 0.0, p.probs[np.minimum(pos, p.m - 1)])
     j = _first((ptilde.probs > 0) & (off | (base == 0.0)))
@@ -530,29 +531,37 @@ def step_schedule(
     EPS_SCHEDULE shrunk to the smallest nonzero denominator mass, or any other
     schedule as given."""
     forms = f.forms(p.names, p.support)
-    return _scaled_schedule(eps_schedule, (p.probs @ forms.matrix)[forms.denominators])
+    return _scaled_schedule(eps_schedule, forms.table(p.probs))
 
 
-def _scaled_schedule(eps_schedule: Sequence[float], masses: np.ndarray) -> tuple[float, float, float]:
-    eps = _validate_schedule(eps_schedule)
+def _scaled_schedule(eps_schedule: Sequence[float], table: np.ndarray) -> tuple[float, float, float]:
+    eps, masses = _validate_schedule(eps_schedule), table[:, 1::2]
     if eps != EPS_SCHEDULE or not np.any(masses > 0.0):
         return eps
     e0 = min(EPS_SCHEDULE[0], float(masses[masses > 0.0].min()) / EPS_MASS_RATIO)
     return e0, e0 / 2.0, e0 / 4.0
 
 
+def _check_signs(base: np.ndarray, moved: np.ndarray, eps) -> None:
+    """Raise EpsError when a step moves a positive denominator mass to zero or below."""
+    bad = (moved[..., 1::2] <= 0.0) & (base[..., 1::2] > 0.0)
+    if np.any(bad):
+        mass = np.broadcast_to(base[..., 1::2], bad.shape)[bad].min()
+        raise EpsError(f"eps schedule {eps} moves a denominator mass of {mass:.3g} through zero")
+
+
 def _richardson(
-    values: np.ndarray, eps: tuple[float, float, float], scale: float, what: Callable[[int], str]
+    values: np.ndarray, eps: tuple[float, float, float], scale, what: Callable[[int], str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extrapolated derivatives and error estimates from (n, 6) values at
     steps eps0, -eps0, eps1, -eps1, eps2, -eps2.
 
     The error estimate is the disagreement between the extrapolation stages
-    plus a bound on rounding: values carry errors of a few ulps of ``scale``,
-    which the differences divide by the steps and the extrapolation
-    amplifies about 6.6-fold; 32 ulps / eps0 covers both.  The first
-    derivative whose estimate exceeds RICHARDSON_RTOL * max(1, |value|)
-    raises EpsError naming ``what(row)``.
+    plus a bound on rounding: values carry errors of a few ulps of ``scale``
+    (per row), which the differences divide by the steps and the
+    extrapolation amplifies about 6.6-fold; 32 ulps / eps0 covers both.
+    The first derivative whose estimate exceeds RICHARDSON_RTOL *
+    max(1, |value|) raises EpsError naming ``what(row)``.
     """
     d = (values[:, 0::2] - values[:, 1::2]) / (2.0 * np.asarray(eps))
     r1 = (4.0 * d[:, 1] - d[:, 0]) / 3.0
@@ -568,44 +577,40 @@ def _richardson(
     return value, err
 
 
-def _derivatives(
-    forms: LinearForms, center: np.ndarray, directions: np.ndarray, eps, what: Callable[[int], str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives at 0 of combine(center + eps * direction), one per row of
-    ``directions``, and their error estimates; the six steps of all rows are
-    combined in blocks.  A step that moves a positive denominator mass to
-    zero or below raises EpsError."""
-    denominators = center[forms.denominators]
-    steps = np.array([s for e in eps for s in (e, -e)])[None, :, None]
-    value, err = np.empty(len(directions)), np.empty(len(directions))
-    chunk = max(1, _BLOCK_VALUES // (steps.size * center.size))
-    for start in range(0, len(directions), chunk):
-        block = center + steps * directions[start : start + chunk, None, :]
-        if np.any((block[..., forms.denominators] <= 0.0) & (denominators > 0.0)):
-            raise EpsError(
-                f"eps schedule {eps} moves a denominator mass of "
-                f"{denominators[denominators > 0.0].min():.3g} through zero"
-            )
-        values = forms.combine(block.reshape(-1, center.size)).reshape(-1, steps.size)
-        value[start : start + chunk], err[start : start + chunk] = _richardson(
-            values, eps, forms.scale, lambda j: what(start + j)
-        )
-    return value, err
-
-
 def _influence_at(
     f: Functional, p: DiscreteMeasure, points: np.ndarray, eps_schedule: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Influence values and error estimates of f at p for each row of ``points``,
-    from the mixture paths toward them on one set of forms over the union support."""
-    support, _, targets = _union_support(p.support, points)
+    """Influence values and error estimates of f at p for each row t of
+    ``points``, from the mixture paths (1-e) P + e delta_t.
+
+    Forms are built once on the union support.  A step keeps every cell's
+    terms but t's, scaled by 1-e, so it recomputes t's cell alone; it is
+    undefined where t's cell is, or where another cell was at P.  The
+    rounding scale of t is that of p's charged rows and of t.
+    """
+    support, targets = _union_support(p.support, points)
     forms = f.forms(p.names, support)
-    center = p.probs @ forms.matrix[: p.m]
-    eps = _scaled_schedule(eps_schedule, center[forms.denominators])  # as step_schedule(f, p)
+    base = np.r_[p.probs, np.zeros(len(support) - p.m)]
+    table = forms.table(base)
+    eps = _scaled_schedule(eps_schedule, table)  # as step_schedule(f, p)
+    if eps[0] >= 1.0:
+        raise EpsError(f"mixture steps must lie below 1, got eps schedule {eps}")
+    cell, unit, steps = forms.cell[targets], forms.unit[targets], np.ravel([(e, -e) for e in eps])
+    moved = (1.0 - steps)[:, None] * table[cell][:, None, :] + steps[:, None] * unit[:, None, :]
+    _check_signs(table[cell][:, None, :], moved, eps)
+    (terms, bad), (new_terms, new_bad) = forms.terms(table), forms.terms(moved)
+    total = (1.0 - steps) * table[:, 0].sum() + steps * unit[:, :1]
+    elsewhere = bad.sum(axis=0) - bad[cell] > 0
+    r = _first((total == 0.0) | (elsewhere[:, None, :] | new_bad).any(axis=-1))
+    if r is not None:
+        j, s = divmod(r, len(steps))
+        bad[cell[j]] = new_bad[j, s]
+        forms.raise_undefined(total[j, s] == 0.0, bad)
+    sums = (1.0 - steps)[:, None] * (terms.sum(axis=0) - terms[cell])[:, None, :] + new_terms
+    size = forms.size()
+    scale = np.maximum(np.max(size[base > 0.0], initial=0.0), size[targets])
     point = lambda j: dict(zip(p.names, support[targets[j]].tolist()))  # noqa: E731
-    return _derivatives(
-        forms, center, forms.matrix[targets] - center, eps, lambda j: f"influence of {f.label} at {point(j)}"
-    )
+    return _richardson(_combine(sums, total), eps, scale, lambda j: f"influence of {f.label} at {point(j)}")
 
 
 def gateaux_if(
@@ -618,9 +623,10 @@ def gateaux_if(
 
     Central differences on the mixture path with Richardson extrapolation;
     the error estimate is the disagreement between extrapolation stages
-    plus a rounding bound.  z need not lie in P's support.  The default schedule is shrunk to the
-    smallest denominator mass (see ``step_schedule``); an error estimate
-    above RICHARDSON_RTOL * max(1, |value|) raises EpsError.
+    plus a rounding bound.  z need not lie in P's support.  The default
+    schedule is shrunk to the smallest denominator mass (see
+    ``step_schedule``); an error estimate above RICHARDSON_RTOL *
+    max(1, |value|) raises EpsError.
     """
     phi, err = _influence_at(f, p, _point_as_row(p.names, z)[None, :], eps_schedule)
     return DerivativeResult(value=float(phi[0]), error_estimate=float(err[0]))
@@ -658,11 +664,12 @@ def pathwise_derivative(
             "perturbed mass would go negative: max |eps*s| "
             f"= {worst!r} exceeds 1; shrink the score or the schedule"
         )
-    forms = f.forms(p.names, p.support)
-    slope = (values * p.probs) @ forms.matrix
-    d, _ = _derivatives(
-        forms, p.probs @ forms.matrix, slope[None, :], eps, lambda j: f"pathwise derivative of {f.label}"
-    )
+    forms, steps = f.forms(p.names, p.support), np.ravel([(e, -e) for e in eps])
+    tables = np.stack([forms.table((1.0 + e * values) * p.probs) for e in steps])
+    _check_signs(forms.table(p.probs), tables, eps)
+    scale = np.max(forms.size()[p.probs > 0.0], initial=0.0)
+    what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
+    d, _ = _richardson(_evaluate(forms, tables)[None, :], eps, scale, what)
     return float(d[0])
 
 
@@ -690,19 +697,6 @@ def central_identity_check(
 # closed forms
 
 
-def _arm_sums(
-    names: tuple[str, ...], support: np.ndarray, probs: np.ndarray, cell: np.ndarray, g: int, arm: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell: total mass, arm mass, and arm mass weighted by y."""
-    a_idx, y_idx, _ = _causal_columns(names)
-    arm_probs = np.where(support[:, a_idx] == arm, probs, 0.0)
-    return (
-        np.bincount(cell, probs, g),
-        np.bincount(cell, arm_probs, g),
-        np.bincount(cell, arm_probs * support[:, y_idx], g),
-    )
-
-
 def _require_positive(px, pax, cells, arm, present=True) -> None:
     g = _first(present & ((px == 0.0) | (pax == 0.0)))
     if g is not None:
@@ -719,10 +713,10 @@ def closed_form_eif(f: Functional, p: DiscreteMeasure) -> np.ndarray:
         return np.where(mask, (p.column(f.coord) - psi) / float(p.probs[mask].sum()), 0.0)
     if isinstance(f, CounterfactualMean):
         # P(A=arm|X) and E[Y|A=arm,X] per point, from exact cell sums
-        cells, cell = _cells(p.support[:, _causal_columns(p.names)[2]])
-        px, pax, ny = _arm_sums(p.names, p.support, p.probs, cell, len(cells), f.arm)
-        _require_positive(px, pax, cells, f.arm)
-        pi, mu = (pax / px)[cell], (ny / pax)[cell]
+        forms = f.forms(p.names, p.support)
+        px, pax, ny = forms.table(p.probs).T
+        _require_positive(px, pax, forms.labels, f.arm)
+        pi, mu = (pax / px)[forms.cell], (ny / pax)[forms.cell]
         ind = (p.column("a") == f.arm).astype(float)
         return ind / pi * (p.column("y") - mu) + mu - f.value(p)
     if isinstance(f, Ate):
@@ -788,14 +782,14 @@ def _arm_remainder(
     x_true, x_est = _causal_columns(p_true.names)[2], _causal_columns(p_est.names)[2]
     if [p_true.names[i] for i in x_true] != [p_est.names[i] for i in x_est]:
         raise ValidationError("true and estimated measures must share covariate names")
-    cells, cell = _cells(np.vstack([p_true.support[:, x_true], p_est.support[:, x_est]]))
-    g = len(cells)
-    cell_true, cell_est = cell[: p_true.m], cell[p_true.m :]
-    px, pax, ny = _arm_sums(p_true.names, p_true.support, p_true.probs, cell_true, g, arm)
-    _require_positive(px, pax, cells, arm, present=np.bincount(cell_true, minlength=g) > 0)
-    e_px, e_pax, e_ny = _arm_sums(p_est.names, p_est.support, p_est.probs, cell_est, g, arm)
+    est = p_est.support[:, [p_est.names.index(n) for n in p_true.names]]
+    forms = CounterfactualMean(arm).forms(p_true.names, np.vstack([p_true.support, est]))
+    cells, n_true = forms.labels, p_true.m
+    px, pax, ny = forms.table(np.r_[p_true.probs, np.zeros(p_est.m)]).T
+    _require_positive(px, pax, cells, arm, present=np.bincount(forms.cell[:n_true], minlength=len(cells)) > 0)
+    e_px, e_pax, e_ny = forms.table(np.r_[np.zeros(n_true), p_est.probs]).T
     live = px > 0.0
-    missing = live & (np.bincount(cell_est, minlength=g) == 0)
+    missing = live & (np.bincount(forms.cell[n_true:], minlength=len(cells)) == 0)
     empty = live & ((e_px == 0.0) | (e_pax == 0.0))
     k = _first(missing | empty)
     if k is not None:

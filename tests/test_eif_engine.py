@@ -574,6 +574,38 @@ class TestBatchedAgainstReference:
         z = {"x": 0.0, "a": 1.0, "y": 3.0}
         assert gateaux_if(Ate(), p, z) == gateaux_if(Ate(), p, z, step_schedule(Ate(), p))
 
+    def test_large_outcome_without_mass_leaves_other_points_alone(self):
+        # a zero-mass support point, or an off-support sample point, with a huge
+        # outcome sets the rounding scale of its own direction only
+        p = outcome_measure(9)
+        support = np.vstack([p.support, [[1.0, 1.0, 1e6]]])
+        p = DiscreteMeasure(names=NAMES, support=support, probs=np.r_[p.probs, 0.0])
+        for f in (Mean("y"), CondMean("y", (("a", 1.0),)), CounterfactualMean(1), Ate()):
+            eps = step_schedule(f, p)
+            phi, err = eif_table(f, p)
+            ref = np.array([_ref_gateaux(f, p, row, eps) for row in p.support])
+            assert_close(phi, ref[:, 0])
+            assert_close(err[:-1], ref[:-1, 1])
+            sample_support = np.vstack([p.support[:3], [[2.0, 0.0, 1e6]]])
+            sample = DiscreteMeasure(names=NAMES, support=sample_support, probs=[0.3, 0.3, 0.3, 0.1])
+            assert_same_outcome(lambda: one_step(f, p, sample), lambda: _ref_one_step(f, p, sample, eps))
+
+    def test_large_empirical_measure(self):
+        # 20000 distinct rows in 10000 continuous covariate cells, one per arm:
+        # the cost of every evaluation grows with m, not with m times the cells
+        rng = stream(10)
+        x = np.repeat(rng.normal(size=10_000), 2)
+        p = DiscreteMeasure.from_data(NAMES, x, np.tile([0.0, 1.0], 10_000), rng.normal(size=20_000))
+        assert p.m == 20_000
+        for f in (Mean("y"), CounterfactualMean(0), Ate()):
+            phi_cf = closed_form_eif(f, p)
+            assert abs(float(p.probs @ phi_cf)) < 1e-9
+            phi, _ = eif_table(f, p)
+            assert np.max(np.abs(phi - phi_cf)) < 1e-6
+            for j in (0, 12_345):
+                assert gateaux_if(f, p, p.support[j]).value == pytest.approx(phi_cf[j], abs=1e-6)
+        assert Ate().value(p) == pytest.approx(_ref_value(Ate(), NAMES, p.support, p.probs), abs=1e-12)
+
 
 class TestStepRule:
     def small_cell_measure(self, mass):
@@ -595,6 +627,10 @@ class TestStepRule:
         phi, err = eif_table(Ate(), p)
         assert np.max(np.abs(phi - closed_form_eif(Ate(), p))) < 1e-9
 
+    def test_mixture_steps_of_one_or_more_are_refused(self):
+        with pytest.raises(EpsError, match="below 1"):
+            eif_table(Ate(), hand_measure(), (2.0, 1.0, 0.5))
+
     def test_fixed_large_step_fails_loud(self):
         p = self.small_cell_measure(1e-3)
         with pytest.raises(EpsError, match="error estimate .* exceeds"):
@@ -610,7 +646,7 @@ class TestStepRule:
     )
     @settings(max_examples=150, deadline=None)
     # rounding swamps the stage disagreement: the rounding bound must raise
-    @example(seed=1158, exponent=7.0625, arm=1, e0=None)
+    @example(seed=463883, exponent=7.264710851554205, arm=0, e0=None)
     # a step far above the cell mass jumps over the pole and looks smooth
     @example(seed=2797, exponent=10.0, arm=0, e0=0.0078125)
     def test_near_positivity_is_accurate_or_loud(self, seed, exponent, arm, e0):
