@@ -201,7 +201,12 @@ class LinearForms(NamedTuple):
     undefined: Callable[[int, int], str]
 
     def table(self, w: np.ndarray) -> np.ndarray:
-        return np.stack([np.bincount(self.cell, w * u, len(self.labels)) for u in self.unit.T], axis=-1)
+        """Cell sums (..., G, k) of masses w (..., m), in one bincount."""
+        (g, k), lead = (len(self.labels), self.unit.shape[1]), w.shape[:-1]
+        b = int(np.prod(lead))
+        index = ((np.arange(b)[:, None] * g + self.cell)[..., None] * k + np.arange(k)).ravel()
+        sums = np.bincount(index, (w.reshape(b, -1, 1) * self.unit).ravel(), b * g * k)
+        return sums.reshape(*lead, g, k)
 
     def size(self) -> np.ndarray:
         """A bound on what each row adds to the terms, which sets their rounding."""
@@ -665,7 +670,7 @@ def pathwise_derivative(
             f"= {worst!r} exceeds 1; shrink the score or the schedule"
         )
     forms, steps = f.forms(p.names, p.support), np.ravel([(e, -e) for e in eps])
-    tables = np.stack([forms.table((1.0 + e * values) * p.probs) for e in steps])
+    tables = forms.table((1.0 + steps[:, None] * values) * p.probs)
     _check_signs(forms.table(p.probs), tables, eps)
     scale = np.max(forms.size()[p.probs > 0.0], initial=0.0)
     what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
