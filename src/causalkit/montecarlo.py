@@ -14,8 +14,9 @@ learner on a linear DGP nests the truth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .data_model import Estimate, GroundTruth, ObservationalDataset, require_bot
 from .dgp import FORMS, ObsDgpConfig, generate_observational
 from .errors import CausalKitError, ConfigError, EstimationError
 from .methods import METHODS
-from .nuisance import cross_fit
+from .nuisance import NuisanceFit, cross_fit
 from .rng import child_seed
 
 __all__ = [
@@ -121,6 +122,16 @@ class EstimatorSummary:
 
 @dataclass(frozen=True)
 class McReport:
+    """One scenario's per-estimator summaries plus run-level counts.
+
+    ``failures`` keeps the first 10 failure messages; ``failures_by_class``
+    counts every failed (replication, estimator) pair by error class, so its
+    values sum to the rows' ``n_failed``.  ``nonconverged_folds`` and
+    ``irls_iterations`` add up, once per replication whose cross-fit
+    succeeded, the fold propensity fits that did not converge and their IRLS
+    iterations.
+    """
+
     scenario: str
     true_ate: float
     replications: int
@@ -128,6 +139,9 @@ class McReport:
     seed: int
     rows: tuple[EstimatorSummary, ...]
     failures: tuple[str, ...] = ()
+    nonconverged_folds: int = 0
+    irls_iterations: int = 0
+    failures_by_class: dict[str, int] = field(default_factory=dict)
 
 
 def summarize_estimator(
@@ -228,6 +242,167 @@ def _ipw_oracle(dataset: ObservationalDataset, truth: GroundTruth, level: float)
     return ipw(dataset, truth.pi, "horvitz_thompson", level=level)
 
 
+class _Tally:
+    """One scenario's per-estimator results and nuisance counts, over replications."""
+
+    def __init__(self, estimators: tuple[str, ...]) -> None:
+        self.estimators = estimators
+        self.values: dict[str, list[float]] = {e: [] for e in estimators}
+        self.ses: dict[str, list[float | None]] = {e: [] for e in estimators}
+        self.covered: dict[str, list[bool]] = {e: [] for e in estimators}
+        self.clip_counts: dict[str, list[float]] = {e: [] for e in estimators}
+        self.unmatched: dict[str, list[float]] = {e: [] for e in estimators}
+        self.failed: dict[str, int] = {e: 0 for e in estimators}
+        self.notes: list[str] = []
+        self.by_class: dict[str, int] = {}
+        self.nonconverged = 0
+        self.iterations = 0
+
+    def count_fit(self, fit: NuisanceFit) -> None:
+        self.nonconverged += sum(not c for c in fit.irls_converged)
+        self.iterations += sum(fit.irls_iterations)
+
+    def fail(self, r: int, name: str, exc: CausalKitError) -> None:
+        self.failed[name] += 1
+        kind = type(exc).__name__
+        self.by_class[kind] = self.by_class.get(kind, 0) + 1
+        if len(self.notes) < 10:
+            self.notes.append(f"rep {r} {name}: {exc}")
+
+    def add(self, name: str, est: Estimate, true_ate: float) -> None:
+        self.values[name].append(est.psi_hat)
+        self.ses[name].append(est.se)
+        if est.ci_low is not None:
+            self.covered[name].append(bool(est.ci_low <= true_ate <= est.ci_high))
+        if "clip_count" in est.diagnostics:
+            self.clip_counts[name].append(float(est.diagnostics["clip_count"]))
+        if "unmatched_count" in est.diagnostics:
+            self.unmatched[name].append(float(est.diagnostics["unmatched_count"]))
+
+    def check_ceiling(self, replications: int) -> None:
+        for name in self.estimators:
+            if self.failed[name] > FAILURE_CEILING * replications:
+                raise EstimationError(
+                    f"estimator '{name}' failed in {self.failed[name]} of "
+                    f"{replications} replications (>{FAILURE_CEILING:.0%})"
+                )
+
+    def report(self, config: McConfig, scenario: str, true_ate: float) -> McReport:
+        rows = tuple(
+            summarize_estimator(
+                name,
+                self.values[name],
+                true_ate,
+                ses=self.ses[name],
+                covered=self.covered[name],
+                n_failed=self.failed[name],
+                mean_clip_count=float(np.mean(self.clip_counts[name])) if self.clip_counts[name] else None,
+                mean_unmatched=float(np.mean(self.unmatched[name])) if self.unmatched[name] else None,
+            )
+            for name in self.estimators
+        )
+        return McReport(
+            scenario=scenario,
+            true_ate=true_ate,
+            replications=config.replications,
+            n=config.n,
+            seed=config.seed,
+            rows=rows,
+            failures=tuple(self.notes),
+            nonconverged_folds=self.nonconverged,
+            irls_iterations=self.iterations,
+            failures_by_class=dict(sorted(self.by_class.items())),
+        )
+
+
+# Between them, these two scenarios' fits use every propensity map and every
+# outcome map of the four, so the other two are assembled from their pieces.
+_DIAGONAL = ("both_correct", "both_wrong")
+
+
+def _nuisance_for(
+    fits: dict[tuple[str, str], NuisanceFit | CausalKitError],
+    maps: tuple[str, str],
+    fit: Callable[..., NuisanceFit],
+) -> NuisanceFit | CausalKitError:
+    """The cross-fit with feature maps (propensity, outcome), or the error it raises.
+
+    A fit already in ``fits`` whose propensity map matches lends pi_hat, the
+    clip count and the IRLS flags, one whose outcome map matches lends the
+    outcome predictions; both come from the same folds.  Without a successful
+    fit for each half, ``fit`` runs this pair's own cross-fit, so a scenario
+    fails exactly where its own cross-fit would.
+    """
+    if maps not in fits:
+        done = {m: f for m, f in fits.items() if isinstance(f, NuisanceFit)}
+        prop = next((f for m, f in done.items() if m[0] == maps[0]), None)
+        out = next((f for m, f in done.items() if m[1] == maps[1]), None)
+        if prop is not None and out is not None:
+            fits[maps] = replace(prop, mu0_hat=out.mu0_hat, mu1_hat=out.mu1_hat)
+        else:
+            try:
+                fits[maps] = fit(propensity_features=maps[0], outcome_features=maps[1])
+            except CausalKitError as exc:
+                fits[maps] = exc
+    return fits[maps]
+
+
+def _run_scenarios(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, McReport]:
+    """Run ``config`` once per scenario, replications in the outer loop.
+
+    Every scenario's report equals that of ``run_mc`` on ``config`` with the
+    scenario swapped in.  Each replication draws its dataset once and
+    cross-fits each distinct feature-map pair at most once (see
+    ``_nuisance_for``); ``config.scenario`` itself is not read.
+    """
+    effective_dgp = replace(config.dgp, n=config.n)
+    maps = {s: scenario_feature_maps(effective_dgp, s) for s in scenarios}
+    true_ate = float(config.dgp.tau)
+    # every estimator but the simulation-only ipw_oracle runs from the method table
+    methods = {e: METHODS.get(e) for e in config.estimators}
+    needs_nuisance = any(m is not None and m.nuisance for m in methods.values())
+    tallies = {s: _Tally(config.estimators) for s in scenarios}
+    order = sorted(scenarios, key=lambda s: s not in _DIAGONAL)
+
+    for r in range(config.replications):
+        dataset, truth = generate_observational(effective_dgp, child_seed(config.seed, r))
+        fit = partial(
+            cross_fit,
+            dataset,
+            k=config.k,
+            clip=config.clip,
+            propensity_lambda=config.propensity_lambda,
+            outcome_lambda=config.outcome_lambda,
+            seed=child_seed(config.seed, r, 1),
+        )
+        fits: dict[tuple[str, str], NuisanceFit | CausalKitError] = {}
+        for scenario in order:
+            tally = tallies[scenario]
+            nuisance = _nuisance_for(fits, maps[scenario], fit) if needs_nuisance else None
+            if isinstance(nuisance, NuisanceFit):
+                tally.count_fit(nuisance)
+            for name, method in methods.items():
+                if method is not None and method.nuisance and isinstance(nuisance, CausalKitError):
+                    tally.fail(r, name, nuisance)
+                    continue
+                try:
+                    if method is None:
+                        est = _ipw_oracle(dataset, truth, config.level)
+                    else:
+                        est = method.run(dataset, nuisance, config.level)
+                except CausalKitError as exc:
+                    tally.fail(r, name, exc)
+                    continue
+                tally.add(name, est, true_ate)
+        # free this replication's fits before the next draw, so that at most
+        # two are alive at a time
+        del fits, nuisance
+
+    for scenario in scenarios:
+        tallies[scenario].check_ceiling(config.replications)
+    return {s: tallies[s].report(config, s, true_ate) for s in scenarios}
+
+
 def run_mc(config: McConfig) -> McReport:
     """Run the configured Monte Carlo study.
 
@@ -237,92 +412,7 @@ def run_mc(config: McConfig) -> McReport:
     substream (r,) and its fold shuffle from substream (r, 1), so reports
     are bit-identical across re-runs of the same config.
     """
-    effective_dgp = replace(config.dgp, n=config.n)
-    prop_feat, out_feat = scenario_feature_maps(effective_dgp, config.scenario)
-    true_ate = float(config.dgp.tau)
-    # every estimator but the simulation-only ipw_oracle runs from the method table
-    methods = {e: METHODS.get(e) for e in config.estimators}
-    needs_nuisance = any(m is not None and m.nuisance for m in methods.values())
-    values: dict[str, list[float]] = {e: [] for e in config.estimators}
-    ses: dict[str, list[float | None]] = {e: [] for e in config.estimators}
-    covered: dict[str, list[bool]] = {e: [] for e in config.estimators}
-    clip_counts: dict[str, list[float]] = {e: [] for e in config.estimators}
-    unmatched: dict[str, list[float]] = {e: [] for e in config.estimators}
-    failed: dict[str, int] = {e: 0 for e in config.estimators}
-    failure_notes: list[str] = []
-
-    for r in range(config.replications):
-        dataset, truth = generate_observational(effective_dgp, child_seed(config.seed, r))
-        nuisance = None
-        nuisance_error: CausalKitError | None = None
-        if needs_nuisance:
-            try:
-                nuisance = cross_fit(
-                    dataset,
-                    k=config.k,
-                    clip=config.clip,
-                    propensity_lambda=config.propensity_lambda,
-                    outcome_lambda=config.outcome_lambda,
-                    propensity_features=prop_feat,
-                    outcome_features=out_feat,
-                    seed=child_seed(config.seed, r, 1),
-                )
-            except CausalKitError as exc:
-                nuisance_error = exc
-        for name, method in methods.items():
-            if method is not None and method.nuisance and nuisance_error is not None:
-                failed[name] += 1
-                if len(failure_notes) < 10:
-                    failure_notes.append(f"rep {r} {name}: {nuisance_error}")
-                continue
-            try:
-                if method is None:
-                    est = _ipw_oracle(dataset, truth, config.level)
-                else:
-                    est = method.run(dataset, nuisance, config.level)
-            except CausalKitError as exc:
-                failed[name] += 1
-                if len(failure_notes) < 10:
-                    failure_notes.append(f"rep {r} {name}: {exc}")
-                continue
-            values[name].append(est.psi_hat)
-            ses[name].append(est.se)
-            if est.ci_low is not None:
-                covered[name].append(bool(est.ci_low <= true_ate <= est.ci_high))
-            if "clip_count" in est.diagnostics:
-                clip_counts[name].append(float(est.diagnostics["clip_count"]))
-            if "unmatched_count" in est.diagnostics:
-                unmatched[name].append(float(est.diagnostics["unmatched_count"]))
-
-    for name in config.estimators:
-        if failed[name] > FAILURE_CEILING * config.replications:
-            raise EstimationError(
-                f"estimator '{name}' failed in {failed[name]} of "
-                f"{config.replications} replications (>{FAILURE_CEILING:.0%})"
-            )
-
-    rows = tuple(
-        summarize_estimator(
-            name,
-            values[name],
-            true_ate,
-            ses=ses[name],
-            covered=covered[name],
-            n_failed=failed[name],
-            mean_clip_count=float(np.mean(clip_counts[name])) if clip_counts[name] else None,
-            mean_unmatched=float(np.mean(unmatched[name])) if unmatched[name] else None,
-        )
-        for name in config.estimators
-    )
-    return McReport(
-        scenario=config.scenario,
-        true_ate=true_ate,
-        replications=config.replications,
-        n=config.n,
-        seed=config.seed,
-        rows=rows,
-        failures=tuple(failure_notes),
-    )
+    return _run_scenarios(config, (config.scenario,))[config.scenario]
 
 
 def dr_suite(
@@ -336,18 +426,20 @@ def dr_suite(
     """Run all four misspecification scenarios on a shared dataset stream.
 
     The same seed drives every scenario, so the r-th replication sees the
-    same dataset in all four; only the learners' feature maps differ.
+    same dataset and the same folds in all four; only the learners' feature
+    maps differ.  Each report equals ``run_mc`` on that scenario, but a
+    replication draws its dataset once and cross-fits twice, for
+    ``both_correct`` and ``both_wrong``.  ``pi_wrong`` takes its propensity
+    fit (pi_hat, clip count, IRLS flags) from ``both_wrong`` and its outcome
+    fits from ``both_correct``; ``mu_wrong`` the other way round.  A scenario
+    whose donor fit failed runs its own cross-fit instead.
     """
-    reports = {}
-    for scenario in SCENARIOS:
-        config = McConfig(
-            dgp=base,
-            estimators=estimators,
-            replications=replications,
-            n=n,
-            seed=seed,
-            scenario=scenario,
-            **kwargs,
-        )
-        reports[scenario] = run_mc(config)
-    return reports
+    config = McConfig(
+        dgp=base,
+        estimators=estimators,
+        replications=replications,
+        n=n,
+        seed=seed,
+        **kwargs,
+    )
+    return _run_scenarios(config, SCENARIOS)

@@ -319,6 +319,8 @@ class TestMontecarlo:
         report = json.loads(out.read_text())
         assert report["true_ate"] == 2.0
         assert [r["estimator"] for r in report["rows"]] == ["naive", "aipw"]
+        assert report["failures"] == [] and report["failures_by_class"] == {}
+        assert report["nonconverged_folds"] == 0 and report["irls_iterations"] >= 5 * 5
         header = csv_out.read_text().splitlines()[0]
         assert header == (
             "estimator,n_ok,n_failed,mean_estimate,bias,mc_se_mean,variance,"

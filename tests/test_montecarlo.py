@@ -25,6 +25,7 @@ from causalkit import (
     scenario_feature_maps,
     summarize_estimator,
 )
+from causalkit import montecarlo, nuisance
 from causalkit.errors import ConfigError, EstimationError
 
 
@@ -207,3 +208,89 @@ class TestDrSuite:
         # scenarios precisely because the data streams are shared
         means = {r.mean_estimate for r in naive_rows.values()}
         assert len(means) == 1
+
+    # (base DGP, dr_suite arguments): a clean run, and a small unpenalized one
+    # in which both_correct's and pi_wrong's outcome fits are rank deficient in
+    # some replications, so mu_wrong runs its own cross-fit for want of
+    # both_correct's propensity fit
+    SUITES = {
+        "clean": (
+            ObsDgpConfig(n=300, d=2, confounding_strength=0.5, tau=2.0,
+                         outcome_form="linear_plus_quadratic",
+                         propensity_form="linear_plus_quadratic"),
+            dict(replications=4, n=300, seed=3),
+        ),
+        "failing": (
+            ObsDgpConfig(n=30, d=2, confounding_strength=1.5, tau=1.0,
+                         outcome_form="linear_plus_quadratic",
+                         propensity_form="linear_plus_quadratic"),
+            dict(replications=40, n=30, seed=1, propensity_lambda=0.0, outcome_lambda=0.0,
+                 estimators=("naive", "ipw", "gformula", "aipw", "psm")),
+        ),
+    }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_equals_four_run_mc_calls(self, suite):
+        base, kwargs = self.SUITES[suite]
+        reports = dr_suite(base, **kwargs)
+        options = {k: v for k, v in kwargs.items() if k != "replications"}
+        for scenario, report in reports.items():
+            alone = run_mc(McConfig(dgp=base, replications=kwargs["replications"],
+                                    scenario=scenario, **options))
+            assert report.rows == alone.rows
+            assert report.failures == alone.failures
+            assert report == alone
+        failed = {s: sum(r.n_failed for r in rep.rows) for s, rep in reports.items()}
+        if suite == "failing":
+            assert failed["both_correct"] > 0 and failed["mu_wrong"] == 0
+        else:
+            assert set(failed.values()) == {0}
+
+    def test_one_draw_and_two_cross_fits_per_replication(self, monkeypatch):
+        calls = {"generate_observational": 0, "cross_fit": 0, "fit_logistic": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(montecarlo, "generate_observational")
+        counted(montecarlo, "cross_fit")
+        counted(nuisance, "fit_logistic")
+        base, kwargs = self.SUITES["clean"]
+        dr_suite(base, k=4, **kwargs)
+        reps = kwargs["replications"]
+        assert calls == {"generate_observational": reps, "cross_fit": 2 * reps, "fit_logistic": 2 * 4 * reps}
+
+
+class TestNuisanceCounts:
+    def test_irls_counts_once_per_replication_fit(self, monkeypatch):
+        original = nuisance.fit_logistic
+        monkeypatch.setattr(
+            nuisance, "fit_logistic", lambda *a, **kw: original(*a, **{**kw, "max_iter": 1})
+        )
+        cfg = McConfig(dgp=BASE, estimators=("naive", "ipw", "aipw"), replications=3, n=200, k=4)
+        report = run_mc(cfg)
+        # one IRLS step leaves every fold unconverged, whatever uses the fit
+        assert report.nonconverged_folds == 3 * 4
+        assert report.irls_iterations == 3 * 4
+        assert report.failures_by_class == {}
+
+    def test_converged_fits_and_no_nuisance(self):
+        cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=3, n=200, k=4)
+        report = run_mc(cfg)
+        assert report.nonconverged_folds == 0
+        assert report.irls_iterations >= 3 * 4
+        naive_only = run_mc(dataclasses.replace(cfg, estimators=("naive",)))
+        assert (naive_only.nonconverged_folds, naive_only.irls_iterations) == (0, 0)
+
+    def test_failures_counted_by_error_class(self):
+        base, kwargs = TestDrSuite.SUITES["failing"]
+        report = run_mc(McConfig(dgp=base, **kwargs))
+        n_failed = sum(r.n_failed for r in report.rows)
+        assert report.failures_by_class == {"RankDeficiencyError": n_failed}
+        assert len(report.failures) == min(10, n_failed)
