@@ -583,17 +583,21 @@ def _richardson(
 
 
 def _influence_at(
-    f: Functional, p: DiscreteMeasure, points: np.ndarray, eps_schedule: Sequence[float]
+    f: Functional, p: DiscreteMeasure, points: np.ndarray | None, eps_schedule: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Influence values and error estimates of f at p for each row t of
-    ``points``, from the mixture paths (1-e) P + e delta_t.
+    ``points`` (every support point of p, in order, when None), from the
+    mixture paths (1-e) P + e delta_t.
 
     Forms are built once on the union support.  A step keeps every cell's
     terms but t's, scaled by 1-e, so it recomputes t's cell alone; it is
     undefined where t's cell is, or where another cell was at P.  The
     rounding scale of t is that of p's charged rows and of t.
     """
-    support, targets = _union_support(p.support, points)
+    if points is None:
+        support, targets = p.support, np.arange(p.m)
+    else:
+        support, targets = _union_support(p.support, points)
     forms = f.forms(p.names, support)
     base = np.r_[p.probs, np.zeros(len(support) - p.m)]
     table = forms.table(base)
@@ -641,7 +645,7 @@ def eif_table(
     f: Functional, p: DiscreteMeasure, eps_schedule: Sequence[float] = EPS_SCHEDULE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerical influence values and error estimates at every support point."""
-    return _influence_at(f, p, p.support, eps_schedule)
+    return _influence_at(f, p, None, eps_schedule)
 
 
 def pathwise_derivative(

@@ -488,6 +488,16 @@ class TestBatchedAgainstReference:
         assert_close(phi, ref[:, 0])
         assert_close(err, ref[:, 1])
 
+    @pytest.mark.parametrize("p", MEASURES, ids=["hand", "random", "outcomes", "five_cells"])
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.label)
+    def test_eif_table_is_gateaux_at_each_support_point(self, f, p):
+        # eif_table targets p's own rows without matching them against the
+        # support; gateaux_if matches its point first; the bits agree
+        phi, err = eif_table(f, p)
+        each = [gateaux_if(f, p, row) for row in p.support]
+        assert phi.tolist() == [r.value for r in each]
+        assert err.tolist() == [r.error_estimate for r in each]
+
     @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.label)
     def test_gateaux_on_and_off_support(self, f):
         p = outcome_measure(4)
