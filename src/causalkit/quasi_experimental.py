@@ -226,12 +226,14 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 
 def _iv_estimate(
     method: str, iv: IvDataset, late: float, first_stage: float, reduced_form: float,
     se: float | None, weak_threshold: float, level: float,
+    eif: np.ndarray | None = None, input_scale: float = 0.0,
 ) -> Estimate:
     ci_low, ci_high = normal_ci(late, se, level)
     return Estimate(
         psi_hat=late,
         method=method,
         n=iv.n,
+        eif=eif,
         se=se,
         ci_low=ci_low,
         ci_high=ci_high,
@@ -240,6 +242,7 @@ def _iv_estimate(
             "reduced_form": reduced_form,
             "weak_flag": bool(abs(first_stage) < weak_threshold),
         },
+        input_scale=input_scale,
     )
 
 
@@ -268,7 +271,12 @@ def iv_wald(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: flo
     resid0 = (iv.y - float(y0.mean())) - late * (iv.a - float(a0.mean()))
     phi = (np.where(z1, resid1, 0.0) / p - np.where(z1, 0.0, resid0) / (1.0 - p)) / first_stage
     se = variance_ci(phi, late, level)[0]  # both instrument arms are non-empty, so n >= 2
-    return _iv_estimate("iv", iv, late, first_stage, reduced_form, se, weak_threshold, level)
+    # phi's mean is the rounding error of the arm means of y and late*a,
+    # divided by the first stage
+    scale = (float(np.max(np.abs(iv.y))) + abs(late)) / abs(first_stage)
+    return _iv_estimate(
+        "iv", iv, late, first_stage, reduced_form, se, weak_threshold, level, eif=phi, input_scale=scale
+    )
 
 
 def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:

@@ -28,6 +28,7 @@ from causalkit import (
     iv_wald,
     rd_local_linear,
     tsls,
+    variance_ci,
     weak_iv_study,
 )
 from causalkit.errors import (
@@ -305,6 +306,24 @@ class TestIv:
         est = iv_wald(wald_dataset())
         assert est.se is not None
         assert est.se > 0
+
+    def test_eif_is_stored_and_gives_the_se(self):
+        est = iv_wald(wald_dataset())
+        assert est.eif.shape == (15,)
+        assert est.se == variance_ci(est.eif, est.psi_hat)[0]
+
+    @pytest.mark.parametrize("complier_share", [0.3, 0.02])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eif_centering_allows_rounding_of_large_outcomes(self, seed, complier_share):
+        # y near 1e8 with sd 1e-3: phi is small, but its mean carries the
+        # rounding error of 1e8-sized arm means divided by the first stage
+        rng = np.random.default_rng(seed)
+        n = 4000
+        z = rng.integers(0, 2, size=n)
+        a = np.where(rng.random(n) < complier_share, z, rng.integers(0, 2, size=n))
+        y = 1e8 + a + 1e-3 * rng.normal(size=n)
+        est = iv_wald(IvDataset(z=z, a=a, y=y))
+        assert abs(float(np.mean(est.eif))) > 0.0
 
 
 class TestTsls:
