@@ -65,11 +65,7 @@ def _as_float_vector(name: str, values: Sequence[float] | np.ndarray) -> np.ndar
 
 
 def _as_binary_vector(name: str, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
+    arr = _as_float_vector(name, values)
     if not np.all((arr == 0.0) | (arr == 1.0)):
         bad = arr[(arr != 0.0) & (arr != 1.0)][0]
         raise ValidationError(f"{name} must contain only 0/1, found {format_number(bad)}")

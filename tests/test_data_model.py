@@ -18,6 +18,7 @@ from causalkit import (
     write_iv_csv,
     write_panel_csv,
 )
+from causalkit.data_model import _as_binary_vector
 from causalkit.errors import (
     ParseError,
     SchemaError,
@@ -49,6 +50,19 @@ class TestObservationalDataset:
     def test_non_binary_treatment_rejected(self):
         with pytest.raises(ValidationError, match="0/1"):
             ObservationalDataset(x=np.zeros((2, 1)), a=[1, 2], y=[0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([[1, 0]], "a must be a 1-d vector, got shape (1, 2)"),
+            ([1.0, np.nan], "a contains non-finite values"),
+            ([1, 0.5], "a must contain only 0/1, found 0.5"),
+        ],
+    )
+    def test_binary_vector_messages(self, a, message):
+        with pytest.raises(ValidationError) as info:
+            _as_binary_vector("a", a)
+        assert str(info.value) == message
 
     def test_nan_outcome_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
