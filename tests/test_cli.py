@@ -11,7 +11,7 @@ import pytest
 
 import causalkit
 from causalkit import cross_fit
-from causalkit.cli import main
+from causalkit.cli import emit_report, main
 
 REPORT_KEYS = ["method", "psi_hat", "se", "ci_low", "ci_high", "n", "diagnostics", "config", "version"]
 
@@ -303,6 +303,41 @@ def test_simulate_files_match_golden_bytes(name, simulate_outputs):
     """Every data and truth file `causalkit simulate` writes is byte-identical to its frozen form."""
     frozen = GOLDEN_SIMULATE.GOLDEN_DIR / name
     assert (simulate_outputs / name).read_bytes() == frozen.read_bytes()
+
+
+def _load_eif_check_golden_script():
+    path = Path(__file__).parent / "golden" / "regenerate_eif_check_reports.py"
+    spec = importlib.util.spec_from_file_location("regenerate_eif_check_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN_EIF_CHECK = _load_eif_check_golden_script()
+
+
+@pytest.fixture(scope="module")
+def eif_check_reports():
+    return GOLDEN_EIF_CHECK.build_reports()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EIF_CHECK.CASES))
+def test_eif_check_report_matches_golden_bytes(case, eif_check_reports):
+    """Every `causalkit eif-check` report is byte-identical to its frozen form."""
+    frozen = json.loads(GOLDEN_EIF_CHECK.GOLDEN.read_text(encoding="utf-8"))
+    assert eif_check_reports[case] == json.dumps(frozen[case], indent=2) + "\n"
+
+
+def test_csv_report_cells_as_written_today(tmp_path):
+    """A bool cell is written as a float and an int in full; ``format_number``
+    would write ``1`` and ``1.152921504606847e+18``."""
+    out = tmp_path / "rows.csv"
+    emit_report({"rows": [{"estimator": "x", "n_ok": 2**60, "coverage": True}]}, "csv", str(out))
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["n_ok"] == "1152921504606846976"
+    assert cells["coverage"] == "1.0"
+    assert cells["estimator"] == "x" and cells["bias"] == ""
 
 
 class TestMontecarlo:
