@@ -722,12 +722,9 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
     eps = step_schedule(f, measure)
     phi_num, err = eif_table(f, measure, eps)
     phi_cf = closed_form_eif(f, measure)
-    gaps = []
-    for i in range(args.scores):
-        s = random_score(measure, stream(args.seed, i))
-        lhs = pathwise_derivative(f, measure, s)
-        rhs = float(measure.probs @ (phi_num * s.values))
-        gaps.append(abs(lhs - rhs))
+    scores = [random_score(measure, stream(args.seed, i)).values for i in range(args.scores)]
+    lhs = pathwise_derivative(f, measure, np.reshape(scores, (args.scores, measure.m)))
+    gaps = [abs(d - float(measure.probs @ (phi_num * s))) for d, s in zip(lhs, scores)]
     r2_block = None
     if args.estimated:
         if not isinstance(f, (Ate, CounterfactualMean)):

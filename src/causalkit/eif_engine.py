@@ -37,6 +37,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    CausalKitError,
     ConfigError,
     EpsError,
     EvaluabilityError,
@@ -653,33 +654,43 @@ def pathwise_derivative(
     p: DiscreteMeasure,
     s: ScoreVector | np.ndarray,
     eps_schedule: Sequence[float] = EPS_SCHEDULE,
-) -> float:
-    """d/deps f(measure with masses (1 + eps*s) p) at eps = 0.
-
-    The schedule is used as given: a step moves each mass by at most
+) -> float | np.ndarray:
+    """d/deps f(measure with masses (1 + eps*s) p) at eps = 0, for a score s
+    or for each row of a (B, m) stack.  A stack's 6B steps share one forms
+    build, table, evaluation and extrapolation; each derivative is its row's
+    own, bit for bit, and a failing stack raises its first failing row's own
+    error.  The schedule is used as given: a step moves each mass by at most
     eps*max|s| of itself.  An error estimate above RICHARDSON_RTOL *
     max(1, |derivative|) raises EpsError.
     """
     values = _score_values(s)
-    if values.shape != (p.m,):
-        raise ValidationError("score length must match the support size")
-    mean_s = float(p.probs @ values)
-    if abs(mean_s) > 1e-10:
-        raise ValidationError(f"score must have mean zero under p, got {mean_s!r}")
-    eps = _validate_schedule(eps_schedule)
-    worst = eps[0] * float(np.max(np.abs(values))) if values.size else 0.0
-    if worst > 1.0:
-        raise EpsError(
-            "perturbed mass would go negative: max |eps*s| "
-            f"= {worst!r} exceeds 1; shrink the score or the schedule"
-        )
-    forms, steps = f.forms(p.names, p.support), np.ravel([(e, -e) for e in eps])
-    tables = forms.table((1.0 + steps[:, None] * values) * p.probs)
-    _check_signs(forms.table(p.probs), tables, eps)
-    scale = np.max(forms.size()[p.probs > 0.0], initial=0.0)
-    what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
-    d, _ = _richardson(_evaluate(forms, tables)[None, :], eps, scale, what)
-    return float(d[0])
+    scores = np.atleast_2d(values)
+    try:
+        if scores.ndim != 2 or scores.shape[1] != p.m:
+            raise ValidationError("score length must match the support size")
+        mean_s = max((float(p.probs @ row) for row in scores), key=abs, default=0.0)
+        if abs(mean_s) > 1e-10:
+            raise ValidationError(f"score must have mean zero under p, got {mean_s!r}")
+        eps = _validate_schedule(eps_schedule)
+        worst = eps[0] * float(np.max(np.abs(scores), initial=0.0))
+        if worst > 1.0:
+            raise EpsError(
+                "perturbed mass would go negative: max |eps*s| "
+                f"= {worst!r} exceeds 1; shrink the score or the schedule"
+            )
+        if not len(scores):
+            return np.zeros(0)
+        forms, steps = f.forms(p.names, p.support), np.ravel([(e, -e) for e in eps])
+        tables = forms.table(((1.0 + steps[:, None] * scores[:, None, :]) * p.probs).reshape(-1, p.m))
+        _check_signs(forms.table(p.probs), tables, eps)
+        scale = np.max(forms.size()[p.probs > 0.0], initial=0.0)
+        what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
+        d, _ = _richardson(_evaluate(forms, tables).reshape(-1, len(steps)), eps, scale, what)
+    except CausalKitError:
+        for row in scores if values.ndim == 2 else ():
+            pathwise_derivative(f, p, row, eps_schedule)
+        raise
+    return float(d[0]) if values.ndim == 1 else d
 
 
 @dataclass(frozen=True)
