@@ -39,6 +39,7 @@ from causalkit import (
 )
 from causalkit.eif_engine import EPS_SCHEDULE, RICHARDSON_RTOL, ScoreVector, step_schedule
 from causalkit.errors import (
+    CausalKitError,
     ConfigError,
     EpsError,
     EvaluabilityError,
@@ -674,3 +675,97 @@ class TestStepRule:
                 continue
             phi_cf = closed_form_eif(f, p)
             assert np.all(np.abs(phi - phi_cf) <= RICHARDSON_RTOL * np.maximum(1.0, np.abs(phi_cf)))
+
+
+def near_positivity_measure(seed: int = 4, mass: float = 1e-3) -> DiscreteMeasure:
+    """outcome_measure(seed) with its (x=0, a=1) arm-by-cell scaled to total mass `mass`."""
+    p = outcome_measure(seed)
+    small = (p.support[:, 0] == 0) & (p.support[:, 1] == 1)
+    probs = np.where(small, p.probs * mass / p.probs[small].sum(), p.probs * (1 - mass) / p.probs[~small].sum())
+    return DiscreteMeasure(names=NAMES, support=p.support, probs=probs)
+
+
+STACK_FUNCTIONALS = (Ate(), Mean("y"), CondMean("y", (("a", 1.0),)), CounterfactualMean(0))
+STACK_MEASURES = [hand_measure(), random_measure(5), outcome_measure(1), near_positivity_measure()]
+# the rows of a functional's denominators: one arm-by-cell, or the conditioning event
+DENOMINATOR_ROWS = {
+    "ate": lambda s: (s[:, 0] == 0) & (s[:, 1] == 0),
+    "counterfactual_mean(0)": lambda s: (s[:, 0] == 0) & (s[:, 1] == 0),
+    "cond_mean(y|a=1)": lambda s: s[:, 1] == 1,
+}
+
+
+def score_stack(p: DiscreteMeasure, b: int = 9) -> np.ndarray:
+    return np.array([random_score(p, stream(31, i)).values for i in range(b)])
+
+
+def error_of(call) -> tuple[type, str]:
+    with pytest.raises(CausalKitError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestStackedScores:
+    """pathwise_derivative on a (B, m) stack is its rows' single calls."""
+
+    @pytest.mark.parametrize("p", STACK_MEASURES)
+    @pytest.mark.parametrize("f", STACK_FUNCTIONALS, ids=lambda f: f.label)
+    def test_stack_equals_its_rows_bit_for_bit(self, f, p):
+        scores = score_stack(p)
+        stacked = pathwise_derivative(f, p, scores)
+        single = [pathwise_derivative(f, p, s) for s in scores]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(scores),)
+        assert stacked.tobytes() == np.array(single).tobytes()
+        assert pathwise_derivative(f, p, scores[:1]).tobytes() == np.array(single[:1]).tobytes()
+
+    @pytest.mark.parametrize("f", STACK_FUNCTIONALS, ids=lambda f: f.label)
+    def test_one_score_is_a_float(self, f):
+        p = near_positivity_measure()
+        s = score_stack(p, 1)[0]
+        assert type(pathwise_derivative(f, p, s)) is float
+        assert type(pathwise_derivative(f, p, ScoreVector(values=s))) is float
+
+    def test_empty_stack(self):
+        p = hand_measure()
+        assert pathwise_derivative(Ate(), p, np.empty((0, p.m))).shape == (0,)
+        with pytest.raises(ConfigError):
+            pathwise_derivative(Ate(), p, np.empty((0, p.m)), (1e-3, 4e-4, 2e-4))
+        with pytest.raises(ValidationError, match="length"):
+            pathwise_derivative(Ate(), p, np.empty((0, p.m + 1)))
+
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    @pytest.mark.parametrize("p", STACK_MEASURES)
+    @pytest.mark.parametrize("f", STACK_FUNCTIONALS, ids=lambda f: f.label)
+    def test_kth_row_with_nonzero_mean_or_oversized_step(self, f, p, k):
+        for bad_row, kind in ((lambda s: s + 0.01, ValidationError), (lambda s: s * 3000.0, EpsError)):
+            scores = score_stack(p)
+            scores[k] = bad_row(scores[k])
+            want = error_of(lambda: pathwise_derivative(f, p, scores[k]))
+            assert want[0] is kind
+            assert error_of(lambda: pathwise_derivative(f, p, scores)) == want
+
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    @pytest.mark.parametrize("p", STACK_MEASURES)
+    @pytest.mark.parametrize("label", sorted(DENOMINATOR_ROWS))
+    def test_kth_row_stepping_through_a_zero_denominator(self, label, p, k):
+        # s = -1/eps0 on a denominator's rows sends its mass to exactly zero at the step eps0
+        f, schedule = make_functional(label), (0.5, 0.25, 0.125)
+        rows = DENOMINATOR_ROWS[label](p.support)
+        scores = score_stack(p) * 0.1
+        scores[k] = np.where(rows, -2.0, 2.0 * p.probs[rows].sum() / p.probs[~rows].sum())
+        want = error_of(lambda: pathwise_derivative(f, p, scores[k], schedule))
+        assert want[0] is EpsError and "through zero" in want[1]
+        assert error_of(lambda: pathwise_derivative(f, p, scores, schedule)) == want
+
+    def test_first_failing_row_decides(self):
+        # a row failing in the evaluation comes before a later row failing validation
+        p, f, schedule = hand_measure(), Ate(), (0.5, 0.25, 0.125)
+        rows = DENOMINATOR_ROWS["ate"](p.support)
+        scores = score_stack(p) * 0.1
+        scores[2] = np.where(rows, -2.0, 2.0 * p.probs[rows].sum() / p.probs[~rows].sum())
+        scores[4] += 0.01
+        scores[6] = np.where(rows, -2.0, 1.0)
+        scores[6] -= float(p.probs @ scores[6])
+        want = error_of(lambda: pathwise_derivative(f, p, scores[2], schedule))
+        assert error_of(lambda: pathwise_derivative(f, p, scores, schedule)) == want
+        assert error_of(lambda: pathwise_derivative(f, p, scores[3:], schedule))[0] is ValidationError
