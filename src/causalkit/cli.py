@@ -717,6 +717,8 @@ def _add_eif_check_parser(sub) -> None:
 
 
 def _cmd_eif_check(args: argparse.Namespace) -> None:
+    if args.scores < 0:
+        raise ConfigError(f"scores must be a non-negative integer, got {args.scores}")
     measure = _load_measure_csv(args.measure, args.prob_column)
     f = make_functional(args.functional)
     eps = step_schedule(f, measure)

@@ -14,7 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["stream", "child_seed"]
+
+
+def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    """The seed sequence of substream ``key`` under ``seed``; a negative seed,
+    from a flag, a config file or a caller, is a ConfigError."""
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 
 def child_seed(seed: int, *key: int) -> int:
@@ -23,10 +33,7 @@ def child_seed(seed: int, *key: int) -> int:
     Deterministic in (seed, key) and collision-resistant across keys, so a
     study can hand independent seeds to generators that take a plain int.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(seq.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -36,7 +43,4 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     r's substream; further components address nested uses (e.g. fold
     shuffles).  Equal arguments always return a generator in the same state.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, key)))

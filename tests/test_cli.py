@@ -485,10 +485,57 @@ class TestEifCheck:
         assert run_cli("eif-check", "--measure", str(m), "--functional", "ate") == 3
         assert capsys.readouterr().err.startswith("error: EpsError: ")
 
+    def test_negative_scores_rejected_before_any_work(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run_cli("eif-check", "--measure", str(missing), "--functional", "ate", "--scores", "-3") == 2
+        assert capsys.readouterr().err == "error: ConfigError: scores must be a non-negative integer, got -3\n"
+
+    def test_zero_scores_report_no_gap(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text(MEASURE)
+        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate", "--scores", "0") == 0
+        assert json.loads(capsys.readouterr().out)["central_identity"] == {"n_scores": 0, "max_gap": None}
+
     def test_invalid_probabilities_rejected(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("x,a,y,prob\n0,0,0,0.9\n0,0,1,0.2\n")
         assert run_cli("eif-check", "--measure", str(m), "--functional", "ate") == 2
+
+
+class TestNegativeSeed:
+    """A negative seed is a ConfigError (exit 2) from the one check in rng, flag or config file."""
+
+    ERR = "error: ConfigError: seed must be a non-negative integer\n"
+
+    def test_simulate(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run_cli("simulate", "--dgp", "obs", "--n", "20", "--seed", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == self.ERR
+        assert not out.exists()
+
+    def test_estimate_aipw(self, obs_csv, tmp_path, capsys):
+        argv = ("estimate", "--method", "aipw", "--input", obs_csv, "--covariates", "x1,x2")
+        assert run_cli(*argv, "--seed", "-1") == 2
+        assert capsys.readouterr().err == self.ERR
+        conf = tmp_path / "est.conf"
+        conf.write_text("seed = -1\n")
+        assert run_cli(*argv, "--config", str(conf)) == 2
+        assert capsys.readouterr().err == self.ERR
+
+    def test_montecarlo(self, tmp_path, capsys):
+        argv = ("montecarlo", "--reps", "2", "--n", "50", "--estimators", "naive")
+        assert run_cli(*argv, "--seed", "-1") == 2
+        assert capsys.readouterr().err == self.ERR
+        conf = tmp_path / "mc.conf"
+        conf.write_text("seed = -1\n")
+        assert run_cli(*argv, "--config", str(conf)) == 2
+        assert capsys.readouterr().err == self.ERR
+
+    def test_eif_check(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text(MEASURE)
+        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate", "--seed", "-1") == 2
+        assert capsys.readouterr().err == self.ERR
 
 
 class TestTopLevel:
