@@ -490,12 +490,6 @@ class TestEifCheck:
         assert run_cli("eif-check", "--measure", str(missing), "--functional", "ate", "--scores", "-3") == 2
         assert capsys.readouterr().err == "error: ConfigError: scores must be a non-negative integer, got -3\n"
 
-    def test_zero_scores_report_no_gap(self, tmp_path, capsys):
-        m = tmp_path / "m.csv"
-        m.write_text(MEASURE)
-        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate", "--scores", "0") == 0
-        assert json.loads(capsys.readouterr().out)["central_identity"] == {"n_scores": 0, "max_gap": None}
-
     def test_invalid_probabilities_rejected(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("x,a,y,prob\n0,0,0,0.9\n0,0,1,0.2\n")
