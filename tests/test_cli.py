@@ -257,38 +257,41 @@ class TestEstimate:
         assert r1.read_bytes() == r2.read_bytes()
 
 
-def _load_golden_script():
-    path = Path(__file__).parent / "golden" / "regenerate_estimate_reports.py"
-    spec = importlib.util.spec_from_file_location("regenerate_estimate_reports", path)
+def _load_golden_script(name):
+    """Import tests/golden/<name>.py, a golden regeneration script, as a module."""
+    path = Path(__file__).parent / "golden" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-GOLDEN_REPORTS = _load_golden_script()
+GOLDEN_REPORTS = _load_golden_script("regenerate_estimate_reports")
+GOLDEN_SIMULATE = _load_golden_script("regenerate_simulate_outputs")
+GOLDEN_EIF_CHECK = _load_golden_script("regenerate_eif_check_reports")
 
 
 @pytest.fixture(scope="module")
-def estimate_reports():
+def cli_reports():
     return GOLDEN_REPORTS.build_reports()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS.CASES))
-def test_estimate_report_matches_golden_bytes(case, estimate_reports):
+def test_estimate_report_matches_golden_bytes(case, cli_reports):
     """Every `causalkit estimate` report is byte-identical to its frozen form."""
-    frozen = json.loads(GOLDEN_REPORTS.GOLDEN.read_text(encoding="utf-8"))
-    assert estimate_reports[case] == json.dumps(frozen[case], indent=2) + "\n"
+    assert cli_reports["estimate"][case] == GOLDEN_REPORTS.frozen_text("estimate", case)
 
 
-def _load_simulate_golden_script():
-    path = Path(__file__).parent / "golden" / "regenerate_simulate_outputs.py"
-    spec = importlib.util.spec_from_file_location("regenerate_simulate_outputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.mark.parametrize("case", GOLDEN_REPORTS.case_names("simulate"))
+def test_simulate_summary_matches_golden_bytes(case, cli_reports):
+    """Every `causalkit simulate` stdout summary is byte-identical to its frozen form."""
+    assert cli_reports["simulate"][case] == GOLDEN_REPORTS.frozen_text("simulate", case)
 
 
-GOLDEN_SIMULATE = _load_simulate_golden_script()
+@pytest.mark.parametrize("case", GOLDEN_REPORTS.case_names("montecarlo"))
+def test_montecarlo_output_matches_golden_bytes(case, cli_reports):
+    """Every `causalkit montecarlo` JSON report and CSV table is byte-identical to its frozen form."""
+    assert cli_reports["montecarlo"][case] == GOLDEN_REPORTS.frozen_text("montecarlo", case)
 
 
 @pytest.fixture(scope="module")
@@ -303,17 +306,6 @@ def test_simulate_files_match_golden_bytes(name, simulate_outputs):
     """Every data and truth file `causalkit simulate` writes is byte-identical to its frozen form."""
     frozen = GOLDEN_SIMULATE.GOLDEN_DIR / name
     assert (simulate_outputs / name).read_bytes() == frozen.read_bytes()
-
-
-def _load_eif_check_golden_script():
-    path = Path(__file__).parent / "golden" / "regenerate_eif_check_reports.py"
-    spec = importlib.util.spec_from_file_location("regenerate_eif_check_reports", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GOLDEN_EIF_CHECK = _load_eif_check_golden_script()
 
 
 @pytest.fixture(scope="module")
