@@ -150,6 +150,14 @@ def _cast_names(text: str, key: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
+def _float_tuple(text: str) -> tuple[float, ...] | None:
+    """argparse type of a comma-separated list of numbers; an empty list is None."""
+    try:
+        return tuple(float(v) for v in text.split(",")) if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got '{text}'") from None
+
+
 def _choice(value: str, key: str, choices: tuple[str, ...]) -> str:
     if value not in choices:
         raise ConfigError(f"'{key}' must be one of {choices}, got '{value}'")
@@ -258,7 +266,9 @@ def _add_simulate_parser(sub) -> None:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--confounding", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--tau-x", dest="tau_x", help="comma-separated heterogeneous-effect coefficients")
+    p.add_argument(
+        "--tau-x", dest="tau_x", type=_float_tuple, help="comma-separated heterogeneous-effect coefficients"
+    )
     p.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0)
     p.add_argument("--outcome-form", dest="outcome_form", choices=FORMS, default="linear")
     p.add_argument("--propensity-form", dest="propensity_form", choices=FORMS, default="linear")
@@ -304,15 +314,12 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         "version": __version__,
     }
     if args.dgp == "obs":
-        tau_x = None
-        if args.tau_x:
-            tau_x = tuple(float(v) for v in args.tau_x.split(","))
         config = ObsDgpConfig(
             n=args.n,
             d=args.d,
             confounding_strength=args.confounding,
             tau=args.tau,
-            tau_x=tau_x,
+            tau_x=args.tau_x,
             outcome_noise_sd=args.noise_sd,
             outcome_form=args.outcome_form,
             propensity_form=args.propensity_form,

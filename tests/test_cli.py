@@ -75,6 +75,13 @@ class TestSimulate:
         assert run_cli("simulate", "--dgp", "obs") == 1
         assert "--out" in capsys.readouterr().err
 
+    def test_bad_tau_x_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run_cli("simulate", "--dgp", "obs", "--d", "2", "--tau-x", "abc", "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "causalkit simulate: error: argument --tau-x: expected comma-separated numbers, got 'abc'"
+        assert not out.exists()
+
     def test_rd_simulation(self, tmp_path):
         out = tmp_path / "rd.csv"
         code = run_cli(
