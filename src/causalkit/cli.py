@@ -63,7 +63,7 @@ from .errors import (
     SchemaError,
 )
 from .methods import METHODS
-from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, McReport, run_mc
+from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, run_mc
 from .nuisance import FEATURE_MAPS, cross_fit
 from .quasi_experimental import KERNELS
 from .rng import stream
@@ -185,11 +185,19 @@ class _Resolver:
             return False
         return default
 
-
-def _parse_clip(value: str | tuple[float, float]) -> tuple[float, float]:
-    if isinstance(value, tuple):
-        return value
-    return _cast_pair(value, "crossfit.clip")
+    def options(self, keys, context: str) -> dict:
+        """The value of each option key in ``keys``, cast and checked; ``context``
+        names what a required key is required for."""
+        values = {}
+        for key in keys:
+            dest, default, cast, allowed = _OPTIONS[key]
+            value = self.get(dest, key, default, cast)
+            if value is _REQUIRED:
+                raise UsageError(f"--{dest} is required for {context}")
+            if isinstance(value, str):
+                value = cast(value, key)
+            values[key] = value if allowed is None else _choice(value, key, allowed)
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +451,11 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 _REQUIRED = object()
 
-# config key -> (flag dest, default, cast, allowed values).  A string value,
-# from a flag or the config file, goes through the cast.
-_ESTIMATE_OPTIONS = {
+# config key -> (flag dest, default, cast, allowed values), for estimate and
+# montecarlo.  A key's flag is --dest with '_' written '-'; an int or float
+# cast gives the flag its type, and a bool cast makes it a switch.  A string
+# value, from a flag or the config file, goes through the cast.
+_OPTIONS = {
     "treatment": ("treatment", "a", _cast_str, None),
     "outcome": ("outcome", "y", _cast_str, None),
     "covariates": ("covariates", (), _cast_names, None),
@@ -469,9 +479,47 @@ _ESTIMATE_OPTIONS = {
     "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
     "propensity.features": ("propensity_features", "linear", _cast_str, FEATURE_MAPS),
     "outcome.features": ("outcome_features", "linear", _cast_str, FEATURE_MAPS),
+    # montecarlo only
+    "scenario": ("scenario", "both_correct", _cast_str, SCENARIOS),
+    "reps": ("reps", 100, _cast_int, None),
+    "n": ("n", 1000, _cast_int, None),
+    "estimators": ("estimators", ("naive", "ipw", "gformula", "aipw"), _cast_names, None),
+    "d": ("d", 1, _cast_int, None),
+    "confounding": ("confounding", 0.0, _cast_float, None),
+    "tau": ("tau", 0.0, _cast_float, None),
+    "noise_sd": ("noise_sd", 1.0, _cast_float, None),
+    "outcome_form": ("outcome_form", "linear", _cast_str, FORMS),
+    "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
 }
 
-_ESTIMATE_CONFIG_KEYS = ("method", "input", "output", *_ESTIMATE_OPTIONS)
+_FLAG_TYPES = {_cast_int: int, _cast_float: float}
+
+# flag dest -> help text
+_HELP = {
+    "covariates": "comma-separated covariate column names",
+    "running": "running-variable column for rd",
+    "k": "cross-fitting folds",
+    "clip": "propensity clip bounds 'lo,hi'",
+    "estimators": f"comma-separated subset of {ESTIMATORS}",
+}
+
+
+def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
+    """Add the flag of each option key; an unset flag is None, so the config
+    file or the default decides."""
+    for key in keys:
+        dest, _, cast, allowed = _OPTIONS[key]
+        flag = "--" + dest.replace("_", "-")
+        if cast is _cast_bool:
+            p.add_argument(flag, action="store_true", default=None, help=_HELP.get(dest))
+        else:
+            p.add_argument(flag, type=_FLAG_TYPES.get(cast), choices=allowed, help=_HELP.get(dest))
+
+
+# every key some method reads, in table order
+_ESTIMATE_KEYS = tuple(key for key in _OPTIONS if any(key in method.keys for method in METHODS.values()))
+
+_ESTIMATE_CONFIG_KEYS = ("method", "input", "output", *_ESTIMATE_KEYS)
 
 # resolved for every method, as the loaders read them
 _ESTIMATE_COMMON = ("treatment", "outcome", "covariates", "seed", "level")
@@ -483,29 +531,7 @@ def _add_estimate_parser(sub) -> None:
     p.add_argument("--input")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--treatment")
-    p.add_argument("--outcome")
-    p.add_argument("--covariates", help="comma-separated covariate column names")
-    p.add_argument("--instrument")
-    p.add_argument("--unit")
-    p.add_argument("--period")
-    p.add_argument("--group")
-    p.add_argument("--running", help="running-variable column for rd")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--level", type=float)
-    p.add_argument("--normalization", choices=("horvitz_thompson", "hajek"))
-    p.add_argument("--caliper", type=float)
-    p.add_argument("--with-replacement", dest="with_replacement", action="store_true", default=None)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--kernel", choices=KERNELS)
-    p.add_argument("--placebo", action="store_true", default=None)
-    p.add_argument("--k", type=int, help="cross-fitting folds")
-    p.add_argument("--clip", help="propensity clip bounds 'lo,hi'")
-    p.add_argument("--propensity-lambda", dest="propensity_lambda", type=float)
-    p.add_argument("--outcome-lambda", dest="outcome_lambda", type=float)
-    p.add_argument("--propensity-features", dest="propensity_features", choices=FEATURE_MAPS)
-    p.add_argument("--outcome-features", dest="outcome_features", choices=FEATURE_MAPS)
+    _add_option_flags(p, _ESTIMATE_KEYS)
     p.set_defaults(handler=_cmd_estimate)
 
 
@@ -521,15 +547,7 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     if input_path is None:
         raise UsageError("--input is required")
     out_path = args.out if args.out is not None else r.get("out", "output", None, _cast_str)
-    values = {}
-    for key in dict.fromkeys(_ESTIMATE_COMMON + method.keys):
-        dest, default, cast, allowed = _ESTIMATE_OPTIONS[key]
-        value = r.get(dest, key, default, cast)
-        if value is _REQUIRED:
-            raise UsageError(f"--{dest} is required for --method {name}")
-        if isinstance(value, str):
-            value = cast(value, key)
-        values[key] = value if allowed is None else _choice(value, key, allowed)
+    values = r.options(dict.fromkeys(_ESTIMATE_COMMON + method.keys), f"--method {name}")
 
     data = method.load(input_path, values)
     fit = None
@@ -571,7 +589,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 # montecarlo
 
 
-_MC_CONFIG_KEYS = (
+# montecarlo's option keys, in the order its report echoes them
+_MONTECARLO_KEYS = (
     "scenario",
     "reps",
     "n",
@@ -594,101 +613,41 @@ _MC_CONFIG_KEYS = (
 def _add_montecarlo_parser(sub) -> None:
     p = sub.add_parser("montecarlo", help="replicated-simulation study")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--scenario", choices=SCENARIOS)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--estimators", help=f"comma-separated subset of {ESTIMATORS}")
-    p.add_argument("--level", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--confounding", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-    p.add_argument("--outcome-form", dest="outcome_form", choices=FORMS)
-    p.add_argument("--propensity-form", dest="propensity_form", choices=FORMS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--clip")
-    p.add_argument("--propensity-lambda", dest="propensity_lambda", type=float)
-    p.add_argument("--outcome-lambda", dest="outcome_lambda", type=float)
+    _add_option_flags(p, _MONTECARLO_KEYS)
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--csv", help="also write the row table as CSV to this path")
     p.set_defaults(handler=_cmd_montecarlo)
 
 
-def _mc_report_dict(report: McReport, config: dict) -> dict:
-    return {**asdict(report), "config": config, "version": __version__}
-
-
 def _cmd_montecarlo(args: argparse.Namespace) -> None:
-    r = _Resolver(args, _MC_CONFIG_KEYS)
-    scenario = _choice(r.get("scenario", "scenario", "both_correct", _cast_str), "scenario", SCENARIOS)
-    reps = r.get("reps", "reps", 100, _cast_int)
-    n = r.get("n", "n", 1000, _cast_int)
-    seed = r.get("seed", "seed", 0, _cast_int)
-    level = r.get("level", "level", 0.95, _cast_float)
-    estimators = r.get("estimators", "estimators", "naive,ipw,gformula,aipw", _cast_str)
-    if isinstance(estimators, str):
-        estimators = tuple(e.strip() for e in estimators.split(",") if e.strip())
-    d = r.get("d", "d", 1, _cast_int)
-    confounding = r.get("confounding", "confounding", 0.0, _cast_float)
-    tau = r.get("tau", "tau", 0.0, _cast_float)
-    noise_sd = r.get("noise_sd", "noise_sd", 1.0, _cast_float)
-    outcome_form = _choice(
-        r.get("outcome_form", "outcome_form", "linear", _cast_str), "outcome_form", FORMS
-    )
-    propensity_form = _choice(
-        r.get("propensity_form", "propensity_form", "linear", _cast_str), "propensity_form", FORMS
-    )
-    k = r.get("k", "crossfit.k", 5, _cast_int)
-    clip = _parse_clip(r.get("clip", "crossfit.clip", (0.01, 0.99), _cast_pair))
-    p_lambda = r.get("propensity_lambda", "propensity.lambda", 1e-6, _cast_float)
-    o_lambda = r.get("outcome_lambda", "outcome.lambda", 1e-8, _cast_float)
+    values = _Resolver(args, _MONTECARLO_KEYS).options(_MONTECARLO_KEYS, "montecarlo")
     dgp = ObsDgpConfig(
-        n=n,
-        d=d,
-        confounding_strength=confounding,
-        tau=tau,
-        outcome_noise_sd=noise_sd,
-        outcome_form=outcome_form,
-        propensity_form=propensity_form,
+        n=values["n"],
+        d=values["d"],
+        confounding_strength=values["confounding"],
+        tau=values["tau"],
+        outcome_noise_sd=values["noise_sd"],
+        outcome_form=values["outcome_form"],
+        propensity_form=values["propensity_form"],
     )
     mc = McConfig(
         dgp=dgp,
-        estimators=estimators,
-        replications=reps,
-        n=n,
-        seed=seed,
-        scenario=scenario,
-        k=k,
-        clip=clip,
-        propensity_lambda=p_lambda,
-        outcome_lambda=o_lambda,
-        level=level,
+        estimators=values["estimators"],
+        replications=values["reps"],
+        n=values["n"],
+        seed=values["seed"],
+        scenario=values["scenario"],
+        k=values["crossfit.k"],
+        clip=values["crossfit.clip"],
+        propensity_lambda=values["propensity.lambda"],
+        outcome_lambda=values["outcome.lambda"],
+        level=values["level"],
     )
-    report = run_mc(mc)
-    config = {
-        "subcommand": "montecarlo",
-        "scenario": scenario,
-        "reps": reps,
-        "n": n,
-        "seed": seed,
-        "estimators": list(estimators),
-        "level": level,
-        "d": d,
-        "confounding": confounding,
-        "tau": tau,
-        "noise_sd": noise_sd,
-        "outcome_form": outcome_form,
-        "propensity_form": propensity_form,
-        "crossfit.k": k,
-        "crossfit.clip": list(clip),
-        "propensity.lambda": p_lambda,
-        "outcome.lambda": o_lambda,
-    }
-    report_dict = _mc_report_dict(report, config)
-    emit_report(report_dict, "json", args.out)
+    config = {"subcommand": "montecarlo", **values}
+    report = {**asdict(run_mc(mc)), "config": config, "version": __version__}
+    emit_report(report, "json", args.out)
     if args.csv:
-        emit_report(report_dict, "csv", args.csv)
+        emit_report(report, "csv", args.csv)
 
 
 # ---------------------------------------------------------------------------
