@@ -22,27 +22,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .data_model import (
-    _parse_fields,
-    _row_blocks,
-    _write_table,
-    format_number,
-    write_csv,
-    write_ground_truth_csv,
-    write_iv_csv,
-    write_panel_csv,
-)
-from .dgp import (
-    FORMS,
-    IvDgpConfig,
-    ObsDgpConfig,
-    PanelDgpConfig,
-    RdDgpConfig,
-    generate_iv,
-    generate_observational,
-    generate_panel,
-    generate_rd,
-)
+from .data_model import _parse_fields, _row_blocks, format_number
+from .dgp import DGPS, FORMS
 from .eif_engine import (
     Ate,
     CounterfactualMean,
@@ -168,7 +149,7 @@ class _Resolver:
     """Flag > config-file entry > default, with strict unknown-key checking."""
 
     def __init__(self, args: argparse.Namespace, known_keys: tuple[str, ...]):
-        entries = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        entries = _load_config_file(args.config) if args.config else {}
         unknown = sorted(set(entries) - set(known_keys))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; expected a subset of {sorted(known_keys)}")
@@ -176,13 +157,11 @@ class _Resolver:
         self.entries = entries
 
     def get(self, dest: str, key: str, default, cast):
-        flag_value = getattr(self.args, dest, None)
-        if flag_value is not None and flag_value is not False:
+        flag_value = getattr(self.args, dest)
+        if flag_value is not None:
             return flag_value
         if key in self.entries:
             return cast(self.entries[key], key)
-        if flag_value is False:
-            return False
         return default
 
     def options(self, keys, context: str) -> dict:
@@ -198,6 +177,75 @@ class _Resolver:
                 value = cast(value, key)
             values[key] = value if allowed is None else _choice(value, key, allowed)
         return values
+
+
+_REQUIRED = object()
+
+# config key -> (flag dest, default, cast, allowed values), for estimate and
+# montecarlo.  A key's flag is --dest with '_' written '-'; an int or float
+# cast gives the flag its type, and a bool cast makes it a switch.  A string
+# value, from a flag or the config file, goes through the cast.
+_OPTIONS = {
+    "treatment": ("treatment", "a", _cast_str, None),
+    "outcome": ("outcome", "y", _cast_str, None),
+    "covariates": ("covariates", (), _cast_names, None),
+    "instrument": ("instrument", "z", _cast_str, None),
+    "unit": ("unit", "unit", _cast_str, None),
+    "period": ("period", "period", _cast_str, None),
+    "group": ("group", "group", _cast_str, None),
+    "running": ("running", "x", _cast_str, None),
+    "seed": ("seed", 0, _cast_int, None),
+    "level": ("level", 0.95, _cast_float, None),
+    "normalization": ("normalization", "hajek", _cast_str, ("horvitz_thompson", "hajek")),
+    "caliper": ("caliper", None, _cast_float, None),
+    "with_replacement": ("with_replacement", False, _cast_bool, None),
+    "cutoff": ("cutoff", _REQUIRED, _cast_float, None),
+    "bandwidth": ("bandwidth", 1.0, _cast_float, None),
+    "kernel": ("kernel", "rectangular", _cast_str, KERNELS),
+    "placebo": ("placebo", False, _cast_bool, None),
+    "crossfit.k": ("k", 5, _cast_int, None),
+    "crossfit.clip": ("clip", (0.01, 0.99), _cast_pair, None),
+    "propensity.lambda": ("propensity_lambda", 1e-6, _cast_float, None),
+    "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
+    "propensity.features": ("propensity_features", "linear", _cast_str, FEATURE_MAPS),
+    "outcome.features": ("outcome_features", "linear", _cast_str, FEATURE_MAPS),
+    # montecarlo only
+    "scenario": ("scenario", "both_correct", _cast_str, SCENARIOS),
+    "reps": ("reps", 100, _cast_int, None),
+    "n": ("n", 1000, _cast_int, None),
+    "estimators": ("estimators", ("naive", "ipw", "gformula", "aipw"), _cast_names, None),
+    "d": ("d", 1, _cast_int, None),
+    "confounding": ("confounding", 0.0, _cast_float, None),
+    "tau": ("tau", 0.0, _cast_float, None),
+    "noise_sd": ("noise_sd", 1.0, _cast_float, None),
+    "outcome_form": ("outcome_form", "linear", _cast_str, FORMS),
+    "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
+}
+
+_FLAG_TYPES = {_cast_int: int, _cast_float: float}
+
+# flag dest -> help text
+_HELP = {
+    "covariates": "comma-separated covariate column names",
+    "running": "running-variable column for rd",
+    "k": "cross-fitting folds",
+    "clip": "propensity clip bounds 'lo,hi'",
+    "estimators": f"comma-separated subset of {ESTIMATORS}",
+    "tau_x": "comma-separated heterogeneous-effect coefficients",
+    "effect": "panel treatment effect",
+}
+
+
+def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
+    """Add the flag of each option key; an unset flag is None, so the config
+    file or the default decides."""
+    for key in keys:
+        dest, _, cast, allowed = _OPTIONS[key]
+        flag = "--" + dest.replace("_", "-")
+        if cast is _cast_bool:
+            p.add_argument(flag, action="store_true", default=None, help=_HELP.get(dest))
+        else:
+            p.add_argument(flag, type=_FLAG_TYPES.get(cast), choices=allowed, help=_HELP.get(dest))
 
 
 # ---------------------------------------------------------------------------
@@ -264,256 +312,85 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
 # simulate
 
 
+# flag dest -> (argparse type, or the allowed values, or bool for a switch;
+# default).  DGPS says which flags each DGP reads.
+_SIMULATE_FLAGS = {
+    "seed": (int, 0),
+    "n": (int, 100),
+    "d": (int, 1),
+    "confounding": (float, 0.0),
+    "tau": (float, 0.0),
+    "tau_x": (_float_tuple, None),
+    "noise_sd": (float, 1.0),
+    "outcome_form": (FORMS, "linear"),
+    "propensity_form": (FORMS, "linear"),
+    "p_always": (float, 0.0),
+    "p_complier": (float, 1.0),
+    "p_never": (float, 0.0),
+    "p_defier": (float, 0.0),
+    "allow_defiers": (bool, False),
+    "instrument_prob": (float, 0.5),
+    "complier_effect": (float, 0.0),
+    "always_effect": (float, 0.0),
+    "never_effect": (float, 0.0),
+    "defier_effect": (float, 0.0),
+    "n_units": (int, 20),
+    "n_periods": (int, 2),
+    "group_effect": (float, 0.0),
+    "time_trend": (float, 0.0),
+    "effect": (float, 0.0),
+    "parallel_violation": (float, 0.0),
+    "unit_effect_sd": (float, 1.0),
+    "treated_fraction": (float, 0.5),
+    "first_treated_period": (int, None),
+    "cutoff": (float, 0.0),
+    "jump": (float, 0.0),
+    "slope_left": (float, 0.0),
+    "slope_right": (float, 0.0),
+    "half_width": (float, 1.0),
+}
+
+# read for the config but not yet echoed in the summary
+_NOT_ECHOED = ("always_effect", "never_effect", "defier_effect", "allow_defiers")
+
+
 def _add_simulate_parser(sub) -> None:
     p = sub.add_parser("simulate", help="draw a synthetic dataset with ground truth")
-    p.add_argument("--dgp", choices=("obs", "iv", "panel", "rd"), required=True)
+    p.add_argument("--dgp", choices=tuple(DGPS), required=True)
     p.add_argument("--out", help="dataset CSV path (required)")
     p.add_argument("--truth-out", dest="truth_out", help="ground-truth sidecar CSV path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--confounding", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument(
-        "--tau-x", dest="tau_x", type=_float_tuple, help="comma-separated heterogeneous-effect coefficients"
-    )
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0)
-    p.add_argument("--outcome-form", dest="outcome_form", choices=FORMS, default="linear")
-    p.add_argument("--propensity-form", dest="propensity_form", choices=FORMS, default="linear")
-    p.add_argument("--p-always", dest="p_always", type=float, default=0.0)
-    p.add_argument("--p-complier", dest="p_complier", type=float, default=1.0)
-    p.add_argument("--p-never", dest="p_never", type=float, default=0.0)
-    p.add_argument("--p-defier", dest="p_defier", type=float, default=0.0)
-    p.add_argument("--allow-defiers", dest="allow_defiers", action="store_true")
-    p.add_argument("--instrument-prob", dest="instrument_prob", type=float, default=0.5)
-    p.add_argument("--complier-effect", dest="complier_effect", type=float, default=0.0)
-    p.add_argument("--always-effect", dest="always_effect", type=float, default=0.0)
-    p.add_argument("--never-effect", dest="never_effect", type=float, default=0.0)
-    p.add_argument("--defier-effect", dest="defier_effect", type=float, default=0.0)
-    p.add_argument("--n-units", dest="n_units", type=int, default=20)
-    p.add_argument("--n-periods", dest="n_periods", type=int, default=2)
-    p.add_argument("--group-effect", dest="group_effect", type=float, default=0.0)
-    p.add_argument("--time-trend", dest="time_trend", type=float, default=0.0)
-    p.add_argument("--effect", type=float, default=0.0, help="panel treatment effect")
-    p.add_argument("--parallel-violation", dest="parallel_violation", type=float, default=0.0)
-    p.add_argument("--unit-effect-sd", dest="unit_effect_sd", type=float, default=1.0)
-    p.add_argument("--treated-fraction", dest="treated_fraction", type=float, default=0.5)
-    p.add_argument("--first-treated-period", dest="first_treated_period", type=int)
-    p.add_argument("--cutoff", type=float, default=0.0)
-    p.add_argument("--jump", type=float, default=0.0)
-    p.add_argument("--slope-left", dest="slope_left", type=float, default=0.0)
-    p.add_argument("--slope-right", dest="slope_right", type=float, default=0.0)
-    p.add_argument("--half-width", dest="half_width", type=float, default=1.0)
+    for dest, (kind, default) in _SIMULATE_FLAGS.items():
+        flag = "--" + dest.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, action="store_true")
+        elif isinstance(kind, tuple):
+            p.add_argument(flag, choices=kind, default=default)
+        else:
+            p.add_argument(flag, type=kind, default=default, help=_HELP.get(dest))
     p.set_defaults(handler=_cmd_simulate)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     if not args.out:
         raise UsageError("--out is required for simulate")
-    seed = args.seed
+    dgp = DGPS[args.dgp]
+    config = dgp.make(vars(args))
     summary = {
         "subcommand": "simulate",
         "dgp": args.dgp,
-        "config": {},
+        "config": {k: v for k, v in dgp.echo(config).items() if k not in _NOT_ECHOED},
         "out": args.out,
         "truth_out": args.truth_out,
         "rows": 0,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
     }
-    if args.dgp == "obs":
-        config = ObsDgpConfig(
-            n=args.n,
-            d=args.d,
-            confounding_strength=args.confounding,
-            tau=args.tau,
-            tau_x=args.tau_x,
-            outcome_noise_sd=args.noise_sd,
-            outcome_form=args.outcome_form,
-            propensity_form=args.propensity_form,
-        )
-        dataset, truth = generate_observational(config, seed)
-        write_csv(dataset, args.out)
-        if args.truth_out:
-            write_ground_truth_csv(truth, args.truth_out)
-        summary["config"] = {
-            "n": config.n,
-            "d": config.d,
-            "confounding": config.confounding_strength,
-            "tau": config.tau,
-            "tau_x": list(config.tau_x) if config.tau_x else None,
-            "noise_sd": config.outcome_noise_sd,
-            "outcome_form": config.outcome_form,
-            "propensity_form": config.propensity_form,
-        }
-        summary["rows"] = dataset.n
-    elif args.dgp == "iv":
-        config = IvDgpConfig(
-            n=args.n,
-            p_always=args.p_always,
-            p_complier=args.p_complier,
-            p_never=args.p_never,
-            p_defier=args.p_defier,
-            effect_by_type={
-                "always": args.always_effect,
-                "complier": args.complier_effect,
-                "never": args.never_effect,
-                "defier": args.defier_effect,
-            },
-            instrument_prob=args.instrument_prob,
-            allow_defiers=args.allow_defiers,
-            noise_sd=args.noise_sd,
-        )
-        dataset, truth, true_late = generate_iv(config, seed)
-        write_iv_csv(dataset, args.out)
-        if args.truth_out:
-            write_ground_truth_csv(truth, args.truth_out)
-        summary["config"] = {
-            "n": config.n,
-            "p_always": config.p_always,
-            "p_complier": config.p_complier,
-            "p_never": config.p_never,
-            "p_defier": config.p_defier,
-            "instrument_prob": config.instrument_prob,
-            "complier_effect": config.effect_by_type["complier"],
-            "noise_sd": config.noise_sd,
-            "first_stage_strength": config.first_stage_strength,
-        }
-        summary["rows"] = dataset.n
-        summary["true_late"] = true_late
-    elif args.dgp == "panel":
-        config = PanelDgpConfig(
-            n_units=args.n_units,
-            n_periods=args.n_periods,
-            group_effect=args.group_effect,
-            time_trend=args.time_trend,
-            treatment_effect=args.effect,
-            parallel_violation=args.parallel_violation,
-            noise_sd=args.noise_sd,
-            unit_effect_sd=args.unit_effect_sd,
-            treated_fraction=args.treated_fraction,
-            first_treated_period=args.first_treated_period,
-        )
-        panel, true_effect, unit_effects = generate_panel(config, seed)
-        write_panel_csv(panel, args.out)
-        if args.truth_out:
-            n_units = unit_effects.shape[0]
-            _write_table(
-                args.truth_out,
-                ["unit", "unit_effect", "true_effect"],
-                [np.arange(n_units), unit_effects, np.full(n_units, true_effect)],
-            )
-        summary["config"] = {
-            "n_units": config.n_units,
-            "n_periods": config.n_periods,
-            "group_effect": config.group_effect,
-            "time_trend": config.time_trend,
-            "effect": config.treatment_effect,
-            "parallel_violation": config.parallel_violation,
-            "noise_sd": config.noise_sd,
-            "unit_effect_sd": config.unit_effect_sd,
-            "treated_fraction": config.treated_fraction,
-            "first_treated_period": config.first_treated_period,
-        }
-        summary["rows"] = panel.n
-        summary["true_effect"] = true_effect
-    else:
-        config = RdDgpConfig(
-            n=args.n,
-            cutoff=args.cutoff,
-            jump=args.jump,
-            slope_left=args.slope_left,
-            slope_right=args.slope_right,
-            noise_sd=args.noise_sd,
-            half_width=args.half_width,
-        )
-        dataset, truth, true_jump = generate_rd(config, seed)
-        write_csv(dataset, args.out, schema={"covariates": ["x"]})
-        if args.truth_out:
-            write_ground_truth_csv(truth, args.truth_out)
-        summary["config"] = {
-            "n": config.n,
-            "cutoff": config.cutoff,
-            "jump": config.jump,
-            "slope_left": config.slope_left,
-            "slope_right": config.slope_right,
-            "noise_sd": config.noise_sd,
-            "half_width": config.half_width,
-        }
-        summary["rows"] = dataset.n
-        summary["true_jump"] = true_jump
+    summary.update(dgp.draw(config, args.seed, args.out, args.truth_out))
     emit_report(summary, "json", None)
 
 
 # ---------------------------------------------------------------------------
 # estimate
-
-
-_REQUIRED = object()
-
-# config key -> (flag dest, default, cast, allowed values), for estimate and
-# montecarlo.  A key's flag is --dest with '_' written '-'; an int or float
-# cast gives the flag its type, and a bool cast makes it a switch.  A string
-# value, from a flag or the config file, goes through the cast.
-_OPTIONS = {
-    "treatment": ("treatment", "a", _cast_str, None),
-    "outcome": ("outcome", "y", _cast_str, None),
-    "covariates": ("covariates", (), _cast_names, None),
-    "instrument": ("instrument", "z", _cast_str, None),
-    "unit": ("unit", "unit", _cast_str, None),
-    "period": ("period", "period", _cast_str, None),
-    "group": ("group", "group", _cast_str, None),
-    "running": ("running", "x", _cast_str, None),
-    "seed": ("seed", 0, _cast_int, None),
-    "level": ("level", 0.95, _cast_float, None),
-    "normalization": ("normalization", "hajek", _cast_str, ("horvitz_thompson", "hajek")),
-    "caliper": ("caliper", None, _cast_float, None),
-    "with_replacement": ("with_replacement", False, _cast_bool, None),
-    "cutoff": ("cutoff", _REQUIRED, _cast_float, None),
-    "bandwidth": ("bandwidth", 1.0, _cast_float, None),
-    "kernel": ("kernel", "rectangular", _cast_str, KERNELS),
-    "placebo": ("placebo", False, _cast_bool, None),
-    "crossfit.k": ("k", 5, _cast_int, None),
-    "crossfit.clip": ("clip", (0.01, 0.99), _cast_pair, None),
-    "propensity.lambda": ("propensity_lambda", 1e-6, _cast_float, None),
-    "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
-    "propensity.features": ("propensity_features", "linear", _cast_str, FEATURE_MAPS),
-    "outcome.features": ("outcome_features", "linear", _cast_str, FEATURE_MAPS),
-    # montecarlo only
-    "scenario": ("scenario", "both_correct", _cast_str, SCENARIOS),
-    "reps": ("reps", 100, _cast_int, None),
-    "n": ("n", 1000, _cast_int, None),
-    "estimators": ("estimators", ("naive", "ipw", "gformula", "aipw"), _cast_names, None),
-    "d": ("d", 1, _cast_int, None),
-    "confounding": ("confounding", 0.0, _cast_float, None),
-    "tau": ("tau", 0.0, _cast_float, None),
-    "noise_sd": ("noise_sd", 1.0, _cast_float, None),
-    "outcome_form": ("outcome_form", "linear", _cast_str, FORMS),
-    "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
-}
-
-_FLAG_TYPES = {_cast_int: int, _cast_float: float}
-
-# flag dest -> help text
-_HELP = {
-    "covariates": "comma-separated covariate column names",
-    "running": "running-variable column for rd",
-    "k": "cross-fitting folds",
-    "clip": "propensity clip bounds 'lo,hi'",
-    "estimators": f"comma-separated subset of {ESTIMATORS}",
-}
-
-
-def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
-    """Add the flag of each option key; an unset flag is None, so the config
-    file or the default decides."""
-    for key in keys:
-        dest, _, cast, allowed = _OPTIONS[key]
-        flag = "--" + dest.replace("_", "-")
-        if cast is _cast_bool:
-            p.add_argument(flag, action="store_true", default=None, help=_HELP.get(dest))
-        else:
-            p.add_argument(flag, type=_FLAG_TYPES.get(cast), choices=allowed, help=_HELP.get(dest))
 
 
 # every key some method reads, in table order
@@ -621,17 +498,8 @@ def _add_montecarlo_parser(sub) -> None:
 
 def _cmd_montecarlo(args: argparse.Namespace) -> None:
     values = _Resolver(args, _MONTECARLO_KEYS).options(_MONTECARLO_KEYS, "montecarlo")
-    dgp = ObsDgpConfig(
-        n=values["n"],
-        d=values["d"],
-        confounding_strength=values["confounding"],
-        tau=values["tau"],
-        outcome_noise_sd=values["noise_sd"],
-        outcome_form=values["outcome_form"],
-        propensity_form=values["propensity_form"],
-    )
     mc = McConfig(
-        dgp=dgp,
+        dgp=DGPS["obs"].make(values),
         estimators=values["estimators"],
         replications=values["reps"],
         n=values["n"],

@@ -19,16 +19,20 @@ population baseline mean is 0 and the population ATE is tau).  The two form
 fields are independent misspecification hooks: a learner using the wrong
 feature map for one of them is wrong in a controlled way while the other
 stays right.
+
+``DGPS`` is the table `causalkit simulate` draws through, one row per DGP, as
+``methods.METHODS`` is for `causalkit estimate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .data_model import GroundTruth, IvDataset, ObservationalDataset, PanelDataset
+from .data_model import GroundTruth, IvDataset, ObservationalDataset, PanelDataset, _write_table
+from .data_model import write_csv, write_ground_truth_csv, write_iv_csv, write_panel_csv
 from .errors import ConfigError
 from .rng import stream
 
@@ -44,6 +48,8 @@ __all__ = [
     "generate_iv",
     "generate_panel",
     "generate_rd",
+    "Dgp",
+    "DGPS",
 ]
 
 FORMS = ("linear", "linear_plus_quadratic")
@@ -318,3 +324,147 @@ def generate_rd(config: RdDgpConfig, seed: int) -> tuple[ObservationalDataset, G
     truth = GroundTruth(y1=y1, y0=y0)
     truth.check_consistency(dataset)
     return dataset, truth, float(config.jump)
+
+
+@dataclass(frozen=True)
+class Dgp:
+    """One DGP as `causalkit simulate` draws it.
+
+    ``fields`` maps each flag to the config field it sets, in the order the
+    summary echoes them; a field ``effect_by_type.<type>`` is one entry of
+    that mapping, and a field no flag sets is echoed only.
+    ``draw(config, seed, out, truth_out)`` generates the data, writes it to
+    ``out`` and the truth to ``truth_out`` (when given), and returns the
+    summary's row count plus its true-effect item, if any.
+    """
+
+    config: type
+    fields: dict[str, str]
+    draw: Callable[[object, int, str, str | None], dict]
+
+    def make(self, values: Mapping[str, object]):
+        """The config from flag values; a field whose flag has no value keeps its default."""
+        kwargs: dict = {}
+        for flag, field in self.fields.items():
+            if flag in values:
+                name, _, key = field.partition(".")
+                if key:
+                    kwargs.setdefault(name, {})[key] = values[flag]
+                else:
+                    kwargs[name] = values[flag]
+        return self.config(**kwargs)
+
+    def echo(self, config) -> dict:
+        """Each flag with the value of its field in ``config``."""
+        out = {}
+        for flag, field in self.fields.items():
+            name, _, key = field.partition(".")
+            out[flag] = getattr(config, name)[key] if key else getattr(config, name)
+        return out
+
+
+# The draws look the generators and writers up as module globals each time
+# they run, so a wrapper installed at those module attributes sees every call.
+
+
+def _draw_obs(config: ObsDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
+    dataset, truth = generate_observational(config, seed)
+    write_csv(dataset, out)
+    if truth_out:
+        write_ground_truth_csv(truth, truth_out)
+    return {"rows": dataset.n}
+
+
+def _draw_iv(config: IvDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
+    dataset, truth, true_late = generate_iv(config, seed)
+    write_iv_csv(dataset, out)
+    if truth_out:
+        write_ground_truth_csv(truth, truth_out)
+    return {"rows": dataset.n, "true_late": true_late}
+
+
+def _draw_panel(config: PanelDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
+    panel, true_effect, unit_effects = generate_panel(config, seed)
+    write_panel_csv(panel, out)
+    if truth_out:
+        n_units = unit_effects.shape[0]
+        _write_table(
+            truth_out,
+            ["unit", "unit_effect", "true_effect"],
+            [np.arange(n_units), unit_effects, np.full(n_units, true_effect)],
+        )
+    return {"rows": panel.n, "true_effect": true_effect}
+
+
+def _draw_rd(config: RdDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
+    dataset, truth, true_jump = generate_rd(config, seed)
+    write_csv(dataset, out, schema={"covariates": ["x"]})
+    if truth_out:
+        write_ground_truth_csv(truth, truth_out)
+    return {"rows": dataset.n, "true_jump": true_jump}
+
+
+DGPS: dict[str, Dgp] = {
+    "obs": Dgp(
+        ObsDgpConfig,
+        {
+            "n": "n",
+            "d": "d",
+            "confounding": "confounding_strength",
+            "tau": "tau",
+            "tau_x": "tau_x",
+            "noise_sd": "outcome_noise_sd",
+            "outcome_form": "outcome_form",
+            "propensity_form": "propensity_form",
+        },
+        _draw_obs,
+    ),
+    "iv": Dgp(
+        IvDgpConfig,
+        {
+            "n": "n",
+            "p_always": "p_always",
+            "p_complier": "p_complier",
+            "p_never": "p_never",
+            "p_defier": "p_defier",
+            "allow_defiers": "allow_defiers",
+            "instrument_prob": "instrument_prob",
+            "always_effect": "effect_by_type.always",
+            "complier_effect": "effect_by_type.complier",
+            "never_effect": "effect_by_type.never",
+            "defier_effect": "effect_by_type.defier",
+            "noise_sd": "noise_sd",
+            "first_stage_strength": "first_stage_strength",
+        },
+        _draw_iv,
+    ),
+    "panel": Dgp(
+        PanelDgpConfig,
+        {
+            "n_units": "n_units",
+            "n_periods": "n_periods",
+            "group_effect": "group_effect",
+            "time_trend": "time_trend",
+            "effect": "treatment_effect",
+            "parallel_violation": "parallel_violation",
+            "noise_sd": "noise_sd",
+            "unit_effect_sd": "unit_effect_sd",
+            "treated_fraction": "treated_fraction",
+            "first_treated_period": "first_treated_period",
+        },
+        _draw_panel,
+    ),
+    "rd": Dgp(
+        RdDgpConfig,
+        {
+            "n": "n",
+            "cutoff": "cutoff",
+            "jump": "jump",
+            "slope_left": "slope_left",
+            "slope_right": "slope_right",
+            "noise_sd": "noise_sd",
+            "half_width": "half_width",
+        },
+        _draw_rd,
+    ),
+}
