@@ -350,9 +350,6 @@ _SIMULATE_FLAGS = {
     "half_width": (float, 1.0),
 }
 
-# read for the config but not yet echoed in the summary
-_NOT_ECHOED = ("always_effect", "never_effect", "defier_effect", "allow_defiers")
-
 
 def _add_simulate_parser(sub) -> None:
     p = sub.add_parser("simulate", help="draw a synthetic dataset with ground truth")
@@ -378,7 +375,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     summary = {
         "subcommand": "simulate",
         "dgp": args.dgp,
-        "config": {k: v for k, v in dgp.echo(config).items() if k not in _NOT_ECHOED},
+        "config": dgp.echo(config),
         "out": args.out,
         "truth_out": args.truth_out,
         "rows": 0,
