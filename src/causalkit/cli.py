@@ -36,13 +36,7 @@ from .eif_engine import (
     second_order_remainder,
     step_schedule,
 )
-from .errors import (
-    CausalKitError,
-    ConfigError,
-    EstimationError,
-    InputError,
-    SchemaError,
-)
+from .errors import CausalKitError, ConfigError, EstimationError, SchemaError
 from .methods import METHODS
 from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, run_mc
 from .nuisance import FEATURE_MAPS, cross_fit
@@ -637,18 +631,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
-    except EstimationError as exc:
+    except (CausalKitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CausalKitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, EstimationError) else 2
 
 
 if __name__ == "__main__":
