@@ -270,7 +270,8 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
 
     json: indent-2 object, shortest round-trip numbers, trailing newline.
     csv: requires a montecarlo-shaped dict (a "rows" list); fixed column
-    order, empty cells for absent values.
+    order, numbers as ``format_number`` writes them, empty cells for absent
+    values.
     """
     if format == "json":
         text = json.dumps(_jsonable(result), indent=2, allow_nan=False) + "\n"
@@ -287,10 +288,8 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
                     cells.append("")
                 elif isinstance(v, str):
                     cells.append(v)
-                elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                    cells.append(str(int(v)))
                 else:
-                    cells.append(format_number(float(v)))
+                    cells.append(format_number(v))
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:

@@ -328,14 +328,14 @@ def test_eif_check_report_matches_golden_bytes(case, eif_check_reports):
 
 
 def test_csv_report_cells_as_written_today(tmp_path):
-    """A bool cell is written as a float and an int in full; ``format_number``
-    would write ``1`` and ``1.152921504606847e+18``."""
+    """CSV cells are numbers as ``format_number`` writes them: a bool as an
+    integer, an integer of 1e16 or more as a float."""
     out = tmp_path / "rows.csv"
     emit_report({"rows": [{"estimator": "x", "n_ok": 2**60, "coverage": True}]}, "csv", str(out))
     header, row = out.read_text(encoding="utf-8").splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["n_ok"] == "1152921504606846976"
-    assert cells["coverage"] == "1.0"
+    assert cells["n_ok"] == "1.152921504606847e+18"
+    assert cells["coverage"] == "1"
     assert cells["estimator"] == "x" and cells["bias"] == ""
 
 
