@@ -33,15 +33,21 @@ __all__ = [
     "g_formula",
     "psm_att",
     "aipw",
+    "check_level",
     "normal_ci",
     "variance_ci",
 ]
 
 
-def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
-    """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
+def check_level(level: float) -> None:
+    """A confidence level outside (0, 1) is a ConfigError."""
     if not (0.0 < level < 1.0):
         raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
+
+
+def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
+    """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
+    check_level(level)
     if se is None:
         return None, None
     z = NormalDist().inv_cdf(0.5 + level / 2.0)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ate_estimators import ipw
+from .ate_estimators import check_level, ipw
 from .data_model import Estimate, GroundTruth, ObservationalDataset, require_both_arms
 from .dgp import FORMS, ObsDgpConfig, generate_observational
 from .errors import CausalKitError, ConfigError, EstimationError
@@ -99,6 +99,7 @@ class McConfig:
         unknown = [e for e in estimators if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators {unknown}, expected a subset of {ESTIMATORS}")
+        check_level(self.level)
         object.__setattr__(self, "estimators", estimators)
 
 

@@ -387,6 +387,11 @@ class TestMontecarlo:
         report = json.loads(capsys.readouterr().out)
         assert report["scenario"] == "both_wrong"
 
+    def test_invalid_level_rejected_before_any_replication(self, capsys):
+        argv = ("montecarlo", "--reps", "2", "--n", "50", "--estimators", "naive", "--level", "1.5")
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: ConfigError: confidence level must lie in (0, 1), got 1.5\n"
+
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         conf = tmp_path / "mc.conf"
         conf.write_text(

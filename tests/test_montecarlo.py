@@ -186,6 +186,8 @@ class TestRunMc:
             McConfig(dgp=BASE, replications=1, n=100)
         with pytest.raises(ConfigError):
             McConfig(dgp=BASE, replications=3, n=100, scenario="weird")
+        with pytest.raises(ConfigError, match=r"confidence level must lie in \(0, 1\), got 1.5"):
+            McConfig(dgp=BASE, replications=3, n=100, level=1.5)
 
 
 class TestDrSuite:
