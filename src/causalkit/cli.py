@@ -41,7 +41,7 @@ from .methods import METHODS
 from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, run_mc
 from .nuisance import FEATURE_MAPS, cross_fit
 from .quasi_experimental import KERNELS
-from .rng import stream
+from .rng import check_seed, stream
 
 __all__ = ["main", "parse_args", "emit_report"]
 
@@ -160,7 +160,8 @@ class _Resolver:
 
     def options(self, keys, context: str) -> dict:
         """The value of each option key in ``keys``, cast and checked; ``context``
-        names what a required key is required for."""
+        names what a required key is required for.  Every subcommand with
+        options reads a seed, which is checked even where no stream is drawn."""
         values = {}
         for key in keys:
             dest, default, cast, allowed = _OPTIONS[key]
@@ -170,6 +171,7 @@ class _Resolver:
             if isinstance(value, str):
                 value = cast(value, key)
             values[key] = value if allowed is None else _choice(value, key, allowed)
+        check_seed(values["seed"])
         return values
 
 
@@ -543,6 +545,7 @@ def _add_eif_check_parser(sub) -> None:
 def _cmd_eif_check(args: argparse.Namespace) -> None:
     if args.scores < 0:
         raise ConfigError(f"scores must be a non-negative integer, got {args.scores}")
+    check_seed(args.seed)
     measure = _load_measure_csv(args.measure, args.prob_column)
     f = make_functional(args.functional)
     eps = step_schedule(f, measure)

@@ -16,14 +16,18 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["stream", "child_seed"]
+__all__ = ["stream", "child_seed", "check_seed"]
+
+
+def check_seed(seed: int) -> None:
+    """A negative seed, from a flag, a config file or a caller, is a ConfigError."""
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
 
 
 def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    """The seed sequence of substream ``key`` under ``seed``; a negative seed,
-    from a flag, a config file or a caller, is a ConfigError."""
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    """The seed sequence of substream ``key`` under ``seed``."""
+    check_seed(seed)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 

@@ -501,7 +501,8 @@ class TestEifCheck:
 
 
 class TestNegativeSeed:
-    """A negative seed is a ConfigError (exit 2) from the one check in rng, flag or config file."""
+    """A negative seed is a ConfigError (exit 2) from the one check in rng, flag or config file,
+    also where no random stream is drawn."""
 
     ERR = "error: ConfigError: seed must be a non-negative integer\n"
 
@@ -513,6 +514,15 @@ class TestNegativeSeed:
 
     def test_estimate_aipw(self, obs_csv, tmp_path, capsys):
         argv = ("estimate", "--method", "aipw", "--input", obs_csv, "--covariates", "x1,x2")
+        assert run_cli(*argv, "--seed", "-1") == 2
+        assert capsys.readouterr().err == self.ERR
+        conf = tmp_path / "est.conf"
+        conf.write_text("seed = -1\n")
+        assert run_cli(*argv, "--config", str(conf)) == 2
+        assert capsys.readouterr().err == self.ERR
+
+    def test_estimate_without_random_stream(self, obs_csv, tmp_path, capsys):
+        argv = ("estimate", "--method", "naive", "--input", obs_csv)
         assert run_cli(*argv, "--seed", "-1") == 2
         assert capsys.readouterr().err == self.ERR
         conf = tmp_path / "est.conf"
@@ -533,6 +543,9 @@ class TestNegativeSeed:
         m = tmp_path / "m.csv"
         m.write_text(MEASURE)
         assert run_cli("eif-check", "--measure", str(m), "--functional", "ate", "--seed", "-1") == 2
+        assert capsys.readouterr().err == self.ERR
+        argv = ("eif-check", "--measure", str(m), "--functional", "ate", "--scores", "0", "--seed", "-1")
+        assert run_cli(*argv) == 2
         assert capsys.readouterr().err == self.ERR
 
 
