@@ -133,12 +133,6 @@ def _float_tuple(text: str) -> tuple[float, ...] | None:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got '{text}'") from None
 
 
-def _choice(value: str, key: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise ConfigError(f"'{key}' must be one of {choices}, got '{value}'")
-    return value
-
-
 class _Resolver:
     """Flag > config-file entry > default, with strict unknown-key checking."""
 
@@ -170,7 +164,9 @@ class _Resolver:
                 raise UsageError(f"--{dest} is required for {context}")
             if isinstance(value, str):
                 value = cast(value, key)
-            values[key] = value if allowed is None else _choice(value, key, allowed)
+            if allowed is not None and value not in allowed:
+                raise ConfigError(f"'{key}' must be one of {allowed}, got '{value}'")
+            values[key] = value
         check_seed(values["seed"])
         return values
 
@@ -307,43 +303,22 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
 # simulate
 
 
-# flag dest -> (argparse type, or the allowed values, or bool for a switch;
-# default).  DGPS says which flags each DGP reads.
-_SIMULATE_FLAGS = {
-    "seed": (int, 0),
-    "n": (int, 100),
-    "d": (int, 1),
-    "confounding": (float, 0.0),
-    "tau": (float, 0.0),
-    "tau_x": (_float_tuple, None),
-    "noise_sd": (float, 1.0),
-    "outcome_form": (FORMS, "linear"),
-    "propensity_form": (FORMS, "linear"),
-    "p_always": (float, 0.0),
-    "p_complier": (float, 1.0),
-    "p_never": (float, 0.0),
-    "p_defier": (float, 0.0),
-    "allow_defiers": (bool, False),
-    "instrument_prob": (float, 0.5),
-    "complier_effect": (float, 0.0),
-    "always_effect": (float, 0.0),
-    "never_effect": (float, 0.0),
-    "defier_effect": (float, 0.0),
-    "n_units": (int, 20),
-    "n_periods": (int, 2),
-    "group_effect": (float, 0.0),
-    "time_trend": (float, 0.0),
-    "effect": (float, 0.0),
-    "parallel_violation": (float, 0.0),
-    "unit_effect_sd": (float, 1.0),
-    "treated_fraction": (float, 0.5),
-    "first_treated_period": (int, None),
-    "cutoff": (float, 0.0),
-    "jump": (float, 0.0),
-    "slope_left": (float, 0.0),
-    "slope_right": (float, 0.0),
-    "half_width": (float, 1.0),
+# simulate flag dest -> argparse type, for the flags that do not take a
+# number: the allowed values, or bool for a switch.  An unset flag keeps the
+# default of the config field it sets; n and n_units, whose fields have no
+# default, get the CLI's.
+_SIMULATE_TYPES = {
+    "n": int,
+    "d": int,
+    "tau_x": _float_tuple,
+    "outcome_form": FORMS,
+    "propensity_form": FORMS,
+    "allow_defiers": bool,
+    "n_units": int,
+    "n_periods": int,
+    "first_treated_period": int,
 }
+_SIMULATE_DEFAULTS = {"n": 100, "n_units": 20}
 
 
 def _add_simulate_parser(sub) -> None:
@@ -351,14 +326,16 @@ def _add_simulate_parser(sub) -> None:
     p.add_argument("--dgp", choices=tuple(DGPS), required=True)
     p.add_argument("--out", help="dataset CSV path (required)")
     p.add_argument("--truth-out", dest="truth_out", help="ground-truth sidecar CSV path")
-    for dest, (kind, default) in _SIMULATE_FLAGS.items():
+    p.add_argument("--seed", type=int, default=0)
+    for dest in dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.fields):
         flag = "--" + dest.replace("_", "-")
+        kind = _SIMULATE_TYPES.get(dest, float)
         if kind is bool:
             p.add_argument(flag, action="store_true")
         elif isinstance(kind, tuple):
-            p.add_argument(flag, choices=kind, default=default)
+            p.add_argument(flag, choices=kind)
         else:
-            p.add_argument(flag, type=kind, default=default, help=_HELP.get(dest))
+            p.add_argument(flag, type=kind, default=_SIMULATE_DEFAULTS.get(dest), help=_HELP.get(dest))
     p.set_defaults(handler=_cmd_simulate)
 
 
@@ -390,9 +367,6 @@ _ESTIMATE_KEYS = tuple(key for key in _OPTIONS if any(key in method.keys for met
 
 _ESTIMATE_CONFIG_KEYS = ("method", "input", "output", *_ESTIMATE_KEYS)
 
-# resolved for every method, as the loaders read them
-_ESTIMATE_COMMON = ("treatment", "outcome", "covariates", "seed", "level")
-
 
 def _add_estimate_parser(sub) -> None:
     p = sub.add_parser("estimate", help="run an estimator on a CSV dataset")
@@ -415,8 +389,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     input_path = r.get("input", "input", None, _cast_str)
     if input_path is None:
         raise UsageError("--input is required")
-    out_path = args.out if args.out is not None else r.get("out", "output", None, _cast_str)
-    values = r.options(dict.fromkeys(_ESTIMATE_COMMON + method.keys), f"--method {name}")
+    out_path = r.get("out", "output", None, _cast_str)
+    values = r.options(method.keys, f"--method {name}")
 
     data = method.load(input_path, values)
     fit = None
@@ -438,8 +412,7 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
             irls_converged=all(fit.irls_converged),
             irls_iterations=list(fit.irls_iterations),
         )
-    config = {"subcommand": "estimate", "method": name, "input": input_path}
-    config.update((k, values[k]) for k in method.keys)
+    config = {"subcommand": "estimate", "method": name, "input": input_path, **values}
     report = {
         "method": estimate.method,
         "psi_hat": estimate.psi_hat,

@@ -332,21 +332,23 @@ class Dgp:
 
     ``fields`` maps each flag to the config field it sets, in the order the
     summary echoes them; a field ``effect_by_type.<type>`` is one entry of
-    that mapping, and a field no flag sets is echoed only.
-    ``draw(config, seed, out, truth_out)`` generates the data, writes it to
-    ``out`` and the truth to ``truth_out`` (when given), and returns the
-    summary's row count plus its true-effect item, if any.
+    that mapping.  ``derived`` names the config fields the class works out
+    itself, echoed after the flags.  ``draw(config, seed, out, truth_out)``
+    generates the data, writes it to ``out`` and the truth to ``truth_out``
+    (when given), and returns the summary's row count plus its true-effect
+    item, if any.
     """
 
     config: type
     fields: dict[str, str]
     draw: Callable[[object, int, str, str | None], dict]
+    derived: tuple[str, ...] = ()
 
     def make(self, values: Mapping[str, object]):
-        """The config from flag values; a field whose flag has no value keeps its default."""
+        """The config from flag values; a field whose flag is absent or None keeps its default."""
         kwargs: dict = {}
         for flag, field in self.fields.items():
-            if flag in values:
+            if values.get(flag) is not None:
                 name, _, key = field.partition(".")
                 if key:
                     kwargs.setdefault(name, {})[key] = values[flag]
@@ -355,11 +357,12 @@ class Dgp:
         return self.config(**kwargs)
 
     def echo(self, config) -> dict:
-        """Each flag with the value of its field in ``config``."""
+        """Each flag with the value of its field in ``config``, then the derived fields."""
         out = {}
         for flag, field in self.fields.items():
             name, _, key = field.partition(".")
             out[flag] = getattr(config, name)[key] if key else getattr(config, name)
+        out.update((name, getattr(config, name)) for name in self.derived)
         return out
 
 
@@ -434,9 +437,9 @@ DGPS: dict[str, Dgp] = {
             "never_effect": "effect_by_type.never",
             "defier_effect": "effect_by_type.defier",
             "noise_sd": "noise_sd",
-            "first_stage_strength": "first_stage_strength",
         },
         _draw_iv,
+        derived=("first_stage_strength",),
     ),
     "panel": Dgp(
         PanelDgpConfig,
