@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .data_model import _parse_fields, _row_blocks, format_number
+from .data_model import format_number
 from .dgp import DGPS, FORMS
 from .eif_engine import (
     Ate,
@@ -36,7 +36,7 @@ from .eif_engine import (
     second_order_remainder,
     step_schedule,
 )
-from .errors import CausalKitError, ConfigError, EstimationError, SchemaError
+from .errors import CausalKitError, ConfigError, EstimationError
 from .methods import METHODS
 from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, run_mc
 from .nuisance import FEATURE_MAPS, cross_fit
@@ -487,22 +487,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> None:
 # eif-check
 
 
-def _load_measure_csv(path: str, prob_column: str = "prob") -> DiscreteMeasure:
-    blocks = _row_blocks(path)
-    header = next(blocks)
-    if prob_column not in header:
-        raise SchemaError(f"measure file {path} has no '{prob_column}' column")
-    if len(header) < 2:
-        raise SchemaError("measure file needs at least one coordinate column plus probabilities")
-    prob_idx = header.index(prob_column)
-    coords = [(i, h) for i, h in enumerate(header) if i != prob_idx]
-    # row numbers count the header as row 1
-    values, _ = _parse_fields(path, blocks, [*coords, (prob_idx, prob_column)], 2, len(header))
-    return DiscreteMeasure(
-        names=tuple(h for _, h in coords), support=np.column_stack(values[:-1]), probs=values[-1]
-    )
-
-
 def _add_eif_check_parser(sub) -> None:
     p = sub.add_parser("eif-check", help="numerical vs closed-form influence functions")
     p.add_argument("--measure", required=True, help="CSV: coordinate columns plus a prob column")
@@ -519,7 +503,7 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
     if args.scores < 0:
         raise ConfigError(f"scores must be a non-negative integer, got {args.scores}")
     check_seed(args.seed)
-    measure = _load_measure_csv(args.measure, args.prob_column)
+    measure = DiscreteMeasure.from_csv(args.measure, args.prob_column)
     f = make_functional(args.functional)
     eps = step_schedule(f, measure)
     phi_num, err = eif_table(f, measure, eps)
@@ -533,7 +517,7 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
             raise ConfigError(
                 "the second-order remainder check supports ate and counterfactual_mean only"
             )
-        estimated = _load_measure_csv(args.estimated, args.prob_column)
+        estimated = DiscreteMeasure.from_csv(args.estimated, args.prob_column)
         res = second_order_remainder(measure, estimated, functional=f.label)
         r2_block = {
             "r2": res.r2,

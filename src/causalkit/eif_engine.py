@@ -36,12 +36,14 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .data_model import _parse_fields, _row_blocks
 from .errors import (
     CausalKitError,
     ConfigError,
     EpsError,
     EvaluabilityError,
     PositivityError,
+    SchemaError,
     SupportError,
     ValidationError,
 )
@@ -151,6 +153,23 @@ class DiscreteMeasure:
             raise ValidationError("empirical measure needs at least one observation")
         points, counts = np.unique(data, axis=0, return_counts=True)
         return cls(names=tuple(names), support=points, probs=counts / data.shape[0])
+
+    @classmethod
+    def from_csv(cls, path: str, prob_column: str = "prob") -> "DiscreteMeasure":
+        """Read a CSV of coordinate columns plus a probability column."""
+        blocks = _row_blocks(path)
+        header = next(blocks)
+        if prob_column not in header:
+            raise SchemaError(f"measure file {path} has no '{prob_column}' column")
+        if len(header) < 2:
+            raise SchemaError("measure file needs at least one coordinate column plus probabilities")
+        prob_idx = header.index(prob_column)
+        coords = [(i, h) for i, h in enumerate(header) if i != prob_idx]
+        # row numbers count the header as row 1
+        values, _ = _parse_fields(path, blocks, [*coords, (prob_idx, prob_column)], 2, len(header))
+        return cls(
+            names=tuple(h for _, h in coords), support=np.column_stack(values[:-1]), probs=values[-1]
+        )
 
 
 def _point_as_row(measure_names: tuple[str, ...], z: Mapping[str, float] | Sequence[float]) -> np.ndarray:

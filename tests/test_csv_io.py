@@ -26,7 +26,7 @@ from causalkit import (
     write_ground_truth_csv,
 )
 from causalkit import data_model
-from causalkit.cli import _load_measure_csv
+from causalkit.eif_engine import DiscreteMeasure
 from causalkit.errors import ParseError, SchemaError
 
 BLOCK = data_model._BLOCK_ROWS
@@ -212,12 +212,12 @@ def test_measure_rows_are_numbered_as_file_lines_beyond_first_block(tmp_path):
     lines[BLOCK + 5] = "1,1"  # file line BLOCK + 6
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError) as err:
-        _load_measure_csv(str(path))
+        DiscreteMeasure.from_csv(str(path))
     assert str(err.value) == f"{path}: row {BLOCK + 6} has 2 cells, expected 3"
     lines[BLOCK + 5] = "1,1,zero"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        _load_measure_csv(str(path))
+        DiscreteMeasure.from_csv(str(path))
     assert str(err.value) == f"row {BLOCK + 6}, column 'prob': could not parse 'zero' as a number"
 
 
