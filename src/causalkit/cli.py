@@ -214,7 +214,7 @@ _OPTIONS = {
     "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
 }
 
-_FLAG_TYPES = {_cast_int: int, _cast_float: float}
+_FLAG_TYPES = {_cast_int: int, _cast_float: float, _cast_bool: bool}
 
 # flag dest -> help text
 _HELP = {
@@ -228,16 +228,24 @@ _HELP = {
 }
 
 
+def _add_flag(p: argparse.ArgumentParser, dest: str, kind, default=None) -> None:
+    """Add the flag --dest, '_' written '-'; ``kind`` is bool for a switch, a
+    tuple of the allowed values, or an argparse type (None for text)."""
+    flag = "--" + dest.replace("_", "-")
+    if kind is bool:
+        p.add_argument(flag, action="store_true", default=default, help=_HELP.get(dest))
+    elif isinstance(kind, tuple):
+        p.add_argument(flag, choices=kind, default=default, help=_HELP.get(dest))
+    else:
+        p.add_argument(flag, type=kind, default=default, help=_HELP.get(dest))
+
+
 def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
     """Add the flag of each option key; an unset flag is None, so the config
     file or the default decides."""
     for key in keys:
         dest, _, cast, allowed = _OPTIONS[key]
-        flag = "--" + dest.replace("_", "-")
-        if cast is _cast_bool:
-            p.add_argument(flag, action="store_true", default=None, help=_HELP.get(dest))
-        else:
-            p.add_argument(flag, type=_FLAG_TYPES.get(cast), choices=allowed, help=_HELP.get(dest))
+        _add_flag(p, dest, allowed or _FLAG_TYPES.get(cast))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +311,9 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
 # simulate
 
 
-# simulate flag dest -> argparse type, for the flags that do not take a
-# number: the allowed values, or bool for a switch.  An unset flag keeps the
-# default of the config field it sets; n and n_units, whose fields have no
-# default, get the CLI's.
+# simulate flag dest -> kind (see _add_flag), for the flags that do not take
+# a float.  An unset flag keeps the default of the config field it sets; n and
+# n_units, whose fields have none, get the defaults below.
 _SIMULATE_TYPES = {
     "n": int,
     "d": int,
@@ -328,14 +335,7 @@ def _add_simulate_parser(sub) -> None:
     p.add_argument("--truth-out", dest="truth_out", help="ground-truth sidecar CSV path")
     p.add_argument("--seed", type=int, default=0)
     for dest in dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.fields):
-        flag = "--" + dest.replace("_", "-")
-        kind = _SIMULATE_TYPES.get(dest, float)
-        if kind is bool:
-            p.add_argument(flag, action="store_true")
-        elif isinstance(kind, tuple):
-            p.add_argument(flag, choices=kind)
-        else:
-            p.add_argument(flag, type=kind, default=_SIMULATE_DEFAULTS.get(dest), help=_HELP.get(dest))
+        _add_flag(p, dest, _SIMULATE_TYPES.get(dest, float), _SIMULATE_DEFAULTS.get(dest))
     p.set_defaults(handler=_cmd_simulate)
 
 
