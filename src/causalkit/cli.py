@@ -334,7 +334,7 @@ def _add_simulate_parser(sub) -> None:
     p.add_argument("--out", help="dataset CSV path (required)")
     p.add_argument("--truth-out", dest="truth_out", help="ground-truth sidecar CSV path")
     p.add_argument("--seed", type=int, default=0)
-    for dest in dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.fields):
+    for dest in dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.flags):
         _add_flag(p, dest, _SIMULATE_TYPES.get(dest, float), _SIMULATE_DEFAULTS.get(dest))
     p.set_defaults(handler=_cmd_simulate)
 

@@ -330,7 +330,7 @@ def generate_rd(config: RdDgpConfig, seed: int) -> tuple[ObservationalDataset, G
 class Dgp:
     """One DGP as `causalkit simulate` draws it.
 
-    ``fields`` maps each flag to the config field it sets, in the order the
+    ``flags`` maps each flag to the config field it sets, in the order the
     summary echoes them; a field ``effect_by_type.<type>`` is one entry of
     that mapping.  ``derived`` names the config fields the class works out
     itself, echoed after the flags.  ``draw(config, seed, out, truth_out)``
@@ -340,14 +340,14 @@ class Dgp:
     """
 
     config: type
-    fields: dict[str, str]
+    flags: dict[str, str]
     draw: Callable[[object, int, str, str | None], dict]
     derived: tuple[str, ...] = ()
 
     def make(self, values: Mapping[str, object]):
         """The config from flag values; a field whose flag is absent or None keeps its default."""
         kwargs: dict = {}
-        for flag, field in self.fields.items():
+        for flag, field in self.flags.items():
             if values.get(flag) is not None:
                 name, _, key = field.partition(".")
                 if key:
@@ -359,7 +359,7 @@ class Dgp:
     def echo(self, config) -> dict:
         """Each flag with the value of its field in ``config``, then the derived fields."""
         out = {}
-        for flag, field in self.fields.items():
+        for flag, field in self.flags.items():
             name, _, key = field.partition(".")
             out[flag] = getattr(config, name)[key] if key else getattr(config, name)
         out.update((name, getattr(config, name)) for name in self.derived)
