@@ -102,11 +102,13 @@ def fit_logistic(
 ) -> PropensityModel:
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
 
-    Newton steps with step-halving keep the penalized log-likelihood
-    non-decreasing.  Convergence means every gradient component is below
-    `tol` in absolute value.  Non-convergence is flagged on the model, not
-    fatal.  A single-class response with no penalty has no maximizer and
-    raises SeparationError.
+    Newton steps are halved until the penalized log-likelihood does not fall
+    by more than 1e-12 of its magnitude (at least 1e-12): the rounding noise
+    of a sum over many units exceeds any fixed threshold, which would halve
+    away every step near the optimum.  Convergence means every gradient
+    component is below `tol` in absolute value.  Non-convergence is flagged
+    on the model, not fatal.  A single-class response with no penalty has no
+    maximizer and raises SeparationError.
     """
     if ridge_lambda < 0:
         raise ConfigError("ridge_lambda must be >= 0")
@@ -143,7 +145,7 @@ def fit_logistic(
         scale = 1.0
         candidate = beta + step
         cand_ll = _penalized_ll(design, a, candidate, ridge_lambda)
-        while cand_ll < ll - 1e-12 and scale > 1e-12:
+        while cand_ll < ll - 1e-12 * max(1.0, abs(ll)) and scale > 1e-12:
             scale *= 0.5
             candidate = beta + scale * step
             cand_ll = _penalized_ll(design, a, candidate, ridge_lambda)

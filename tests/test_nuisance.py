@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from causalkit import (
+    ObsDgpConfig,
     ObservationalDataset,
     apply_feature_map,
     cross_fit,
     fit_linear,
     fit_logistic,
+    generate_observational,
     make_folds,
 )
 from causalkit.errors import (
@@ -141,6 +143,16 @@ class TestFitLogistic:
         model = fit_logistic(x, a, ridge_lambda=1e-8)
         assert model.coefficients[0] == pytest.approx(0.5, abs=0.08)
         assert model.coefficients[1] == pytest.approx(1.2, abs=0.08)
+
+    def test_converges_at_large_n(self):
+        # The summed log-likelihood of 160k units carries rounding noise above
+        # any absolute threshold near 1e-12, so an absolute acceptance test
+        # halved away every step near the optimum and ran to max_iter.
+        ds, _ = generate_observational(ObsDgpConfig(n=200000, d=3, confounding_strength=0.5, tau=2.0), 4)
+        train = make_folds(ds.n, 5, seed=2).complement(0)
+        model = fit_logistic(ds.x[train], ds.a[train], ridge_lambda=1e-6, max_iter=40)
+        assert model.converged
+        assert model.iterations <= 10
 
 
 class TestFolds:
