@@ -7,7 +7,8 @@ Run from the repository root:
 The acceptance tests compare fresh runs with the same seeds against these
 frozen numbers, and check the scientific claims (double robustness, coverage,
 weak-instrument monotonicity) against thresholds derived from them.  Keep the
-seeds below in sync with tests/test_acceptance.py.
+seeds below in sync with tests/test_acceptance.py.  Every value that changes
+is printed with its old and new form (see number_changes.py).
 """
 
 import json
@@ -19,6 +20,7 @@ import numpy as np
 
 import causalkit
 from causalkit import McConfig, ObsDgpConfig, dr_suite, run_mc, weak_iv_study
+from number_changes import print_changes
 
 SUITE_SEED = 20260819
 COVERAGE_SEED = 20260820
@@ -121,8 +123,10 @@ def main() -> None:
     }
 
     out = Path(__file__).with_name("dr_calibration.json")
+    old = json.loads(out.read_text()) if out.exists() else {}
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
+    print_changes(out.name, old, json.loads(out.read_text()))
     for name, rep in suite.items():
         aipw_row = next(r for r in rep.rows if r.estimator == "aipw")
         naive_row = next(r for r in rep.rows if r.estimator == "naive")

@@ -15,7 +15,8 @@ its name plus ``.csv``.  tests/test_cli.py re-runs every case and
 compares a report's bytes with ``json.dumps(frozen, indent=2) + "\\n"``, the
 exact form the CLI writes, and CSV text with the frozen string.  Regenerate
 only when an output changes on purpose, and quote the old and new values of
-what changed in CHANGES.md.
+what changed in CHANGES.md; the script prints each of them (see
+number_changes.py).
 """
 
 import contextlib
@@ -138,10 +139,16 @@ def frozen_text(group: str, case: str) -> str:
 
 
 def main() -> None:
+    # imported here: tests/test_cli.py loads this file without tests/golden on sys.path
+    from number_changes import print_changes
+
     for group, texts in build_reports().items():
         frozen = {c: t if c.endswith(".csv") else json.loads(t) for c, t in texts.items()}
-        GROUPS[group].write_text(json.dumps(frozen, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {len(frozen)} {group} cases to {GROUPS[group]}")
+        path = GROUPS[group]
+        old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        path.write_text(json.dumps(frozen, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {len(frozen)} {group} cases to {path}")
+        print_changes(path.name, old, frozen)
 
 
 if __name__ == "__main__":
