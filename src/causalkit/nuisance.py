@@ -35,6 +35,10 @@ FEATURE_MAPS = ("linear", "linear_plus_quadratic")
 # precision; clamping keeps predictions strictly inside (0, 1).
 _MAX_LOGIT = 30.0
 
+# Units per block of the stacked fits' sums, which bounds their (problems x
+# columns x units) temporaries at any n; 2000 units make one block.
+_BLOCK_ROWS = 2048
+
 
 def apply_feature_map(x: np.ndarray, features: str) -> np.ndarray:
     """Expand raw covariates: identity, or squares appended column-wise."""
@@ -49,13 +53,15 @@ def apply_feature_map(x: np.ndarray, features: str) -> np.ndarray:
 
 
 def _design(x: np.ndarray, features: str) -> np.ndarray:
+    """The (p, n) design, one row per column: the intercept, then the features."""
     f = apply_feature_map(x, features)
-    return np.hstack([np.ones((f.shape[0], 1)), f])
+    design = np.ones((1 + f.shape[1], f.shape[0]))
+    design[1:] = f.T
+    return design
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    eta = np.clip(eta, -_MAX_LOGIT, _MAX_LOGIT)
-    return np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
+    return 1.0 / (1.0 + np.exp(-np.clip(eta, -_MAX_LOGIT, _MAX_LOGIT)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class PropensityModel:
     iterations: int = 0
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(_design(x, self.features) @ self.coefficients)
+        return _sigmoid(self.coefficients @ _design(x, self.features))
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,96 @@ class OutcomeModel:
     arm: int | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return _design(x, self.features) @ self.coefficients
+        return self.coefficients @ _design(x, self.features)
 
 
-def _penalized_ll(design: np.ndarray, a: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    eta = np.clip(design @ beta, -_MAX_LOGIT, _MAX_LOGIT)
-    # log(1 + e^eta) computed stably on both tails
-    ll = float(np.sum(a * eta - np.logaddexp(0.0, eta)))
-    return ll - 0.5 * lam * float(beta[1:] @ beta[1:])
+def _blocks(n: int):
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _grams(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_i w[j, i] d[:, i] d[:, i]^T for every row j of w, as one matrix product."""
+    p, b = d.shape
+    return ((w[:, None, :] * d).reshape(-1, b) @ d.T).reshape(len(w), p, p)
+
+
+def _logistic_ll(d: np.ndarray, a: np.ndarray, w: np.ndarray, beta: np.ndarray, lam: float) -> np.ndarray:
+    """Penalized Bernoulli log-likelihood of each row of beta over the units its row of 0/1 w marks."""
+    ll = np.zeros(len(beta))
+    for rows in _blocks(d.shape[1]):
+        eta = np.clip(beta @ d[:, rows], -_MAX_LOGIT, _MAX_LOGIT)
+        # log(1 + e^eta), stable on both tails
+        softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        ll += np.sum(w[:, rows] * (a[rows] * eta - softplus), axis=1)
+    return ll - 0.5 * lam * np.sum(beta[:, 1:] ** 2, axis=1)
+
+
+def _irls(
+    design: np.ndarray, a: np.ndarray, masks: np.ndarray, lam: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit one ridge-logistic model to the units of each row of `masks`, by IRLS.
+
+    The problems take their Newton steps together, each with its own step
+    halving, convergence test and iteration count, which it returns.
+    """
+    if lam < 0:
+        raise ConfigError("ridge_lambda must be >= 0")
+    k, p = len(masks), design.shape[0]
+    pen = lam * (np.arange(p) > 0)  # the intercept is not penalized
+    beta = np.zeros((k, p))
+    ll = _logistic_ll(design, a, masks, beta, lam)
+    converged, iterations, live = np.zeros(k, dtype=bool), np.zeros(k, dtype=np.int64), np.arange(k)
+    for it in range(max_iter + 1):
+        b, w = beta[live], masks[live].astype(float)
+        grad, hess = -pen * b, np.zeros((live.size, p, p)) + np.diag(pen)
+        for rows in _blocks(design.shape[1]):
+            d, w_rows = design[:, rows], w[:, rows]
+            prob = _sigmoid(b @ d)
+            grad += (w_rows * (a[rows] - prob)) @ d.T
+            hess += _grams(w_rows * np.maximum(prob * (1.0 - prob), 1e-10), d)
+        done = np.max(np.abs(grad), axis=1) < tol
+        converged[live[done]] = True
+        live, grad, hess, w = live[~done], grad[~done], hess[~done], w[~done]
+        if live.size == 0 or it == max_iter:
+            break
+        try:
+            step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError(
+                "singular IRLS system; increase ridge_lambda or drop collinear covariates"
+            ) from None
+        base, floor = beta[live], ll[live] - 1e-12 * np.maximum(1.0, np.abs(ll[live]))
+        scale, cand = np.ones(live.size), base + step
+        cand_ll = _logistic_ll(design, a, w, cand, lam)
+        short = cand_ll < floor
+        while short.any():
+            scale[short] *= 0.5
+            cand[short] = base[short] + scale[short, None] * step[short]
+            cand_ll[short] = _logistic_ll(design, a, w[short], cand[short], lam)
+            short = (cand_ll < floor) & (scale > 1e-12)
+        beta[live], ll[live], iterations[live] = cand, cand_ll, it + 1
+    return beta, converged, iterations
+
+
+def _ridge(design: np.ndarray, y: np.ndarray, masks: np.ndarray, lam: float) -> np.ndarray:
+    """Solve the ridge normal equations over the units of every row of `masks` in one call."""
+    if lam < 0:
+        raise ConfigError("ridge_lambda must be >= 0")
+    p = design.shape[0]
+    gram = np.zeros((len(masks), p, p)) + np.diag(lam * (np.arange(p) > 0))
+    rhs = np.zeros((len(masks), p))
+    for rows in _blocks(design.shape[1]):
+        d, m = design[:, rows], masks[:, rows]
+        gram += _grams(m, d)
+        rhs += (m * y[rows]) @ d.T
+    if lam == 0.0 and any(np.linalg.matrix_rank(design[:, m]) < p for m in masks):
+        raise RankDeficiencyError(
+            "design matrix is rank deficient; set ridge_lambda > 0 or remove redundant columns"
+        )
+    try:
+        return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError("normal equations are singular; set ridge_lambda > 0") from None
 
 
 def fit_logistic(
@@ -108,13 +196,12 @@ def fit_logistic(
     away every step near the optimum.  Convergence means every gradient
     component is below `tol` in absolute value.  Non-convergence is flagged
     on the model, not fatal.  A single-class response with no penalty has no
-    maximizer and raises SeparationError.
+    maximizer and raises SeparationError.  This is the one-problem case of
+    the stacked IRLS that :func:`cross_fit` runs over all its folds.
     """
-    if ridge_lambda < 0:
-        raise ConfigError("ridge_lambda must be >= 0")
     a = np.asarray(a, dtype=float)
     design = _design(x, features)
-    n, p = design.shape
+    n = design.shape[1]
     if a.shape != (n,):
         raise ValidationError(f"treatment vector has shape {a.shape}, expected ({n},)")
     if ridge_lambda == 0.0 and (np.all(a == 1) or np.all(a == 0)):
@@ -122,48 +209,10 @@ def fit_logistic(
             "treatment is constant; the unpenalized likelihood has no maximizer "
             "(set ridge_lambda > 0 or supply both arms)"
         )
-    penalty_mask = np.ones(p)
-    penalty_mask[0] = 0.0
-    beta = np.zeros(p)
-    ll = _penalized_ll(design, a, beta, ridge_lambda)
-    converged = False
-    iterations = 0
-    for it in range(max_iter):
-        prob = _sigmoid(design @ beta)
-        grad = design.T @ (a - prob) - ridge_lambda * penalty_mask * beta
-        if float(np.max(np.abs(grad))) < tol:
-            converged = True
-            break
-        w = np.clip(prob * (1.0 - prob), 1e-10, None)
-        hess = design.T @ (design * w[:, None]) + ridge_lambda * np.diag(penalty_mask)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "singular IRLS system; increase ridge_lambda or drop collinear covariates"
-            ) from None
-        scale = 1.0
-        candidate = beta + step
-        cand_ll = _penalized_ll(design, a, candidate, ridge_lambda)
-        while cand_ll < ll - 1e-12 * max(1.0, abs(ll)) and scale > 1e-12:
-            scale *= 0.5
-            candidate = beta + scale * step
-            cand_ll = _penalized_ll(design, a, candidate, ridge_lambda)
-        beta = candidate
-        ll = cand_ll
-        iterations = it + 1
-    else:
-        prob = _sigmoid(design @ beta)
-        grad = design.T @ (a - prob) - ridge_lambda * penalty_mask * beta
-        converged = bool(np.max(np.abs(grad)) < tol)
+    beta, converged, iterations = _irls(design, a, np.ones((1, n), dtype=bool), ridge_lambda, tol, max_iter)
     beta.setflags(write=False)
-    return PropensityModel(
-        coefficients=beta,
-        ridge_lambda=float(ridge_lambda),
-        features=features,
-        converged=converged,
-        iterations=iterations,
-    )
+    return PropensityModel(coefficients=beta[0], ridge_lambda=float(ridge_lambda), features=features,
+                           converged=bool(converged[0]), iterations=int(iterations[0]))
 
 
 def fit_linear(
@@ -176,29 +225,15 @@ def fit_linear(
     """Solve the ridge-penalized normal equations (penalty off the intercept).
 
     With ridge_lambda=0 this is exact least squares; a singular unpenalized
-    system raises RankDeficiencyError advising a positive penalty.
+    system raises RankDeficiencyError advising a positive penalty.  This is
+    the one-problem case of the stacked solve that :func:`cross_fit` makes.
     """
-    if ridge_lambda < 0:
-        raise ConfigError("ridge_lambda must be >= 0")
     y = np.asarray(y, dtype=float)
     design = _design(x, features)
-    n, p = design.shape
+    n = design.shape[1]
     if y.shape != (n,):
         raise ValidationError(f"outcome vector has shape {y.shape}, expected ({n},)")
-    penalty = ridge_lambda * np.eye(p)
-    penalty[0, 0] = 0.0
-    gram = design.T @ design + penalty
-    rhs = design.T @ y
-    if ridge_lambda == 0.0 and np.linalg.matrix_rank(design) < p:
-        raise RankDeficiencyError(
-            "design matrix is rank deficient; set ridge_lambda > 0 or remove redundant columns"
-        )
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError(
-            "normal equations are singular; set ridge_lambda > 0"
-        ) from None
+    beta = _ridge(design, y, np.ones((1, n), dtype=bool), ridge_lambda)[0]
     beta.setflags(write=False)
     return OutcomeModel(coefficients=beta, ridge_lambda=float(ridge_lambda), features=features, arm=arm)
 
@@ -297,51 +332,39 @@ def cross_fit(
     """Produce out-of-fold propensity and per-arm outcome predictions.
 
     For each fold j, all three models are fitted on the other folds and
-    evaluated on fold j only.  Propensities are then clipped to `clip` and
-    the number of clipped units recorded, along with each fold's IRLS
-    convergence flag and iteration count.
+    evaluated on fold j only: the k propensity fits run as one stacked IRLS
+    and the 2k outcome fits as one stacked solve, on designs built once.
+    Propensities are then clipped to `clip` and the number of clipped units
+    recorded, along with each fold's IRLS convergence flag and iteration count.
     """
     clip_lo, clip_hi = float(clip[0]), float(clip[1])
     if not (0.0 < clip_lo < clip_hi < 1.0):
         raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, got {clip!r}")
     n = dataset.n
     folds = make_folds(n, k, seed)
-    pi_raw = np.empty(n)
-    mu0 = np.empty(n)
-    mu1 = np.empty(n)
-    props = []
-    for j in range(k):
-        test = folds.indices(j)
-        train = folds.complement(j)
-        a_tr = dataset.a[train]
-        n_treated = int(a_tr.sum())
-        if n_treated == 0 or n_treated == train.size:
-            missing = "treated" if n_treated == 0 else "control"
-            raise FoldError(f"training complement of fold {j} contains no {missing} units")
-        x_tr, x_te = dataset.x[train], dataset.x[test]
-        prop = fit_logistic(
-            x_tr, a_tr, propensity_lambda, tol=tol, max_iter=max_iter, features=propensity_features
-        )
-        m1 = fit_linear(
-            x_tr[a_tr == 1], dataset.y[train][a_tr == 1], outcome_lambda, features=outcome_features, arm=1
-        )
-        m0 = fit_linear(
-            x_tr[a_tr == 0], dataset.y[train][a_tr == 0], outcome_lambda, features=outcome_features, arm=0
-        )
-        props.append(prop)
-        pi_raw[test] = prop.predict_proba(x_te)
-        mu1[test] = m1.predict(x_te)
-        mu0[test] = m0.predict(x_te)
-    clip_count = int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi)))
-    pi_hat = np.clip(pi_raw, clip_lo, clip_hi)
+    fold = folds.fold_index
+    train = fold != np.arange(k)[:, None]  # row j: the units fold j's models are fitted on
+    treated = dataset.a == 1
+    n_treated = np.count_nonzero(train & treated, axis=1)
+    empty = np.flatnonzero((n_treated == 0) | (n_treated == n - np.bincount(fold, minlength=k)))
+    if empty.size:
+        missing = "treated" if n_treated[empty[0]] == 0 else "control"
+        raise FoldError(f"training complement of fold {empty[0]} contains no {missing} units")
+    design = _design(dataset.x, propensity_features)
+    beta, converged, iterations = _irls(design, treated.astype(float), train, propensity_lambda, tol, max_iter)
+    pi_raw = _sigmoid(np.einsum("ij,ji->i", beta[fold], design))
+    if outcome_features != propensity_features:
+        design = _design(dataset.x, outcome_features)
+    # rows 0..k-1 fit the treated units of each fold's complement, rows k..2k-1 the controls
+    coef = _ridge(design, dataset.y, np.concatenate([train & treated, train & ~treated]), outcome_lambda)
     return NuisanceFit(
-        pi_hat=pi_hat,
-        mu0_hat=mu0,
-        mu1_hat=mu1,
+        pi_hat=np.clip(pi_raw, clip_lo, clip_hi),
+        mu0_hat=np.einsum("ij,ji->i", coef[k + fold], design),
+        mu1_hat=np.einsum("ij,ji->i", coef[fold], design),
         folds=folds,
         clip_lo=clip_lo,
         clip_hi=clip_hi,
-        clip_count=clip_count,
-        irls_converged=tuple(p.converged for p in props),
-        irls_iterations=tuple(p.iterations for p in props),
+        clip_count=int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi))),
+        irls_converged=tuple(bool(c) for c in converged),
+        irls_iterations=tuple(int(i) for i in iterations),
     )

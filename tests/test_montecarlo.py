@@ -9,6 +9,7 @@ entirely from the baseline difference a3 - a4 = 1; the heterogeneity term
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from causalkit import (
     scenario_feature_maps,
     summarize_estimator,
 )
-from causalkit import montecarlo, nuisance
+from causalkit import montecarlo
 from causalkit.errors import ConfigError, EstimationError
 
 
@@ -249,32 +250,33 @@ class TestDrSuite:
             assert set(failed.values()) == {0}
 
     def test_one_draw_and_two_cross_fits_per_replication(self, monkeypatch):
-        calls = {"generate_observational": 0, "cross_fit": 0, "fit_logistic": 0}
+        results = {"generate_observational": [], "cross_fit": []}
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(name):
+            original = getattr(montecarlo, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+                results[name].append(original(*args, **kwargs))
+                return results[name][-1]
 
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(montecarlo, name, wrapper)
 
-        counted(montecarlo, "generate_observational")
-        counted(montecarlo, "cross_fit")
-        counted(nuisance, "fit_logistic")
+        counted("generate_observational")
+        counted("cross_fit")
         base, kwargs = self.SUITES["clean"]
         dr_suite(base, k=4, **kwargs)
         reps = kwargs["replications"]
-        assert calls == {"generate_observational": reps, "cross_fit": 2 * reps, "fit_logistic": 2 * 4 * reps}
+        assert {name: len(r) for name, r in results.items()} == {
+            "generate_observational": reps,
+            "cross_fit": 2 * reps,
+        }
+        # each cross_fit fits one propensity problem per fold
+        assert [len(fit.irls_iterations) for fit in results["cross_fit"]] == [4] * (2 * reps)
 
 
 class TestNuisanceCounts:
     def test_irls_counts_once_per_replication_fit(self, monkeypatch):
-        original = nuisance.fit_logistic
-        monkeypatch.setattr(
-            nuisance, "fit_logistic", lambda *a, **kw: original(*a, **{**kw, "max_iter": 1})
-        )
+        monkeypatch.setattr(montecarlo, "cross_fit", functools.partial(montecarlo.cross_fit, max_iter=1))
         cfg = McConfig(dgp=BASE, estimators=("naive", "ipw", "aipw"), replications=3, n=200, k=4)
         report = run_mc(cfg)
         # one IRLS step leaves every fold unconverged, whatever uses the fit

@@ -7,6 +7,8 @@ Oracle values are frozen from hand derivations:
 - intercept-only logistic with mean(a)=1/4 has MLE logit(1/4) = -log 3.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from causalkit.errors import (
     SeparationError,
     ValidationError,
 )
+from causalkit import nuisance
 from causalkit.nuisance import NuisanceFit
 
 
@@ -281,6 +284,20 @@ class TestCrossFit:
                 clip_hi=0.99,
             )
 
+    def test_memory_stays_bounded(self):
+        # The size of `causalkit estimate --method psm`'s benchmark input.
+        # Stacking the k folds over all n units at once would hold k times the
+        # per-fold temporaries (15 MB here); summing by row blocks keeps the
+        # peak near that of fitting one fold at a time (3 MB).
+        ds, _ = generate_observational(ObsDgpConfig(n=20000, d=3, confounding_strength=0.5, tau=2.0), 0)
+        tracemalloc.start()
+        try:
+            cross_fit(ds, k=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
     def test_quadratic_features_reduce_misspecification(self):
         rng = np.random.default_rng(4)
         n = 2000
@@ -293,3 +310,126 @@ class TestCrossFit:
         err_lin = np.mean((np.where(ds.a == 1, lin.mu1_hat, lin.mu0_hat) - ds.y) ** 2)
         err_quad = np.mean((np.where(ds.a == 1, quad.mu1_hat, quad.mu0_hat) - ds.y) ** 2)
         assert err_quad < err_lin / 2
+
+
+def _cross_fit_reference(dataset, k=5, *, clip=(0.01, 0.99), propensity_lambda=1e-6, outcome_lambda=1e-8,
+                         propensity_features="linear", outcome_features="linear", tol=1e-8, max_iter=100,
+                         seed=0):
+    """Fold by fold: the three models of fold j fitted on the other folds' rows.
+
+    The oracle for cross_fit, which fits all folds in stacked calls.
+    """
+    clip_lo, clip_hi = float(clip[0]), float(clip[1])
+    n = dataset.n
+    folds = make_folds(n, k, seed)
+    pi_raw, mu0, mu1 = np.empty(n), np.empty(n), np.empty(n)
+    props = []
+    for j in range(k):
+        test, train = folds.indices(j), folds.complement(j)
+        a_tr = dataset.a[train]
+        n_treated = int(a_tr.sum())
+        if n_treated == 0 or n_treated == train.size:
+            missing = "treated" if n_treated == 0 else "control"
+            raise FoldError(f"training complement of fold {j} contains no {missing} units")
+        x_tr, x_te, y_tr = dataset.x[train], dataset.x[test], dataset.y[train]
+        prop = fit_logistic(x_tr, a_tr, propensity_lambda, tol=tol, max_iter=max_iter,
+                            features=propensity_features)
+        m1 = fit_linear(x_tr[a_tr == 1], y_tr[a_tr == 1], outcome_lambda, features=outcome_features)
+        m0 = fit_linear(x_tr[a_tr == 0], y_tr[a_tr == 0], outcome_lambda, features=outcome_features)
+        props.append(prop)
+        pi_raw[test] = prop.predict_proba(x_te)
+        mu1[test] = m1.predict(x_te)
+        mu0[test] = m0.predict(x_te)
+    return NuisanceFit(
+        pi_hat=np.clip(pi_raw, clip_lo, clip_hi),
+        mu0_hat=mu0,
+        mu1_hat=mu1,
+        folds=folds,
+        clip_lo=clip_lo,
+        clip_hi=clip_hi,
+        clip_count=int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi))),
+        irls_converged=tuple(p.converged for p in props),
+        irls_iterations=tuple(p.iterations for p in props),
+    )
+
+
+def _heavy_tailed_dataset(n=97, seed=3):
+    # Cauchy covariates with quadratic propensity features: Newton steps
+    # overshoot, so some folds halve their steps.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_cauchy(size=(n, 2))
+    a = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(x @ np.array([3.0, -2.0]), -30, 30)))).astype(int)
+    return ObservationalDataset(x=x, a=a, y=rng.normal(size=n))
+
+
+class TestCrossFitAgainstReference:
+    @staticmethod
+    def assert_same_fit(ds, **kwargs):
+        got, want = cross_fit(ds, **kwargs), _cross_fit_reference(ds, **kwargs)
+        assert np.array_equal(got.folds.fold_index, want.folds.fold_index)
+        assert got.irls_iterations == want.irls_iterations
+        assert got.irls_converged == want.irls_converged
+        assert got.clip_count == want.clip_count
+        for name in ("pi_hat", "mu0_hat", "mu1_hat"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), name
+        return got
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("features", [("linear", "linear"), ("linear_plus_quadratic", "linear"),
+                                          ("linear", "linear_plus_quadratic")])
+    @pytest.mark.parametrize("outcome_lambda", [0.0, 1e-8])
+    def test_folds_feature_maps_and_penalties(self, k, features, outcome_lambda):
+        ds = _sim_dataset(n=203, seed=k)
+        self.assert_same_fit(ds, k=k, seed=k, propensity_features=features[0],
+                             outcome_features=features[1], outcome_lambda=outcome_lambda)
+
+    def test_one_iteration(self):
+        fit = self.assert_same_fit(_sim_dataset(n=203), k=5, max_iter=1)
+        assert fit.irls_iterations == (1,) * 5
+
+    def test_step_halving(self, monkeypatch):
+        evaluations = []
+        ll = nuisance._logistic_ll
+        monkeypatch.setattr(nuisance, "_logistic_ll", lambda *a: evaluations.append(1) or ll(*a))
+        fit = self.assert_same_fit(_heavy_tailed_dataset(), k=3, propensity_features="linear_plus_quadratic")
+        # one evaluation at the start and one per iteration, unless a step was halved
+        assert len(evaluations) > 1 + max(fit.irls_iterations)
+
+    def test_many_row_blocks(self):
+        self.assert_same_fit(_sim_dataset(n=20001, seed=5), k=5, seed=2,
+                             propensity_features="linear_plus_quadratic")
+
+    def test_same_fold_error(self):
+        # two units of one arm among 12: whenever both fall in one fold of two,
+        # that fold's training complement has none
+        x = np.arange(12.0).reshape(-1, 1)
+        messages = set()
+        for a in (np.r_[1, 1, np.zeros(10)], np.r_[0, 0, np.ones(10)]):
+            ds = ObservationalDataset(x=x, a=a, y=x[:, 0])
+            for seed in range(30):
+                try:
+                    _cross_fit_reference(ds, k=6, seed=seed)
+                except FoldError as want:
+                    with pytest.raises(FoldError) as got:
+                        cross_fit(ds, k=6, seed=seed)
+                    assert str(got.value) == str(want)
+                    messages.add(str(want))
+                else:
+                    cross_fit(ds, k=6, seed=seed)
+        assert len({m.split()[4] for m in messages}) > 1
+        assert {m.split()[-2] for m in messages} == {"treated", "control"}
+
+    def test_same_rank_deficiency_and_config_errors(self):
+        ds = _sim_dataset(n=60)
+        collinear = ObservationalDataset(x=np.column_stack([ds.x[:, 0], 2.0 * ds.x[:, 0]]), a=ds.a, y=ds.y)
+        for data, kwargs, error in [
+            (collinear, {"outcome_lambda": 0.0}, RankDeficiencyError),
+            (ds, {"propensity_lambda": -1.0}, ConfigError),
+            (ds, {"outcome_lambda": -1.0}, ConfigError),
+        ]:
+            with pytest.raises(error) as want:
+                _cross_fit_reference(data, k=3, **kwargs)
+            with pytest.raises(error) as got:
+                cross_fit(data, k=3, **kwargs)
+            assert str(got.value) == str(want.value)
