@@ -1,9 +1,9 @@
 """Nuisance learners: ridge logistic propensity, ridge linear outcome, cross-fitting.
 
 Both learners work on an expanded feature matrix (see :func:`apply_feature_map`)
-with an intercept column prepended internally.  The ridge penalty never touches
-the intercept.  Cross-fitting produces out-of-fold predictions: unit i's
-nuisance values come from models trained on every fold except fold(i).
+with an intercept prepended internally; the ridge penalty never touches it.
+Cross-fitting produces out-of-fold predictions: unit i's nuisance values come
+from models trained on every fold except fold(i), all folds fitted together.
 """
 
 from __future__ import annotations

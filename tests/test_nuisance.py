@@ -21,6 +21,7 @@ from causalkit import (
     fit_logistic,
     generate_observational,
     make_folds,
+    nuisance,
 )
 from causalkit.errors import (
     ConfigError,
@@ -29,7 +30,6 @@ from causalkit.errors import (
     SeparationError,
     ValidationError,
 )
-from causalkit import nuisance
 from causalkit.nuisance import NuisanceFit
 
 
@@ -285,7 +285,7 @@ class TestCrossFit:
             )
 
     def test_memory_stays_bounded(self):
-        # The size of `causalkit estimate --method psm`'s benchmark input.
+        # n = 20000, d = 3, k = 5: the input of perfbench's psm_match workload.
         # Stacking the k folds over all n units at once would hold k times the
         # per-fold temporaries (15 MB here); summing by row blocks keeps the
         # peak near that of fitting one fold at a time (3 MB).
