@@ -25,8 +25,6 @@ from . import __version__
 from .data_model import format_number
 from .dgp import DGPS, FORMS
 from .eif_engine import (
-    Ate,
-    CounterfactualMean,
     DiscreteMeasure,
     closed_form_eif,
     eif_table,
@@ -467,7 +465,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> None:
         dgp=DGPS["obs"].make(values),
         estimators=values["estimators"],
         replications=values["reps"],
-        n=values["n"],
         seed=values["seed"],
         scenario=values["scenario"],
         k=values["crossfit.k"],
@@ -513,10 +510,6 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
     gaps = [abs(d - float(measure.probs @ (phi_num * s))) for d, s in zip(lhs, scores)]
     r2_block = None
     if args.estimated:
-        if not isinstance(f, (Ate, CounterfactualMean)):
-            raise ConfigError(
-                "the second-order remainder check supports ate and counterfactual_mean only"
-            )
         estimated = DiscreteMeasure.from_csv(args.estimated, args.prob_column)
         res = second_order_remainder(measure, estimated, functional=f.label)
         r2_block = {

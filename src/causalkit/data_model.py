@@ -513,35 +513,16 @@ def write_csv(dataset: ObservationalDataset, path: str, schema: Mapping[str, obj
     _write_table(path, header, columns)
 
 
-def write_iv_csv(dataset: IvDataset, path: str, schema: Mapping[str, object] | None = None) -> None:
-    """Write an IV dataset; default column names are z, a, y, x1..xd."""
-    schema = schema or {}
+def write_iv_csv(dataset: IvDataset, path: str) -> None:
+    """Write an IV dataset with columns z, a, y, x1..xd."""
     d = 0 if dataset.x is None else dataset.x.shape[1]
-    covariates = _schema_covariates(schema) or [f"x{j + 1}" for j in range(d)]
-    if len(covariates) != d:
-        raise SchemaError(f"schema names {len(covariates)} covariates, dataset has d={d}")
-    header = [
-        str(schema.get("instrument", "z")),
-        str(schema.get("treatment", "a")),
-        str(schema.get("outcome", "y")),
-        *covariates,
-    ]
-    columns = [dataset.z, dataset.a, dataset.y]
-    if dataset.x is not None:
-        columns += [dataset.x[:, j] for j in range(d)]
-    _write_table(path, header, columns)
+    columns = [dataset.z, dataset.a, dataset.y] + [dataset.x[:, j] for j in range(d)]
+    _write_table(path, ["z", "a", "y", *(f"x{j + 1}" for j in range(d))], columns)
 
 
-def write_panel_csv(panel: PanelDataset, path: str, schema: Mapping[str, object] | None = None) -> None:
-    """Write a panel; default column names are unit, period, group, a, y."""
-    schema = schema or {}
-    header = [
-        str(schema.get("unit", "unit")),
-        str(schema.get("period", "period")),
-        str(schema.get("group", "group")),
-        str(schema.get("treatment", "a")),
-        str(schema.get("outcome", "y")),
-    ]
+def write_panel_csv(panel: PanelDataset, path: str) -> None:
+    """Write a panel with columns unit, period, group, a, y."""
+    header = ["unit", "period", "group", "a", "y"]
     _write_table(path, header, [panel.unit_id, panel.period_id, panel.group, panel.a, panel.y])
 
 

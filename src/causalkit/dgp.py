@@ -87,7 +87,6 @@ class ObsDgpConfig:
     tau: float = 0.0
     tau_x: tuple[float, ...] | None = None
     outcome_noise_sd: float = 1.0
-    propensity_link: str = "logistic"
     outcome_form: str = "linear"
     propensity_form: str = "linear"
 
@@ -98,8 +97,6 @@ class ObsDgpConfig:
             raise ConfigError(f"d must be >= 0, got {self.d}")
         if self.outcome_noise_sd < 0:
             raise ConfigError("outcome_noise_sd must be >= 0")
-        if self.propensity_link != "logistic":
-            raise ConfigError(f"unsupported propensity link '{self.propensity_link}'")
         for form in (self.outcome_form, self.propensity_form):
             if form not in FORMS:
                 raise ConfigError(f"unknown form '{form}', expected one of {FORMS}")
@@ -148,7 +145,6 @@ class IvDgpConfig:
     p_defier: float = 0.0
     effect_by_type: Mapping[str, float] | None = None
     instrument_prob: float = 0.5
-    first_stage_strength: float | None = None
     allow_defiers: bool = False
     noise_sd: float = 1.0
 
@@ -166,14 +162,6 @@ class IvDgpConfig:
             raise ConfigError("instrument_prob must lie in (0, 1)")
         if self.noise_sd < 0:
             raise ConfigError("noise_sd must be >= 0")
-        implied = self.p_complier - self.p_defier
-        if self.first_stage_strength is None:
-            object.__setattr__(self, "first_stage_strength", implied)
-        elif abs(self.first_stage_strength - implied) > 1e-12:
-            raise ConfigError(
-                "first_stage_strength must equal p_complier - p_defier "
-                f"({implied!r}), got {self.first_stage_strength!r}"
-            )
         effects = dict(self.effect_by_type or {})
         for t in COMPLIANCE_TYPES:
             effects.setdefault(t, 0.0)
@@ -181,6 +169,11 @@ class IvDgpConfig:
         if unknown:
             raise ConfigError(f"unknown compliance types in effect_by_type: {sorted(unknown)}")
         object.__setattr__(self, "effect_by_type", effects)
+
+    @property
+    def first_stage_strength(self) -> float:
+        """E[a | z=1] - E[a | z=0], the complier share less the defier share."""
+        return self.p_complier - self.p_defier
 
     @property
     def type_probs(self) -> tuple[float, float, float, float]:

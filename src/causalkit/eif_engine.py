@@ -500,9 +500,9 @@ def score_of_path(p: DiscreteMeasure, ptilde: DiscreteMeasure) -> ScoreVector:
     return ScoreVector(values=ratio - 1.0)
 
 
-def random_score(p: DiscreteMeasure, rng: np.random.Generator, scale: float = 1.0) -> ScoreVector:
+def random_score(p: DiscreteMeasure, rng: np.random.Generator) -> ScoreVector:
     """A random mean-zero score, bounded so small-eps paths stay valid."""
-    raw = rng.uniform(-scale, scale, size=p.m)
+    raw = rng.uniform(-1.0, 1.0, size=p.m)
     centered = raw - float(p.probs @ raw)  # probs sum to 1, so this centers exactly
     return ScoreVector(values=centered)
 

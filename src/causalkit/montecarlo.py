@@ -74,10 +74,11 @@ def scenario_feature_maps(dgp: ObsDgpConfig, scenario: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class McConfig:
+    """A Monte Carlo study: each replication draws ``dgp.n`` units from ``dgp``."""
+
     dgp: ObsDgpConfig
     estimators: tuple[str, ...] = ("naive", "ipw", "gformula", "aipw")
     replications: int = 100
-    n: int = 1000
     seed: int = 0
     scenario: str = "both_correct"
     k: int = 5
@@ -89,7 +90,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.replications < 2:
             raise ConfigError("replications must be >= 2")
-        if self.n < 2:
+        if self.dgp.n < 2:
             raise ConfigError("n must be >= 2")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario '{self.scenario}', expected one of {SCENARIOS}")
@@ -264,6 +265,9 @@ class _Tally:
         self.iterations += sum(fit.irls_iterations)
 
     def fail(self, r: int, name: str, exc: CausalKitError) -> None:
+        # no ConfigError depends on the drawn data, so every replication would raise it
+        if isinstance(exc, ConfigError):
+            raise exc
         self.failed[name] += 1
         kind = type(exc).__name__
         self.by_class[kind] = self.by_class.get(kind, 0) + 1
@@ -306,7 +310,7 @@ class _Tally:
             scenario=scenario,
             true_ate=true_ate,
             replications=config.replications,
-            n=config.n,
+            n=config.dgp.n,
             seed=config.seed,
             rows=rows,
             failures=tuple(self.notes),
@@ -356,8 +360,7 @@ def _run_scenarios(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, Mc
     cross-fits each distinct feature-map pair at most once (see
     ``_nuisance_for``); ``config.scenario`` itself is not read.
     """
-    effective_dgp = replace(config.dgp, n=config.n)
-    maps = {s: scenario_feature_maps(effective_dgp, s) for s in scenarios}
+    maps = {s: scenario_feature_maps(config.dgp, s) for s in scenarios}
     true_ate = float(config.dgp.tau)
     # every estimator but the simulation-only ipw_oracle runs from the method table
     methods = {e: METHODS.get(e) for e in config.estimators}
@@ -366,7 +369,7 @@ def _run_scenarios(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, Mc
     order = sorted(scenarios, key=lambda s: s not in _DIAGONAL)
 
     for r in range(config.replications):
-        dataset, truth = generate_observational(effective_dgp, child_seed(config.seed, r))
+        dataset, truth = generate_observational(config.dgp, child_seed(config.seed, r))
         fit = partial(
             cross_fit,
             dataset,
@@ -405,13 +408,15 @@ def _run_scenarios(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, Mc
 
 
 def run_mc(config: McConfig) -> McReport:
-    """Run the configured Monte Carlo study.
+    """Run the configured Monte Carlo study, each replication on ``config.dgp.n`` units.
 
     Bias and coverage are measured against the population ATE (the
     configured tau; heterogeneous coefficients average out because the
     covariates are centered).  Replication r draws its dataset from
     substream (r,) and its fold shuffle from substream (r, 1), so reports
-    are bit-identical across re-runs of the same config.
+    are bit-identical across re-runs of the same config.  A ConfigError,
+    such as a fold count outside [2, n], is raised at once rather than
+    counted as a replication failure.
     """
     return _run_scenarios(config, (config.scenario,))[config.scenario]
 
@@ -426,20 +431,20 @@ def dr_suite(
 ) -> dict[str, McReport]:
     """Run all four misspecification scenarios on a shared dataset stream.
 
-    The same seed drives every scenario, so the r-th replication sees the
-    same dataset and the same folds in all four; only the learners' feature
-    maps differ.  Each report equals ``run_mc`` on that scenario, but a
-    replication draws its dataset once and cross-fits twice, for
-    ``both_correct`` and ``both_wrong``.  ``pi_wrong`` takes its propensity
-    fit (pi_hat, clip count, IRLS flags) from ``both_wrong`` and its outcome
-    fits from ``both_correct``; ``mu_wrong`` the other way round.  A scenario
-    whose donor fit failed runs its own cross-fit instead.
+    ``n`` replaces ``base.n`` as the sample size.  The same seed drives
+    every scenario, so the r-th replication sees the same dataset and the
+    same folds in all four; only the learners' feature maps differ.  Each
+    report equals ``run_mc`` on that scenario, but a replication draws its
+    dataset once and cross-fits twice, for ``both_correct`` and
+    ``both_wrong``.  ``pi_wrong`` takes its propensity fit (pi_hat, clip
+    count, IRLS flags) from ``both_wrong`` and its outcome fits from
+    ``both_correct``; ``mu_wrong`` the other way round.  A scenario whose
+    donor fit failed runs its own cross-fit instead.
     """
     config = McConfig(
-        dgp=base,
+        dgp=replace(base, n=n),
         estimators=estimators,
         replications=replications,
-        n=n,
         seed=seed,
         **kwargs,
     )

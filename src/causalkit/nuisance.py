@@ -85,7 +85,6 @@ class OutcomeModel:
     coefficients: np.ndarray
     ridge_lambda: float
     features: str = "linear"
-    arm: int | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.coefficients @ _design(x, self.features)
@@ -220,7 +219,6 @@ def fit_linear(
     y: np.ndarray,
     ridge_lambda: float = 0.0,
     features: str = "linear",
-    arm: int | None = None,
 ) -> OutcomeModel:
     """Solve the ridge-penalized normal equations (penalty off the intercept).
 
@@ -235,7 +233,7 @@ def fit_linear(
         raise ValidationError(f"outcome vector has shape {y.shape}, expected ({n},)")
     beta = _ridge(design, y, np.ones((1, n), dtype=bool), ridge_lambda)[0]
     beta.setflags(write=False)
-    return OutcomeModel(coefficients=beta, ridge_lambda=float(ridge_lambda), features=features, arm=arm)
+    return OutcomeModel(coefficients=beta, ridge_lambda=float(ridge_lambda), features=features)
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,7 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 
 
 def _iv_estimate(
     method: str, iv: IvDataset, late: float, first_stage: float, reduced_form: float,
-    se: float | None, weak_threshold: float, level: float,
-    eif: np.ndarray | None = None, input_scale: float = 0.0,
+    se: float | None, level: float, eif: np.ndarray | None = None, input_scale: float = 0.0,
 ) -> Estimate:
     ci_low, ci_high = normal_ci(late, se, level)
     return Estimate(
@@ -240,18 +239,18 @@ def _iv_estimate(
         diagnostics={
             "first_stage": first_stage,
             "reduced_form": reduced_form,
-            "weak_flag": bool(abs(first_stage) < weak_threshold),
+            "weak_flag": bool(abs(first_stage) < WEAK_IV_THRESHOLD),
         },
         input_scale=input_scale,
     )
 
 
-def iv_wald(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: float = 0.95) -> Estimate:
+def iv_wald(iv: IvDataset, level: float = 0.95) -> Estimate:
     """Binary-instrument Wald ratio.
 
     late = (E[y|z=1] - E[y|z=0]) / (E[a|z=1] - E[a|z=0]), and
     late = reduced_form / first_stage exactly.  The weak flag fires when the
-    first-stage difference is below the threshold in magnitude.  A zero
+    first-stage difference is below WEAK_IV_THRESHOLD in magnitude.  A zero
     first stage means the instrument is irrelevant.
     """
     z1 = iv.z == 1
@@ -274,9 +273,7 @@ def iv_wald(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: flo
     # phi's mean is the rounding error of the arm means of y and late*a,
     # divided by the first stage
     scale = (float(np.max(np.abs(iv.y))) + abs(late)) / abs(first_stage)
-    return _iv_estimate(
-        "iv", iv, late, first_stage, reduced_form, se, weak_threshold, level, eif=phi, input_scale=scale
-    )
+    return _iv_estimate("iv", iv, late, first_stage, reduced_form, se, level, eif=phi, input_scale=scale)
 
 
 def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
@@ -286,7 +283,7 @@ def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
     return beta
 
 
-def tsls(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: float = 0.95) -> Estimate:
+def tsls(iv: IvDataset, level: float = 0.95) -> Estimate:
     """Just-identified two-stage least squares.
 
     Stage 1 regresses a on (1, z, covariates); stage 2 regresses y on
@@ -325,7 +322,7 @@ def tsls(iv: IvDataset, weak_threshold: float = WEAK_IV_THRESHOLD, level: float 
         se = float(np.sqrt(max(cov[1, 1], 0.0)))
     else:
         se = None
-    return _iv_estimate("tsls", iv, late, first_stage, late * first_stage, se, weak_threshold, level)
+    return _iv_estimate("tsls", iv, late, first_stage, late * first_stage, se, level)
 
 
 def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
@@ -379,17 +376,15 @@ def weak_iv_study(
     n: int = 2000,
     reps: int = 200,
     seed: int = 0,
-    complier_effect: float = 2.0,
-    noise_sd: float = 1.0,
 ) -> list[WeakIvRow]:
     """Monte Carlo sweep over first-stage strength.
 
     Each strength s draws `reps` datasets with complier share s (the rest
-    split evenly between always- and never-takers) and summarizes the Wald
-    estimator by median estimate, median normal-CI width, and median bias
-    against the true complier effect.  Replication (i, r) uses an
-    independent substream of `seed`, so rows are reproducible and
-    order-independent.
+    split evenly between always- and never-takers), a complier effect of 2
+    and unit-variance noise, and summarizes the Wald estimator by median
+    estimate, median normal-CI width, and median bias against the true
+    complier effect.  Replication (i, r) uses an independent substream of
+    `seed`, so rows are reproducible and order-independent.
     """
     if not strengths:
         raise ConfigError("strengths grid must be non-empty")
@@ -404,8 +399,7 @@ def weak_iv_study(
             p_always=rest,
             p_complier=s,
             p_never=rest,
-            effect_by_type={"complier": complier_effect},
-            noise_sd=noise_sd,
+            effect_by_type={"complier": 2.0},
         )
         lates, widths = [], []
         failed = 0
@@ -428,7 +422,7 @@ def weak_iv_study(
                 first_stage_strength=float(s),
                 median_late=med,
                 median_ci_width=float(np.median(widths)),
-                median_bias=med - complier_effect,
+                median_bias=med - true_late,
                 n_failed=failed,
             )
         )

@@ -70,7 +70,6 @@ def main() -> None:
             dgp=base,
             estimators=("aipw", "ipw_oracle"),
             replications=1000,
-            n=2000,
             seed=COVERAGE_SEED,
             scenario="both_correct",
         )

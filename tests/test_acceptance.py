@@ -34,6 +34,7 @@ and include the regenerated output in the same commit.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,10 +294,9 @@ def test_criterion_4_coverage_and_oracle_unbiasedness():
     base = ObsDgpConfig(**GOLDEN["base_dgp"])
     report = run_mc(
         McConfig(
-            dgp=base,
+            dgp=replace(base, n=run["n"]),
             estimators=("aipw", "ipw_oracle"),
             replications=run["replications"],
-            n=run["n"],
             seed=run["seed"],
             scenario=run["scenario"],
         )

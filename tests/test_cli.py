@@ -411,11 +411,26 @@ class TestMontecarlo:
         assert run_cli("montecarlo", "--config", str(conf)) == 2
         assert "'outcome_form' must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--k", "1"), "k must satisfy 2 <= k <= n, got k=1 with n=200"),
+        (("--clip", "0.5,0.4"), "clip bounds must satisfy 0 < lo < hi < 1, got (0.5, 0.4)"),
+    ])
+    def test_bad_fold_settings_are_config_errors(self, flags, message, capsys):
+        argv = ("montecarlo", "--reps", "3", "--n", "200", "--estimators", "naive,aipw", *flags)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
 
 MEASURE = (
     "x,a,y,prob\n"
     "0,0,0,0.15\n0,0,1,0.1\n0,1,0,0.1\n0,1,1,0.15\n"
     "1,0,0,0.1\n1,0,1,0.15\n1,1,0,0.05\n1,1,1,0.2\n"
+)
+
+ESTIMATED = (
+    "x,a,y,prob\n"
+    "0,0,0,0.1\n0,0,1,0.1\n0,1,0,0.15\n0,1,1,0.15\n"
+    "1,0,0,0.15\n1,0,1,0.15\n1,1,0,0.05\n1,1,1,0.15\n"
 )
 
 
@@ -439,11 +454,7 @@ class TestEifCheck:
         m = tmp_path / "m.csv"
         m.write_text(MEASURE)
         e = tmp_path / "e.csv"
-        e.write_text(
-            "x,a,y,prob\n"
-            "0,0,0,0.1\n0,0,1,0.1\n0,1,0,0.15\n0,1,1,0.15\n"
-            "1,0,0,0.15\n1,0,1,0.15\n1,1,0,0.05\n1,1,1,0.15\n"
-        )
+        e.write_text(ESTIMATED)
         code = run_cli(
             "eif-check", "--measure", str(m), "--functional", "ate",
             "--estimated", str(e), "--scores", "2",
@@ -452,6 +463,17 @@ class TestEifCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["r2_check"]["satisfied"] is True
         assert abs(report["r2_check"]["r2"]) <= report["r2_check"]["bound"]
+
+    def test_r2_check_rejects_a_non_arm_functional(self, tmp_path, capsys):
+        m, e = tmp_path / "m.csv", tmp_path / "e.csv"
+        m.write_text(MEASURE)
+        e.write_text(ESTIMATED)
+        argv = ("eif-check", "--measure", str(m), "--functional", "mean(y)", "--estimated", str(e))
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigError: second_order_remainder supports 'ate' and "
+            "'counterfactual_mean(a)', got 'mean(y)'\n"
+        )
 
     def test_bad_functional_is_input_error(self, tmp_path, capsys):
         m = tmp_path / "m.csv"

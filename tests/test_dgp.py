@@ -114,10 +114,13 @@ class TestIv:
             IvDgpConfig(n=10, p_always=0.5, p_complier=0.4)
 
     def test_first_stage_strength_cross_checked(self):
-        with pytest.raises(ConfigError, match="first_stage_strength"):
+        # derived from the type shares, so it cannot be set apart from them
+        with pytest.raises(TypeError):
             IvDgpConfig(n=10, p_complier=0.6, p_always=0.4, first_stage_strength=0.5)
-        cfg = IvDgpConfig(n=10, p_complier=0.6, p_always=0.4, first_stage_strength=0.6)
+        cfg = IvDgpConfig(n=10, p_complier=0.6, p_always=0.4)
         assert cfg.first_stage_strength == 0.6
+        cfg = IvDgpConfig(n=10, p_complier=0.7, p_never=0.1, p_defier=0.2, allow_defiers=True)
+        assert cfg.first_stage_strength == 0.7 - 0.2
 
     def test_type_shares_approximate_probabilities(self):
         cfg = IvDgpConfig(n=20000, p_always=0.25, p_complier=0.5, p_never=0.25)

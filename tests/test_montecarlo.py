@@ -132,18 +132,18 @@ class TestScenarioFeatureMaps:
             scenario_feature_maps(ObsDgpConfig(n=10), "sideways")
 
 
-BASE = ObsDgpConfig(n=50, d=1, confounding_strength=0.5, tau=1.0)
+BASE = ObsDgpConfig(n=200, d=1, confounding_strength=0.5, tau=1.0)
 
 
 class TestRunMc:
     def test_deterministic(self):
-        cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=4, n=200, seed=9)
+        cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=4, seed=9)
         r1 = run_mc(cfg)
         r2 = run_mc(cfg)
         assert r1 == r2
 
     def test_estimator_subsets_share_replication_streams(self):
-        full = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=4, n=200, seed=3)
+        full = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=4, seed=3)
         solo = dataclasses.replace(full, estimators=("naive",))
         row_full = next(r for r in run_mc(full).rows if r.estimator == "naive")
         row_solo = run_mc(solo).rows[0]
@@ -151,10 +151,9 @@ class TestRunMc:
 
     def test_report_shape(self):
         cfg = McConfig(
-            dgp=dataclasses.replace(BASE, tau=2.0),
+            dgp=dataclasses.replace(BASE, n=150, tau=2.0),
             estimators=("naive", "ipw", "ipw_oracle", "gformula", "aipw"),
             replications=3,
-            n=150,
             seed=0,
         )
         report = run_mc(cfg)
@@ -168,27 +167,45 @@ class TestRunMc:
         assert naive_row.mean_clip_count is None
 
     def test_psm_runs_and_reports_unmatched(self):
-        cfg = McConfig(dgp=BASE, estimators=("psm",), replications=3, n=120, seed=2)
-        row = run_mc(cfg).rows[0]
-        assert row.mean_unmatched is not None
+        cfg = McConfig(dgp=dataclasses.replace(BASE, n=120), estimators=("psm",), replications=3, seed=2)
+        report = run_mc(cfg)
+        assert report.n == 120
+        assert report.rows[0].mean_unmatched is not None
 
     def test_failure_ceiling_enforced(self):
         # at n=4 with 2 folds most draws leave a training half single-armed,
         # so cross-fitting fails in well over a tenth of replications
         bad = ObsDgpConfig(n=4, d=1, confounding_strength=0.0, tau=0.0)
-        cfg = McConfig(dgp=bad, estimators=("aipw",), replications=5, n=4, k=2, seed=0)
+        cfg = McConfig(dgp=bad, estimators=("aipw",), replications=5, k=2, seed=0)
         with pytest.raises(EstimationError, match="fail"):
             run_mc(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            McConfig(dgp=BASE, estimators=("nope",), replications=3, n=100)
+            McConfig(dgp=BASE, estimators=("nope",), replications=3)
         with pytest.raises(ConfigError):
-            McConfig(dgp=BASE, replications=1, n=100)
+            McConfig(dgp=BASE, replications=1)
         with pytest.raises(ConfigError):
-            McConfig(dgp=BASE, replications=3, n=100, scenario="weird")
+            McConfig(dgp=BASE, replications=3, scenario="weird")
         with pytest.raises(ConfigError, match=r"confidence level must lie in \(0, 1\), got 1.5"):
-            McConfig(dgp=BASE, replications=3, n=100, level=1.5)
+            McConfig(dgp=BASE, replications=3, level=1.5)
+        with pytest.raises(ConfigError, match="n must be >= 2"):
+            McConfig(dgp=dataclasses.replace(BASE, n=1), replications=3)
+
+    @pytest.mark.parametrize("bad", [dict(k=1), dict(clip=(0.5, 0.4))])
+    def test_bad_fold_settings_raise_in_the_first_replication(self, bad, monkeypatch):
+        draws = []
+        draw = montecarlo.generate_observational
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "generate_observational", counted)
+        cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=3, **bad)
+        with pytest.raises(ConfigError, match="k must satisfy|clip bounds"):
+            run_mc(cfg)
+        assert len(draws) == 1
 
 
 class TestDrSuite:
@@ -236,10 +253,10 @@ class TestDrSuite:
     def test_equals_four_run_mc_calls(self, suite):
         base, kwargs = self.SUITES[suite]
         reports = dr_suite(base, **kwargs)
-        options = {k: v for k, v in kwargs.items() if k != "replications"}
+        options = {k: v for k, v in kwargs.items() if k not in ("replications", "n")}
         for scenario, report in reports.items():
-            alone = run_mc(McConfig(dgp=base, replications=kwargs["replications"],
-                                    scenario=scenario, **options))
+            alone = run_mc(McConfig(dgp=dataclasses.replace(base, n=kwargs["n"]),
+                                    replications=kwargs["replications"], scenario=scenario, **options))
             assert report.rows == alone.rows
             assert report.failures == alone.failures
             assert report == alone
@@ -277,7 +294,7 @@ class TestDrSuite:
 class TestNuisanceCounts:
     def test_irls_counts_once_per_replication_fit(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "cross_fit", functools.partial(montecarlo.cross_fit, max_iter=1))
-        cfg = McConfig(dgp=BASE, estimators=("naive", "ipw", "aipw"), replications=3, n=200, k=4)
+        cfg = McConfig(dgp=BASE, estimators=("naive", "ipw", "aipw"), replications=3, k=4)
         report = run_mc(cfg)
         # one IRLS step leaves every fold unconverged, whatever uses the fit
         assert report.nonconverged_folds == 3 * 4
@@ -285,7 +302,7 @@ class TestNuisanceCounts:
         assert report.failures_by_class == {}
 
     def test_converged_fits_and_no_nuisance(self):
-        cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=3, n=200, k=4)
+        cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=3, k=4)
         report = run_mc(cfg)
         assert report.nonconverged_folds == 0
         assert report.irls_iterations >= 3 * 4
@@ -294,7 +311,7 @@ class TestNuisanceCounts:
 
     def test_failures_counted_by_error_class(self):
         base, kwargs = TestDrSuite.SUITES["failing"]
-        report = run_mc(McConfig(dgp=base, **kwargs))
+        report = run_mc(McConfig(dgp=base, **{k: v for k, v in kwargs.items() if k != "n"}))
         n_failed = sum(r.n_failed for r in report.rows)
         assert report.failures_by_class == {"RankDeficiencyError": n_failed}
         assert len(report.failures) == min(10, n_failed)
