@@ -276,6 +276,14 @@ def _load_golden_script(name):
 GOLDEN_REPORTS = _load_golden_script("regenerate_estimate_reports")
 GOLDEN_SIMULATE = _load_golden_script("regenerate_simulate_outputs")
 GOLDEN_EIF_CHECK = _load_golden_script("regenerate_eif_check_reports")
+GOLDEN_CLI_TEXT = _load_golden_script("regenerate_cli_text")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI_TEXT.CASES))
+def test_cli_text_matches_golden(case):
+    """Help, usage and error text and the exit code of `causalkit` are as frozen."""
+    frozen = json.loads(GOLDEN_CLI_TEXT.GOLDEN.read_text(encoding="utf-8"))
+    assert GOLDEN_CLI_TEXT.run_case(GOLDEN_CLI_TEXT.CASES[case]) == frozen[case]
 
 
 @pytest.fixture(scope="module")
