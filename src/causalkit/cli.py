@@ -326,15 +326,13 @@ _SIMULATE_TYPES = {
 _SIMULATE_DEFAULTS = {"n": 100, "n_units": 20}
 
 
-def _add_simulate_parser(sub) -> None:
-    p = sub.add_parser("simulate", help="draw a synthetic dataset with ground truth")
+def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dgp", choices=tuple(DGPS), required=True)
     p.add_argument("--out", help="dataset CSV path (required)")
     p.add_argument("--truth-out", dest="truth_out", help="ground-truth sidecar CSV path")
     p.add_argument("--seed", type=int, default=0)
     for dest in dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.flags):
         _add_flag(p, dest, _SIMULATE_TYPES.get(dest, float), _SIMULATE_DEFAULTS.get(dest))
-    p.set_defaults(handler=_cmd_simulate)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -366,14 +364,12 @@ _ESTIMATE_KEYS = tuple(key for key in _OPTIONS if any(key in method.keys for met
 _ESTIMATE_CONFIG_KEYS = ("method", "input", "output", *_ESTIMATE_KEYS)
 
 
-def _add_estimate_parser(sub) -> None:
-    p = sub.add_parser("estimate", help="run an estimator on a CSV dataset")
+def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=tuple(METHODS))
     p.add_argument("--input")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help="report path (default: stdout)")
     _add_option_flags(p, _ESTIMATE_KEYS)
-    p.set_defaults(handler=_cmd_estimate)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
@@ -450,13 +446,11 @@ _MONTECARLO_KEYS = (
 )
 
 
-def _add_montecarlo_parser(sub) -> None:
-    p = sub.add_parser("montecarlo", help="replicated-simulation study")
+def _add_montecarlo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     _add_option_flags(p, _MONTECARLO_KEYS)
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--csv", help="also write the row table as CSV to this path")
-    p.set_defaults(handler=_cmd_montecarlo)
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> None:
@@ -484,8 +478,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> None:
 # eif-check
 
 
-def _add_eif_check_parser(sub) -> None:
-    p = sub.add_parser("eif-check", help="numerical vs closed-form influence functions")
+def _add_eif_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", required=True, help="CSV: coordinate columns plus a prob column")
     p.add_argument("--functional", required=True, help="ate | mean(c) | cond_mean(c|a=0) | counterfactual_mean(0|1)")
     p.add_argument("--estimated", help="second measure CSV for the second-order remainder check")
@@ -493,7 +486,6 @@ def _add_eif_check_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prob-column", dest="prob_column", default="prob")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(handler=_cmd_eif_check)
 
 
 def _cmd_eif_check(args: argparse.Namespace) -> None:
@@ -553,21 +545,29 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
 # entry point
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog=PROG, description="causal-effect estimation toolkit")
-    parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    _add_simulate_parser(sub)
-    _add_estimate_parser(sub)
-    _add_montecarlo_parser(sub)
-    _add_eif_check_parser(sub)
-    return parser
+# subcommand -> (help, flag builder, handler)
+_SUBCOMMANDS = {
+    "simulate": ("draw a synthetic dataset with ground truth", _add_simulate_flags, _cmd_simulate),
+    "estimate": ("run an estimator on a CSV dataset", _add_estimate_flags, _cmd_estimate),
+    "montecarlo": ("replicated-simulation study", _add_montecarlo_flags, _cmd_montecarlo),
+    "eif-check": ("numerical vs closed-form influence functions", _add_eif_check_flags, _cmd_eif_check),
+}
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    parser = build_parser()
+    """Parse argv with every subcommand registered but only the flags of the first word
+    naming one built: the top level takes no values, so a word before it is an invalid choice."""
+    argv = sys.argv[1:] if argv is None else argv
+    chosen = next((a for a in argv if not a.startswith("-") and a in _SUBCOMMANDS), None)
+    parser = _Parser(prog=PROG, description="causal-effect estimation toolkit")
+    parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    for name, (text, add_flags, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == chosen:
+            add_flags(p)
     args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
+    if args.subcommand is None:
         parser.error("a subcommand is required (simulate, estimate, montecarlo, eif-check)")
     return args
 
@@ -578,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.handler(args)
+        _SUBCOMMANDS[args.subcommand][2](args)
         return 0
     except UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
