@@ -135,10 +135,7 @@ class DiscreteMeasure:
         return int(self.support.shape[0])
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            return self.support[:, self.names.index(name)]
-        except ValueError:
-            raise ValidationError(f"measure has no coordinate '{name}'") from None
+        return self.support[:, _coord_index(self.names, name)]
 
     def point(self, j: int) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.names, self.support[j])}
@@ -209,16 +206,17 @@ class LinearForms(NamedTuple):
     """A functional at one support: masses w have the (G, k) table
     ``table(w)``, cell c summing w[i] * unit[i] over its rows.
 
-    Columns: the mass, then per arm the arm mass and the y-weighted arm
-    mass; an arm mean is the sum over cells of mass * y-mass / arm-mass,
-    over the total mass.  ``undefined(k, c)`` names a charged cell c
-    without arm-k mass.
+    Columns: the mass, then per arm of ``arms`` the arm mass and the
+    y-weighted arm mass; an arm mean is the sum over cells of mass * y-mass
+    / arm-mass, over the total mass.  A mean is one cell whose arm is the
+    event it averages over, and ``message`` says that event has no mass.
     """
 
     cell: np.ndarray
     unit: np.ndarray
     labels: np.ndarray
-    undefined: Callable[[int, int], str]
+    arms: tuple[int, ...]
+    message: str = ""
 
     def table(self, w: np.ndarray) -> np.ndarray:
         """Cell sums (..., G, k) of masses w (..., m), in one bincount."""
@@ -244,7 +242,9 @@ class LinearForms(NamedTuple):
         if zero_total:
             raise EvaluabilityError("total mass is zero")
         k, c = divmod(_first(bad.T), len(self.labels))
-        raise EvaluabilityError(self.undefined(k, c))
+        raise EvaluabilityError(
+            self.message or f"cell with covariates {self.labels[c]} has zero mass on arm {self.arms[k]}"
+        )
 
 
 def _combine(sums: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -269,17 +269,29 @@ class Functional:
     Subclasses implement ``forms`` on raw (names, support) pairs.  Masses
     enter only through the linear forms, which take signed masses, so
     central-difference evaluations need no probability validation; the
-    public ``value`` goes through a validated measure.
+    public ``value`` goes through a validated measure.  A functional is
+    hashable: a measure keeps its forms under it (see ``_forms_at``).
     """
 
     label: str = ""
 
     def value(self, measure: DiscreteMeasure) -> float:
-        forms = self.forms(measure.names, measure.support)
-        return float(_evaluate(forms, forms.table(measure.probs)[None])[0])
+        forms, table = _forms_at(self, measure)
+        return float(_evaluate(forms, table[None])[0])
 
     def forms(self, names: tuple[str, ...], support: np.ndarray) -> LinearForms:
         raise NotImplementedError
+
+
+def _forms_at(f: Functional, p: DiscreteMeasure) -> tuple[LinearForms, np.ndarray]:
+    """f's forms on p's support and the (G, k) table of p's masses, built on
+    first use and kept on p, whose support and masses are read-only."""
+    memo = p.__dict__.setdefault("_forms", {})
+    if f not in memo:
+        forms = f.forms(p.names, p.support)
+        memo[f] = forms, forms.table(p.probs)
+        memo[f][1].setflags(write=False)
+    return memo[f]
 
 
 def _coord_index(names: tuple[str, ...], coord: str) -> int:
@@ -293,7 +305,7 @@ def _mean_forms(mask: np.ndarray, v: np.ndarray, message: str) -> LinearForms:
     """The mean of v over the points in mask, as an arm mean with one cell."""
     v = np.where(mask, v, 0.0)
     unit = np.column_stack([np.ones(len(v)), mask, v])
-    return LinearForms(np.zeros(len(v), dtype=np.intp), unit, np.empty((1, 0)), lambda k, c: message)
+    return LinearForms(np.zeros(len(v), dtype=np.intp), unit, np.empty((1, 0)), (), message)
 
 
 @dataclass(frozen=True)
@@ -353,8 +365,7 @@ def _arm_forms(names, support, arms: tuple[int, ...]) -> LinearForms:
     for arm in arms:
         in_arm = support[:, a_idx] == arm
         columns += [in_arm, np.where(in_arm, y, 0.0)]
-    message = lambda k, c: f"cell with covariates {labels[c]} has zero mass on arm {arms[k]}"  # noqa: E731
-    return LinearForms(cell, np.column_stack(columns).astype(float), labels, message)
+    return LinearForms(cell, np.column_stack(columns).astype(float), labels, arms)
 
 
 @dataclass(frozen=True)
@@ -371,20 +382,26 @@ class CounterfactualMean(Functional):
     def label(self) -> str:
         return f"counterfactual_mean({self.arm})"
 
+    @property
+    def arms(self) -> tuple[int]:
+        return (self.arm,)
+
     def forms(self, names, support) -> LinearForms:
-        return _arm_forms(names, support, (self.arm,))
+        return _arm_forms(names, support, self.arms)
 
 
 @dataclass(frozen=True)
 class Ate(Functional):
     """Average treatment effect: counterfactual mean contrast of the arms."""
 
+    arms = (1, 0)
+
     @property
     def label(self) -> str:
         return "ate"
 
     def forms(self, names, support) -> LinearForms:
-        return _arm_forms(names, support, (1, 0))
+        return _arm_forms(names, support, self.arms)
 
 
 _COND_MEAN_RE = re.compile(r"cond_mean\(\s*(\w+)\s*\|\s*(.+?)\s*\)")
@@ -426,10 +443,8 @@ def make_functional(label: str) -> Functional:
 # paths and scores
 
 
-def _union_support(
-    p_support: np.ndarray, g_support: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union of two supports, p's rows first; returns (union, g_indices)."""
+def _union_support(p_support: np.ndarray, g_support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union of two supports, p's rows first (p_support itself if g adds none); returns (union, g_indices)."""
     m = p_support.shape[0]
     _, cell = _cells(np.vstack([p_support, g_support]))
     position = np.full(int(cell.max()) + 1, -1)
@@ -543,9 +558,8 @@ def _validate_schedule(eps_schedule: Sequence[float]) -> tuple[float, float, flo
         raise ConfigError("eps schedule must be three positive values")
     if not (eps[0] > eps[1] > eps[2]):
         raise ConfigError("eps schedule must be strictly decreasing")
-    for a, b in ((eps[0], eps[1]), (eps[1], eps[2])):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ConfigError("eps schedule must halve at each step")
+    if any(abs(a / b - 2.0) > 1e-9 for a, b in zip(eps, eps[1:])):
+        raise ConfigError("eps schedule must halve at each step")
     return eps
 
 
@@ -555,12 +569,8 @@ def step_schedule(
     """The schedule ``gateaux_if``, ``eif_table`` and ``one_step`` use for f at p:
     EPS_SCHEDULE shrunk to the smallest nonzero denominator mass, or any other
     schedule as given."""
-    forms = f.forms(p.names, p.support)
-    return _scaled_schedule(eps_schedule, forms.table(p.probs))
-
-
-def _scaled_schedule(eps_schedule: Sequence[float], table: np.ndarray) -> tuple[float, float, float]:
-    eps, masses = _validate_schedule(eps_schedule), table[:, 1::2]
+    masses = _forms_at(f, p)[1][:, 1::2]
+    eps = _validate_schedule(eps_schedule)
     if eps != EPS_SCHEDULE or not np.any(masses > 0.0):
         return eps
     e0 = min(EPS_SCHEDULE[0], float(masses[masses > 0.0].min()) / EPS_MASS_RATIO)
@@ -609,19 +619,18 @@ def _influence_at(
     ``points`` (every support point of p, in order, when None), from the
     mixture paths (1-e) P + e delta_t.
 
-    Forms are built once on the union support.  A step keeps every cell's
-    terms but t's, scaled by 1-e, so it recomputes t's cell alone; it is
-    undefined where t's cell is, or where another cell was at P.  The
-    rounding scale of t is that of p's charged rows and of t.
+    Forms are built once on the union support (kept on p if it adds no row).
+    A step keeps every cell's terms but t's, scaled by 1-e, so it recomputes
+    t's cell alone; it is undefined where t's cell is, or where another cell
+    was at P.  The rounding scale of t is that of p's charged rows and of t.
     """
-    if points is None:
-        support, targets = p.support, np.arange(p.m)
+    support, targets = (p.support, np.arange(p.m)) if points is None else _union_support(p.support, points)
+    if support is p.support:
+        forms, table = _forms_at(f, p)
     else:
-        support, targets = _union_support(p.support, points)
-    forms = f.forms(p.names, support)
-    base = np.r_[p.probs, np.zeros(len(support) - p.m)]
-    table = forms.table(base)
-    eps = _scaled_schedule(eps_schedule, table)  # as step_schedule(f, p)
+        forms = f.forms(p.names, support)
+        table = forms.table(np.r_[p.probs, np.zeros(len(support) - p.m)])
+    eps = step_schedule(f, p, eps_schedule)
     if eps[0] >= 1.0:
         raise EpsError(f"mixture steps must lie below 1, got eps schedule {eps}")
     cell, unit, steps = forms.cell[targets], forms.unit[targets], np.ravel([(e, -e) for e in eps])
@@ -637,7 +646,7 @@ def _influence_at(
         forms.raise_undefined(total[j, s] == 0.0, bad)
     sums = (1.0 - steps)[:, None] * (terms.sum(axis=0) - terms[cell])[:, None, :] + new_terms
     size = forms.size()
-    scale = np.maximum(np.max(size[base > 0.0], initial=0.0), size[targets])
+    scale = np.maximum(np.max(size[: p.m][p.probs > 0.0], initial=0.0), size[targets])
     point = lambda j: dict(zip(p.names, support[targets[j]].tolist()))  # noqa: E731
     return _richardson(_combine(sums, total), eps, scale, lambda j: f"influence of {f.label} at {point(j)}")
 
@@ -699,9 +708,9 @@ def pathwise_derivative(
             )
         if not len(scores):
             return np.zeros(0)
-        forms, steps = f.forms(p.names, p.support), np.ravel([(e, -e) for e in eps])
+        (forms, base), steps = _forms_at(f, p), np.ravel([(e, -e) for e in eps])
         tables = forms.table(((1.0 + steps[:, None] * scores[:, None, :]) * p.probs).reshape(-1, p.m))
-        _check_signs(forms.table(p.probs), tables, eps)
+        _check_signs(base, tables, eps)
         scale = np.max(forms.size()[p.probs > 0.0], initial=0.0)
         what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
         d, _ = _richardson(_evaluate(forms, tables).reshape(-1, len(steps)), eps, scale, what)
@@ -750,18 +759,18 @@ def closed_form_eif(f: Functional, p: DiscreteMeasure) -> np.ndarray:
         psi = f.value(p)  # raises when the conditioning event has zero mass
         mask = f._mask(p.names, p.support)
         return np.where(mask, (p.column(f.coord) - psi) / float(p.probs[mask].sum()), 0.0)
-    if isinstance(f, CounterfactualMean):
-        # P(A=arm|X) and E[Y|A=arm,X] per point, from exact cell sums
-        forms = f.forms(p.names, p.support)
-        px, pax, ny = forms.table(p.probs).T
-        _require_positive(px, pax, forms.labels, f.arm)
-        pi, mu = (pax / px)[forms.cell], (ny / pax)[forms.cell]
-        ind = (p.column("a") == f.arm).astype(float)
-        return ind / pi * (p.column("y") - mu) + mu - f.value(p)
-    if isinstance(f, Ate):
-        return closed_form_eif(CounterfactualMean(1), p) - closed_form_eif(
-            CounterfactualMean(0), p
-        )
+    if isinstance(f, (CounterfactualMean, Ate)):
+        # per arm, P(A=arm|X) and E[Y|A=arm,X] per point from exact cell sums,
+        # and the arm mean summed over one column, as the arm's own value is
+        (forms, table), eifs = _forms_at(f, p), []
+        px, c = table[:, 0], forms.cell
+        for k, arm in enumerate(forms.arms):
+            pax, ny = table[:, 1 + 2 * k], table[:, 2 + 2 * k]
+            _require_positive(px, pax, forms.labels, arm)
+            pi, mu = pax / px, ny / pax
+            psi = np.sum(px * mu) / np.sum(px)
+            eifs.append((p.column("a") == arm) / pi[c] * (p.column("y") - mu[c]) + mu[c] - psi)
+        return eifs[0] - eifs[1] if len(eifs) == 2 else eifs[0]
     raise ConfigError(f"no closed form registered for functional '{f.label}'")
 
 
@@ -809,9 +818,7 @@ class R2Result:
     bound_arm0: float | None = None
 
 
-def _arm_remainder(
-    p_true: DiscreteMeasure, p_est: DiscreteMeasure, arm: int
-) -> tuple[float, float, float]:
+def _arm_remainder(p_true: DiscreteMeasure, p_est: DiscreteMeasure, arm: int) -> tuple[float, float, float]:
     """(r2, bound, rate_product) for one counterfactual arm mean.
 
     All expectations are over P_true's covariate marginal; the estimated
@@ -856,22 +863,13 @@ def second_order_remainder(
     the population one-step estimator based at p_est.
     """
     f = make_functional(functional)
-    if isinstance(f, CounterfactualMean):
-        r2, bound, rate = _arm_remainder(p_true, p_est, f.arm)
-        return R2Result(r2=r2, bound=bound, rate_product=rate)
-    if isinstance(f, Ate):
-        r2_1, bound_1, rate_1 = _arm_remainder(p_true, p_est, 1)
-        r2_0, bound_0, rate_0 = _arm_remainder(p_true, p_est, 0)
-        return R2Result(
-            r2=r2_1 - r2_0,
-            bound=bound_1 + bound_0,
-            rate_product=rate_1 + rate_0,
-            r2_arm1=r2_1,
-            r2_arm0=r2_0,
-            bound_arm1=bound_1,
-            bound_arm0=bound_0,
+    if not isinstance(f, (CounterfactualMean, Ate)):
+        raise ConfigError(
+            "second_order_remainder supports 'ate' and 'counterfactual_mean(a)', "
+            f"got '{functional}'"
         )
-    raise ConfigError(
-        "second_order_remainder supports 'ate' and 'counterfactual_mean(a)', "
-        f"got '{functional}'"
-    )
+    parts = [_arm_remainder(p_true, p_est, arm) for arm in f.arms]
+    if len(parts) == 1:
+        return R2Result(*parts[0])
+    (r2_1, bound_1, rate_1), (r2_0, bound_0, rate_0) = parts
+    return R2Result(r2_1 - r2_0, bound_1 + bound_0, rate_1 + rate_0, r2_1, r2_0, bound_1, bound_0)

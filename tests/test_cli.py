@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import causalkit
-from causalkit import cross_fit
+from causalkit import cross_fit, eif_engine
 from causalkit.cli import emit_report, main
 
 REPORT_KEYS = ["method", "psi_hat", "se", "ci_low", "ci_high", "n", "diagnostics", "config", "version"]
@@ -335,6 +335,18 @@ def test_eif_check_report_matches_golden_bytes(case, eif_check_reports):
     assert eif_check_reports[case] == json.dumps(frozen[case], indent=2) + "\n"
 
 
+def test_eif_check_builds_the_ate_forms_once_per_measure(tmp_path, monkeypatch, capsys):
+    """One `eif-check --functional ate --estimated` run builds the Ate forms once
+    on its measure, and the remainder builds one arm's forms per arm."""
+    calls, build = [], eif_engine._arm_forms
+    monkeypatch.setattr(eif_engine, "_arm_forms", lambda *args: calls.append(args[2]) or build(*args))
+    GOLDEN_EIF_CHECK.write_measures(tmp_path)
+    measure, estimated = str(tmp_path / "measure.csv"), str(tmp_path / "estimated.csv")
+    assert main(["eif-check", "--measure", measure, "--functional", "ate", "--estimated", estimated]) == 0
+    assert json.loads(capsys.readouterr().out)["r2_check"]["satisfied"]
+    assert calls == [(1, 0), (1,), (0,)]
+
+
 def test_csv_report_cells_as_written_today(tmp_path):
     """CSV cells are numbers as ``format_number`` writes them: a bool as an
     integer, an integer of 1e16 or more as a float."""
@@ -590,22 +602,36 @@ class TestTopLevel:
         assert run_cli("--version") == 0
         assert "causalkit" in capsys.readouterr().out
 
-    def test_import_loads_no_third_party_module_but_numpy(self):
-        # NumPy is the only runtime dependency; scipy is installed but must stay unused
+    @staticmethod
+    def modules_loaded_by_import():
+        """Every module a fresh interpreter loads for ``import causalkit.cli``."""
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import causalkit, causalkit.cli\n"
-            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
         src = str(Path(causalkit.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        return proc.stdout.split()
+
+    def test_import_loads_no_third_party_module_but_numpy(self):
+        # NumPy is the only runtime dependency; scipy is installed but must stay unused
+        loaded = {m.split(".")[0] for m in self.modules_loaded_by_import()}
         assert {"causalkit", "numpy"} <= loaded
         assert loaded - set(sys.stdlib_module_names) == {"causalkit", "numpy"}
+
+    def test_import_loads_the_same_package_modules(self):
+        # every command pays for what importing the CLI loads
+        loaded = [m for m in self.modules_loaded_by_import() if m.split(".")[0] == "causalkit"]
+        assert loaded == [
+            "causalkit", "causalkit.ate_estimators", "causalkit.cli", "causalkit.data_model",
+            "causalkit.dgp", "causalkit.eif_engine", "causalkit.errors", "causalkit.methods",
+            "causalkit.montecarlo", "causalkit.nuisance", "causalkit.quasi_experimental", "causalkit.rng",
+        ]
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "d.csv"

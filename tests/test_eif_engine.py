@@ -14,6 +14,8 @@ Hand-derived facts frozen as oracles:
   and at (1,1,1) is (1-0.8)/0.5 + 0.2 - 0.2 = 0.4.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,6 +39,7 @@ from causalkit import (
     score_of_path,
     second_order_remainder,
 )
+from causalkit import eif_engine
 from causalkit.eif_engine import EPS_SCHEDULE, RICHARDSON_RTOL, ScoreVector, step_schedule
 from causalkit.errors import (
     CausalKitError,
@@ -769,3 +772,74 @@ class TestStackedScores:
         want = error_of(lambda: pathwise_derivative(f, p, scores[2], schedule))
         assert error_of(lambda: pathwise_derivative(f, p, scores, schedule)) == want
         assert error_of(lambda: pathwise_derivative(f, p, scores[3:], schedule))[0] is ValidationError
+
+
+def _ref_arm_closed_form(p: DiscreteMeasure, arm: int) -> np.ndarray:
+    """The arm's closed form as computed before forms were kept on the measure:
+    its own cell sums, and psi as CounterfactualMean(arm).value evaluates it."""
+    forms = CounterfactualMean(arm).forms(p.names, p.support)
+    table = forms.table(p.probs)
+    px, pax, ny = table.T
+    pi, mu = (pax / px)[forms.cell], (ny / pax)[forms.cell]
+    psi = float(eif_engine._evaluate(forms, table[None])[0])
+    return (p.column("a") == arm).astype(float) / pi * (p.column("y") - mu) + mu - psi
+
+
+def fresh(p: DiscreteMeasure) -> DiscreteMeasure:
+    """A new measure equal to p, with no forms kept on it."""
+    return DiscreteMeasure(names=p.names, support=p.support, probs=p.probs)
+
+
+# 2 to 150 covariate cells: numpy sums fewer than 8, up to 128 and more terms in different orders
+BIT_MEASURES = [
+    *MEASURES,
+    outcome_measure(6, cells=12),
+    outcome_measure(7, cells=150),
+    random_measure(8, floor_weight=0.16),
+    near_positivity_measure(),
+]
+
+
+class TestFormsKeptOnTheMeasure:
+    """A functional's forms and base table are built once per measure."""
+
+    @pytest.mark.parametrize("p", BIT_MEASURES)
+    def test_ate_closed_form_is_its_arms_bit_for_bit(self, p):
+        arms = {arm: closed_form_eif(CounterfactualMean(arm), p) for arm in (1, 0)}
+        assert closed_form_eif(Ate(), p).tobytes() == (arms[1] - arms[0]).tobytes()
+        assert closed_form_eif(Ate(), fresh(p)).tobytes() == (arms[1] - arms[0]).tobytes()
+        for arm, phi in arms.items():
+            assert phi.tobytes() == _ref_arm_closed_form(p, arm).tobytes()
+
+    def test_one_measure_gives_each_functional_its_own_forms(self):
+        p = outcome_measure(3)
+        for f in FUNCTIONALS:
+            forms, table = eif_engine._forms_at(f, p)
+            alone = fresh(p)  # f is the only functional used on it
+            assert forms.unit.shape[1] == 1 + 2 * max(1, len(forms.arms))
+            assert forms.arms == getattr(f, "arms", ())
+            assert table.tobytes() == forms.table(p.probs).tobytes()
+            assert f.value(p) == f.value(alone)
+            assert step_schedule(f, p) == step_schedule(f, alone)
+            assert closed_form_eif(f, p).tobytes() == closed_form_eif(f, alone).tobytes()
+            assert eif_table(f, p)[0].tobytes() == eif_table(f, alone)[0].tobytes()
+        assert eif_engine._forms_at(Ate(), p) is eif_engine._forms_at(Ate(), p)
+
+    def test_forms_are_built_once_per_functional_and_measure(self, monkeypatch):
+        calls, build = [], eif_engine._arm_forms
+        monkeypatch.setattr(eif_engine, "_arm_forms", lambda *args: calls.append(args[2]) or build(*args))
+        p, f = outcome_measure(4), Ate()
+        eif_table(f, p, step_schedule(f, p))
+        closed_form_eif(f, p), f.value(p), pathwise_derivative(f, p, score_stack(p))
+        assert calls == [(1, 0)]
+        closed_form_eif(CounterfactualMean(0), p), Ate().value(p)
+        assert calls == [(1, 0), (0,)]
+        Ate().value(fresh(p))
+        assert calls == [(1, 0), (0,), (1, 0)]
+
+    def test_kept_table_is_read_only_and_a_measure_still_pickles(self):
+        p = outcome_measure(5)
+        phi = closed_form_eif(Ate(), p)
+        with pytest.raises(ValueError, match="read-only"):
+            eif_engine._forms_at(Ate(), p)[1][0, 0] = 1.0
+        assert closed_form_eif(Ate(), pickle.loads(pickle.dumps(p))).tobytes() == phi.tobytes()
