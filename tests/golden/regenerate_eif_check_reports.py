@@ -12,7 +12,8 @@ support x1 x x2 x a x y = 4 x 4 x 2 x 2; one of them holds a total mass of
 tests/test_cli.py re-runs every case and compares the report bytes with
 ``json.dumps(frozen, indent=2) + "\\n"``, the exact form the CLI writes.
 Regenerate only when a report changes on purpose, and quote the old and new
-values of what changed in CHANGES.md.
+values of what changed in CHANGES.md; the script prints each of them (see
+number_changes.py).
 """
 
 import contextlib
@@ -94,9 +95,14 @@ def build_reports() -> dict[str, str]:
 
 
 def main() -> None:
+    # imported here: tests/test_cli.py loads this file without tests/golden on sys.path
+    from number_changes import print_changes
+
     reports = {case: json.loads(text) for case, text in build_reports().items()}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(reports)} reports to {GOLDEN}")
+    print_changes(GOLDEN.name, old, reports)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ table and its truth with the compliance-type label column, the panel table
 and its unit-effect sidecar, and the RD table.  tests/test_cli.py writes
 every case again into a scratch directory and compares the files byte for
 byte.  Regenerate only when the written bytes change on purpose, and say why
-in CHANGES.md.
+in CHANGES.md; the script prints every changed CSV cell (see number_changes.py).
 """
 
 import contextlib
@@ -54,10 +54,21 @@ def write_outputs(directory: Path) -> None:
             raise RuntimeError(f"causalkit simulate {' '.join(argv)} exited with {code}")
 
 
+def read_outputs(directory: Path) -> dict[str, str]:
+    """The text of every file the cases write that exists in ``directory``."""
+    paths = (directory / name for name in file_names())
+    return {path.name: path.read_text(encoding="utf-8") for path in paths if path.exists()}
+
+
 def main() -> None:
+    # imported here: tests/test_cli.py loads this file without tests/golden on sys.path
+    from number_changes import print_changes
+
     GOLDEN_DIR.mkdir(exist_ok=True)
+    old = read_outputs(GOLDEN_DIR)
     write_outputs(GOLDEN_DIR)
     print(f"wrote {len(file_names())} files to {GOLDEN_DIR}")
+    print_changes(GOLDEN_DIR.name, old, read_outputs(GOLDEN_DIR))
 
 
 if __name__ == "__main__":
