@@ -9,18 +9,20 @@ CSV is the sole file format: comma-separated, first row header, UTF-8,
 "." decimal separator.  Column meaning is given by an explicit schema
 mapping — there is no header inference.  Floats are written with their
 shortest round-trip representation, so write(load(f)) reproduces numeric
-values bit-exactly.  Files are read and written in blocks of _BLOCK_ROWS
-rows, a whole column of a block at a time.
+values bit-exactly.  Reading goes through NumPy's tokenizer, yet a cell's
+value is still float() of its text (a file the tokenizer rejects is read again
+row by row); writing goes in blocks of _BLOCK_ROWS rows, a column at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
-from itertools import islice
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import starmap
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -305,33 +307,22 @@ class IvDataset:
         return self.y.shape[0]
 
 
-_BLOCK_ROWS = 8192  # rows per block read or written; bounds the cell strings held at once
+_BLOCK_ROWS = 8192  # rows per block written; bounds the cell strings held at once
 
 
-def _row_blocks(path: str) -> Iterator[list]:
-    """Yield the stripped header, then the non-empty rows in blocks of _BLOCK_ROWS."""
+@contextmanager
+def _opened(path: str) -> Iterator[tuple[TextIO, list[str]]]:
+    """The open file and its stripped header; a read or decode failure is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: file is empty, expected a header row") from None
-            yield [h.strip() for h in header]
-            rows = filter(None, reader)
-            while block := list(islice(rows, _BLOCK_ROWS)):
-                yield block
+            header = next(csv.reader(f), None)
+            if header is None:
+                raise SchemaError(f"{path}: file is empty, expected a header row")
+            yield f, [h.strip() for h in header]
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from exc
-
-
-def _column_index(header: list[str], column: str, path: str) -> int:
-    try:
-        return header.index(column)
-    except ValueError:
-        raise SchemaError(f"{path}: missing required column '{column}'") from None
 
 
 def _parse_cell(row: list[str], idx: int, column: str, row_number: int) -> float:
@@ -340,54 +331,71 @@ def _parse_cell(row: list[str], idx: int, column: str, row_number: int) -> float
     except IndexError:
         raise ParseError(f"row {row_number}: too few cells, no value for column '{column}'") from None
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ParseError(f"row {row_number}, column '{column}': could not parse {raw!r} as a number") from None
-    return value
+
+
+def _scan_rows(
+    f: TextIO, path: str, fields: Sequence[tuple[int, str]], first_row: int, width: int | None
+) -> np.ndarray:
+    """The (rows, fields) table of f by _parse_cell, row by row from the top (a pipe: after the
+    header), rows numbered from ``first_row``; with ``width`` set, other row lengths fail."""
+    reader = csv.reader(f)
+    if f.seekable():
+        f.seek(0)
+        while f.read(1 << 20):  # a file that is not UTF-8 fails first, whatever its rows hold
+            pass
+        f.seek(0)
+        next(reader)  # the header
+    def values(r: int, row: list[str]) -> tuple[float, ...]:
+        if width is not None and len(row) != width:
+            raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        return tuple(_parse_cell(row, idx, column, r) for idx, column in fields)
+    rows = enumerate(filter(None, reader), first_row)
+    return np.fromiter(starmap(values, rows), np.dtype((float, len(fields))))
 
 
 def _parse_fields(
-    path: str, blocks: Iterable[list], fields: Sequence[tuple[int, str]], first_row: int = 1,
-    width: int | None = None,
-) -> tuple[list[np.ndarray], int]:
-    """Parse each row's ``(cell index, column name)`` fields: one float vector per field, row count.
+    f: TextIO, path: str, fields: Sequence[tuple[int, str]], first_row: int = 1, width: int | None = None
+) -> list[np.ndarray]:
+    """Parse the ``(cell index, column name)`` fields of every non-empty row after the header.
 
-    Each value is ``float(cell)``, a whole block column at a time.  A failing block is scanned
-    again row by row with _parse_cell, so the error names the first bad row (numbered from
-    ``first_row``) and column.  With ``width`` set, a row of any other length is a SchemaError.
+    Each value is ``float(cell)``.  NumPy's tokenizer reads the rows in one call; _scan_rows
+    reads a pipe, a file the tokenizer rejects (a bad or short cell, '1_0' or another cell only
+    float() reads, bytes that are not UTF-8) and a file holding bytes 0x1c-0x1f, which NumPy
+    strips from a cell and float() does not.  With ``width`` set, rows have that many cells.
     """
-    parts: list[list[np.ndarray]] = [[] for _ in fields]
-    row_number = first_row
-    for block in blocks:
-        m = len(block)
-        try:
-            if width is not None and set(map(len, block)) != {width}:
-                raise IndexError
-            for part, (idx, _) in zip(parts, fields):
-                part.append(np.fromiter(map(float, map(itemgetter(idx), block)), float, m))
-        except (IndexError, ValueError):
-            for r, row in enumerate(block, start=row_number):
-                if width is not None and len(row) != width:
-                    raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {width}") from None
-                for idx, column in fields:
-                    _parse_cell(row, idx, column, r)
-            raise
-        row_number += m
-    return [np.concatenate(p) if p else np.empty(0) for p in parts], row_number - first_row
+    cols = [idx for idx, _ in fields]
+    try:
+        if not f.seekable():
+            raise ValueError
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            usecols = cols if width is None else None  # all cells, so that loadtxt rejects ragged rows
+            table = np.loadtxt(f, delimiter=",", quotechar='"', comments=None, ndmin=2, usecols=usecols)
+        f.seek(0)
+        chunks = iter(lambda: f.buffer.read(1 << 20), b"")
+        if table.shape[1] != (width or len(cols)) or any(c in b for b in chunks for c in b"\x1c\x1d\x1e\x1f"):
+            raise ValueError
+        if width is not None:
+            table = table[:, cols]
+    except ValueError:  # UnicodeDecodeError included
+        table = _scan_rows(f, path, fields, first_row, width)
+    return [np.ascontiguousarray(column) for column in table.T]
 
 
-def _parse_columns(
-    path: str, columns: Sequence[str]
-) -> tuple[dict[str, np.ndarray], int]:
+def _parse_columns(path: str, columns: Sequence[str]) -> tuple[dict[str, np.ndarray], int]:
     """Parse the named columns into float vectors.  Row numbers are 1-based data rows."""
     twice = [c for i, c in enumerate(columns) if c in columns[:i]]
     if twice:
         raise SchemaError(f"{path}: the schema names column '{twice[0]}' more than once")
-    blocks = _row_blocks(path)
-    header = next(blocks)
-    fields = [(_column_index(header, c, path), c) for c in columns]
-    values, n = _parse_fields(path, blocks, fields)
-    return dict(zip(columns, values)), n
+    with _opened(path) as (f, header):
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column '{missing[0]}'")
+        values = _parse_fields(f, path, [(header.index(c), c) for c in columns])
+    return dict(zip(columns, values)), len(values[0])
 
 
 def _schema_value(schema: Mapping[str, object], key: str, path: str) -> str:
@@ -423,11 +431,7 @@ def load_csv(path: str, schema: Mapping[str, object]) -> ObservationalDataset:
             f"row {bad[0] + 1}, column '{treatment}': treatment must be 0 or 1, "
             f"found {format_number(a_raw[bad[0]])}"
         )
-    x = (
-        np.column_stack([cols[c] for c in covariates])
-        if covariates
-        else np.empty((n, 0))
-    )
+    x = np.column_stack([cols[c] for c in covariates]) if covariates else np.empty((n, 0))
     return ObservationalDataset(x=x, a=a_raw, y=cols[outcome])
 
 
@@ -438,11 +442,7 @@ def load_iv_csv(path: str, schema: Mapping[str, object]) -> IvDataset:
     outcome = _schema_value(schema, "outcome", path)
     covariates = _schema_covariates(schema)
     cols, n = _parse_columns(path, [instrument, treatment, outcome, *covariates])
-    x = (
-        np.column_stack([cols[c] for c in covariates])
-        if covariates
-        else None
-    )
+    x = np.column_stack([cols[c] for c in covariates]) if covariates else None
     return IvDataset(z=cols[instrument], a=cols[treatment], y=cols[outcome], x=x)
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data_model import _parse_fields, _row_blocks
+from .data_model import _opened, _parse_fields
 from .errors import (
     CausalKitError,
     ConfigError,
@@ -154,16 +154,15 @@ class DiscreteMeasure:
     @classmethod
     def from_csv(cls, path: str, prob_column: str = "prob") -> "DiscreteMeasure":
         """Read a CSV of coordinate columns plus a probability column."""
-        blocks = _row_blocks(path)
-        header = next(blocks)
-        if prob_column not in header:
-            raise SchemaError(f"measure file {path} has no '{prob_column}' column")
-        if len(header) < 2:
-            raise SchemaError("measure file needs at least one coordinate column plus probabilities")
-        prob_idx = header.index(prob_column)
-        coords = [(i, h) for i, h in enumerate(header) if i != prob_idx]
-        # row numbers count the header as row 1
-        values, _ = _parse_fields(path, blocks, [*coords, (prob_idx, prob_column)], 2, len(header))
+        with _opened(path) as (f, header):
+            if prob_column not in header:
+                raise SchemaError(f"measure file {path} has no '{prob_column}' column")
+            if len(header) < 2:
+                raise SchemaError("measure file needs at least one coordinate column plus probabilities")
+            prob_idx = header.index(prob_column)
+            coords = [(i, h) for i, h in enumerate(header) if i != prob_idx]
+            # row numbers count the header as row 1
+            values = _parse_fields(f, path, [*coords, (prob_idx, prob_column)], 2, len(header))
         return cls(
             names=tuple(h for _, h in coords), support=np.column_stack(values[:-1]), probs=values[-1]
         )
