@@ -817,22 +817,17 @@ class R2Result:
     bound_arm0: float | None = None
 
 
-def _arm_remainder(p_true: DiscreteMeasure, p_est: DiscreteMeasure, arm: int) -> tuple[float, float, float]:
-    """(r2, bound, rate_product) for one counterfactual arm mean.
+def _arm_remainder(forms: LinearForms, tables: np.ndarray, n_true: int, j: int) -> tuple[float, float, float]:
+    """(r2, bound, rate_product) for the arm mean of ``forms.arms[j]``.
 
-    All expectations are over P_true's covariate marginal; the estimated
-    conditionals come from P_est.  X cells are matched by exact coordinate
-    equality.
+    ``forms`` sit on P_true's n_true support rows stacked over P_est's;
+    ``tables`` holds their tables of P_true's and P_est's masses.  Means are
+    over P_true's covariate marginal, conditionals estimated from P_est, and
+    X cells matched by exact coordinate equality.
     """
-    x_true, x_est = _causal_columns(p_true.names)[2], _causal_columns(p_est.names)[2]
-    if [p_true.names[i] for i in x_true] != [p_est.names[i] for i in x_est]:
-        raise ValidationError("true and estimated measures must share covariate names")
-    est = p_est.support[:, [p_est.names.index(n) for n in p_true.names]]
-    forms = CounterfactualMean(arm).forms(p_true.names, np.vstack([p_true.support, est]))
-    cells, n_true = forms.labels, p_true.m
-    px, pax, ny = forms.table(np.r_[p_true.probs, np.zeros(p_est.m)]).T
+    arm, cells, c = forms.arms[j], forms.labels, [0, 1 + 2 * j, 2 + 2 * j]
+    (px, pax, ny), (e_px, e_pax, e_ny) = tables[0][:, c].T, tables[1][:, c].T
     _require_positive(px, pax, cells, arm, present=np.bincount(forms.cell[:n_true], minlength=len(cells)) > 0)
-    e_px, e_pax, e_ny = forms.table(np.r_[np.zeros(n_true), p_est.probs]).T
     live = px > 0.0
     missing = live & (np.bincount(forms.cell[n_true:], minlength=len(cells)) == 0)
     empty = live & ((e_px == 0.0) | (e_pax == 0.0))
@@ -867,7 +862,14 @@ def second_order_remainder(
             "second_order_remainder supports 'ate' and 'counterfactual_mean(a)', "
             f"got '{functional}'"
         )
-    parts = [_arm_remainder(p_true, p_est, arm) for arm in f.arms]
+    x_true, x_est = _causal_columns(p_true.names)[2], _causal_columns(p_est.names)[2]
+    if [p_true.names[i] for i in x_true] != [p_est.names[i] for i in x_est]:
+        raise ValidationError("true and estimated measures must share covariate names")
+    est = p_est.support[:, [p_est.names.index(n) for n in p_true.names]]
+    forms = f.forms(p_true.names, np.vstack([p_true.support, est]))
+    masses = np.stack([np.r_[p_true.probs, np.zeros(p_est.m)], np.r_[np.zeros(p_true.m), p_est.probs]])
+    tables = forms.table(masses)
+    parts = [_arm_remainder(forms, tables, p_true.m, k) for k in range(len(f.arms))]
     if len(parts) == 1:
         return R2Result(*parts[0])
     (r2_1, bound_1, rate_1), (r2_0, bound_0, rate_0) = parts

@@ -337,14 +337,14 @@ def test_eif_check_report_matches_golden_bytes(case, eif_check_reports):
 
 def test_eif_check_builds_the_ate_forms_once_per_measure(tmp_path, monkeypatch, capsys):
     """One `eif-check --functional ate --estimated` run builds the Ate forms once
-    on its measure, and the remainder builds one arm's forms per arm."""
+    on its measure, and once more for the remainder, on the stacked supports."""
     calls, build = [], eif_engine._arm_forms
     monkeypatch.setattr(eif_engine, "_arm_forms", lambda *args: calls.append(args[2]) or build(*args))
     GOLDEN_EIF_CHECK.write_measures(tmp_path)
     measure, estimated = str(tmp_path / "measure.csv"), str(tmp_path / "estimated.csv")
     assert main(["eif-check", "--measure", measure, "--functional", "ate", "--estimated", estimated]) == 0
     assert json.loads(capsys.readouterr().out)["r2_check"]["satisfied"]
-    assert calls == [(1, 0), (1,), (0,)]
+    assert calls == [(1, 0), (1, 0)]
 
 
 def test_csv_report_cells_as_written_today(tmp_path):
