@@ -80,6 +80,7 @@ from .montecarlo import (
     run_mc,
     scenario_feature_maps,
     summarize_estimator,
+    weak_iv_study,
 )
 from .nuisance import (
     FoldAssignment,
@@ -98,7 +99,6 @@ from .quasi_experimental import (
     iv_wald,
     rd_local_linear,
     tsls,
-    weak_iv_study,
 )
 from .rng import child_seed, stream
 

@@ -34,6 +34,7 @@ __all__ = [
     "psm_att",
     "aipw",
     "check_level",
+    "normal_quantile",
     "normal_ci",
     "variance_ci",
 ]
@@ -45,12 +46,17 @@ def check_level(level: float) -> None:
         raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
 
 
+def normal_quantile(level: float) -> float:
+    """The z with P(|Z| <= z) = level for a standard normal Z."""
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
     """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
     check_level(level)
     if se is None:
         return None, None
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = normal_quantile(level)
     return float(psi - z * se), float(psi + z * se)
 
 

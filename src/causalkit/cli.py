@@ -350,7 +350,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         "seed": args.seed,
         "version": __version__,
     }
-    summary.update(dgp.draw(config, args.seed, args.out, args.truth_out))
+    summary.update(dgp.write(dgp.generate(config, args.seed), args.out, args.truth_out))
     emit_report(summary, "json", None)
 
 
@@ -386,7 +386,7 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     out_path = r.get("out", "output", None, _cast_str)
     values = r.options(method.keys, f"--method {name}")
 
-    data = method.load(input_path, values)
+    data = DGPS[method.kind].load(input_path, values)
     fit = None
     if method.nuisance:
         fit = cross_fit(

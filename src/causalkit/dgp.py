@@ -31,7 +31,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .data_model import GroundTruth, IvDataset, ObservationalDataset, PanelDataset, _write_table
+from .data_model import GroundTruth, IvDataset, ObservationalDataset, PanelDataset, _parse_columns, _write_table
+from .data_model import load_csv, load_iv_csv, load_panel_csv
 from .data_model import write_csv, write_ground_truth_csv, write_iv_csv, write_panel_csv
 from .errors import ConfigError
 from .rng import stream
@@ -321,20 +322,27 @@ def generate_rd(config: RdDgpConfig, seed: int) -> tuple[ObservationalDataset, G
 
 @dataclass(frozen=True)
 class Dgp:
-    """One DGP as `causalkit simulate` draws it.
+    """One DGP as `causalkit simulate`, `causalkit estimate` and `run_mc` use it.
 
     ``flags`` maps each flag to the config field it sets, in the order the
     summary echoes them; a field ``effect_by_type.<type>`` is one entry of
     that mapping.  ``derived`` names the config fields the class works out
-    itself, echoed after the flags.  ``draw(config, seed, out, truth_out)``
-    generates the data, writes it to ``out`` and the truth to ``truth_out``
-    (when given), and returns the summary's row count plus its true-effect
-    item, if any.
+    itself, echoed after the flags.  ``generate(config, seed)`` returns
+    ``(data, truth, estimands)``: the dataset, what the truth sidecar holds,
+    and for each estimand the DGP defines a call that returns its true value,
+    so a truth is computed only when asked for.  The first estimand is fixed
+    by the config.  ``write(draw, out, truth_out)`` writes what ``generate``
+    returned, the data to ``out`` and the truth to ``truth_out`` (when given),
+    and returns the summary's row count plus its true-effect item, if any.
+    ``load(path, values)`` reads a dataset of this kind, with ``values``
+    mapping config keys to resolved values.
     """
 
     config: type
     flags: dict[str, str]
-    draw: Callable[[object, int, str, str | None], dict]
+    generate: Callable[[object, int], tuple]
+    write: Callable[[tuple, str, str | None], dict]
+    load: Callable[[str, dict], object]
     derived: tuple[str, ...] = ()
 
     def make(self, values: Mapping[str, object]):
@@ -359,28 +367,45 @@ class Dgp:
         return out
 
 
-# The draws look the generators and writers up as module globals each time
-# they run, so a wrapper installed at those module attributes sees every call.
+# The rows' steps look the generators, writers and loaders up as module
+# globals each time they run (a lambda in a row too), so a wrapper installed
+# at those module attributes sees every call.
 
 
-def _draw_obs(config: ObsDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
+def _generate_obs(config: ObsDgpConfig, seed: int) -> tuple:
     dataset, truth = generate_observational(config, seed)
+    return dataset, truth, {"ate": lambda: float(config.tau)}
+
+
+def _known(estimand: str, data, truth, value: float) -> tuple:
+    """A draw whose one estimand has a truth its config fixes."""
+    return data, truth, {estimand: lambda: value}
+
+
+def _generate_panel(config: PanelDgpConfig, seed: int) -> tuple:
+    panel, true_effect, unit_effects = generate_panel(config, seed)
+    return _known("effect", panel, unit_effects, true_effect)
+
+
+def _write_obs(draw: tuple, out: str, truth_out: str | None) -> dict:
+    dataset, truth, _ = draw
     write_csv(dataset, out)
     if truth_out:
         write_ground_truth_csv(truth, truth_out)
     return {"rows": dataset.n}
 
 
-def _draw_iv(config: IvDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
-    dataset, truth, true_late = generate_iv(config, seed)
+def _write_iv(draw: tuple, out: str, truth_out: str | None) -> dict:
+    dataset, truth, estimands = draw
     write_iv_csv(dataset, out)
     if truth_out:
         write_ground_truth_csv(truth, truth_out)
-    return {"rows": dataset.n, "true_late": true_late}
+    return {"rows": dataset.n, "true_late": estimands["late"]()}
 
 
-def _draw_panel(config: PanelDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
-    panel, true_effect, unit_effects = generate_panel(config, seed)
+def _write_panel(draw: tuple, out: str, truth_out: str | None) -> dict:
+    panel, unit_effects, estimands = draw
+    true_effect = estimands["effect"]()
     write_panel_csv(panel, out)
     if truth_out:
         n_units = unit_effects.shape[0]
@@ -392,12 +417,20 @@ def _draw_panel(config: PanelDgpConfig, seed: int, out: str, truth_out: str | No
     return {"rows": panel.n, "true_effect": true_effect}
 
 
-def _draw_rd(config: RdDgpConfig, seed: int, out: str, truth_out: str | None) -> dict:
-    dataset, truth, true_jump = generate_rd(config, seed)
+def _write_rd(draw: tuple, out: str, truth_out: str | None) -> dict:
+    dataset, truth, estimands = draw
     write_csv(dataset, out, schema={"covariates": ["x"]})
     if truth_out:
         write_ground_truth_csv(truth, truth_out)
-    return {"rows": dataset.n, "true_jump": true_jump}
+    return {"rows": dataset.n, "true_jump": estimands["jump"]()}
+
+
+def _load_rd(path: str, values: dict) -> ObservationalDataset:
+    # a sharp design: the running variable is the only covariate and the
+    # treatment is x >= cutoff, so the file needs no treatment column
+    cols, _ = _parse_columns(path, [values["running"], values["outcome"]])
+    x = cols[values["running"]]
+    return ObservationalDataset(x=x, a=x >= values["cutoff"], y=cols[values["outcome"]])
 
 
 DGPS: dict[str, Dgp] = {
@@ -413,7 +446,9 @@ DGPS: dict[str, Dgp] = {
             "outcome_form": "outcome_form",
             "propensity_form": "propensity_form",
         },
-        _draw_obs,
+        _generate_obs,
+        _write_obs,
+        lambda path, values: load_csv(path, values),
     ),
     "iv": Dgp(
         IvDgpConfig,
@@ -431,7 +466,9 @@ DGPS: dict[str, Dgp] = {
             "defier_effect": "effect_by_type.defier",
             "noise_sd": "noise_sd",
         },
-        _draw_iv,
+        lambda config, seed: _known("late", *generate_iv(config, seed)),
+        _write_iv,
+        lambda path, values: load_iv_csv(path, values),
         derived=("first_stage_strength",),
     ),
     "panel": Dgp(
@@ -448,7 +485,9 @@ DGPS: dict[str, Dgp] = {
             "treated_fraction": "treated_fraction",
             "first_treated_period": "first_treated_period",
         },
-        _draw_panel,
+        _generate_panel,
+        _write_panel,
+        lambda path, values: load_panel_csv(path, values),
     ),
     "rd": Dgp(
         RdDgpConfig,
@@ -461,6 +500,8 @@ DGPS: dict[str, Dgp] = {
             "noise_sd": "noise_sd",
             "half_width": "half_width",
         },
-        _draw_rd,
+        lambda config, seed: _known("jump", *generate_rd(config, seed)),
+        _write_rd,
+        _load_rd,
     ),
 }

@@ -1,15 +1,18 @@
-"""Replicated-simulation harness for the estimator family.
+"""Replicated-simulation harness for every estimator on every DGP.
 
-A run draws R independent datasets from a configured DGP (replication r uses
-the substream keyed by r under the run seed), applies the requested
-estimators to each, and aggregates bias, variance, MSE, CI coverage, and
-diagnostics.  Estimator failures inside a replication are recorded and
-excluded rather than fatal, up to a 10% failure ceiling.
+A run draws R independent datasets through the ``dgp.DGPS`` row of its DGP
+config (replication r uses the substream keyed by r under the run seed),
+applies the requested methods to each (rows of the method table that read
+that kind of data, plus the simulation-only ``ipw_oracle``), and aggregates
+bias, variance, MSE, CI coverage, and diagnostics, each method against the
+truth of its own estimand.  Estimator failures inside a replication are
+recorded and excluded rather than fatal, up to a 10% failure ceiling.  The
+weak-instrument sweep runs on the same replication loop.
 
 The scenario label controls which nuisance learners use a feature map that
-mismatches the DGP's functional form.  A mismatch only constitutes real
-misspecification when the DGP form is linear_plus_quadratic (a quadratic
-learner on a linear DGP nests the truth).
+mismatches the DGP's functional form, so it applies to the observational DGP
+only.  A mismatch only constitutes real misspecification when the DGP form is
+linear_plus_quadratic (a quadratic learner on a linear DGP nests the truth).
 """
 
 from __future__ import annotations
@@ -20,30 +23,34 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ate_estimators import check_level, ipw
+from .ate_estimators import check_level, ipw, normal_quantile
 from .data_model import Estimate, GroundTruth, ObservationalDataset, require_both_arms
-from .dgp import FORMS, ObsDgpConfig, generate_observational
-from .errors import CausalKitError, ConfigError, EstimationError
-from .methods import METHODS
+from .dgp import DGPS, FORMS, IvDgpConfig, ObsDgpConfig, PanelDgpConfig, RdDgpConfig
+from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError
+from .methods import METHODS, Method
 from .nuisance import NuisanceFit, cross_fit
 from .rng import child_seed
 
 __all__ = [
     "SCENARIOS",
     "ESTIMATORS",
+    "MC_METHODS",
     "McConfig",
     "EstimatorSummary",
     "McReport",
     "ErrorDecomposition",
+    "WeakIvRow",
     "scenario_feature_maps",
     "error_decomposition",
     "summarize_estimator",
     "run_mc",
     "dr_suite",
+    "weak_iv_study",
 ]
 
 SCENARIOS = ("both_correct", "pi_wrong", "mu_wrong", "both_wrong")
 
+# the methods that read observational data, which `causalkit montecarlo` runs
 ESTIMATORS = ("naive", "ipw", "ipw_oracle", "gformula", "psm", "aipw")
 
 # Share of failed replications (per estimator) beyond which a run aborts.
@@ -72,11 +79,34 @@ def scenario_feature_maps(dgp: ObsDgpConfig, scenario: str) -> tuple[str, str]:
     return table[scenario]
 
 
+def _ipw_oracle(dataset: ObservationalDataset, truth: GroundTruth, level: float) -> Estimate:
+    """Horvitz-Thompson IPW with the true propensities, which only a simulation knows."""
+    return ipw(dataset, truth.pi, "horvitz_thompson", level=level)
+
+
+# The method table plus ipw_oracle, which reads the draw's ground truth and so
+# runs in simulations only.
+MC_METHODS: dict[str, Method] = {**METHODS, "ipw_oracle": Method((), "obs", "ate", _ipw_oracle, oracle=True)}
+
+
+# the DGPS row of each DGP config class
+_KINDS = {row.config: kind for kind, row in DGPS.items()}
+
+
+def _units(dgp) -> int:
+    """Units per replication: a panel's n_units, any other DGP's n."""
+    return dgp.n_units if isinstance(dgp, PanelDgpConfig) else dgp.n
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """A Monte Carlo study: each replication draws ``dgp.n`` units from ``dgp``."""
+    """A Monte Carlo study: each replication draws one dataset from ``dgp``.
 
-    dgp: ObsDgpConfig
+    Every estimator must read the kind of data ``dgp`` draws, and a scenario
+    other than both_correct needs the feature-map forms of ObsDgpConfig.
+    """
+
+    dgp: ObsDgpConfig | IvDgpConfig | PanelDgpConfig | RdDgpConfig
     estimators: tuple[str, ...] = ("naive", "ipw", "gformula", "aipw")
     replications: int = 100
     seed: int = 0
@@ -90,16 +120,24 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.replications < 2:
             raise ConfigError("replications must be >= 2")
-        if self.dgp.n < 2:
+        kind = _KINDS.get(type(self.dgp))
+        if kind is None:
+            raise ConfigError(f"{type(self.dgp).__name__} is not the config of a DGP in {tuple(DGPS)}")
+        if _units(self.dgp) < 2:
             raise ConfigError("n must be >= 2")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario '{self.scenario}', expected one of {SCENARIOS}")
+        if self.scenario != SCENARIOS[0] and kind != "obs":
+            raise ConfigError(f"scenario '{self.scenario}' needs feature-map forms, which a {kind} DGP has not")
         estimators = tuple(self.estimators)
         if not estimators:
             raise ConfigError("estimator list must be non-empty")
-        unknown = [e for e in estimators if e not in ESTIMATORS]
+        unknown = [e for e in estimators if e not in MC_METHODS]
         if unknown:
-            raise ConfigError(f"unknown estimators {unknown}, expected a subset of {ESTIMATORS}")
+            raise ConfigError(f"unknown estimators {unknown}, expected a subset of {tuple(MC_METHODS)}")
+        other = [e for e in estimators if MC_METHODS[e].kind != kind]
+        if other:
+            raise ConfigError(f"estimators {other} do not read the data of a {kind} DGP")
         check_level(self.level)
         object.__setattr__(self, "estimators", estimators)
 
@@ -126,7 +164,10 @@ class EstimatorSummary:
 class McReport:
     """One scenario's per-estimator summaries plus run-level counts.
 
-    ``failures`` keeps the first 10 failure messages; ``failures_by_class``
+    ``true_ate`` is the truth of the DGP's first estimand, which its config
+    fixes: tau, the LATE, the panel effect or the jump.  Each row is scored
+    against its method's own estimand.  ``n`` is the
+    number of units per replication.  ``failures`` keeps the first 10 failure messages; ``failures_by_class``
     counts every failed (replication, estimator) pair by error class, so its
     values sum to the rows' ``n_failed``.  ``nonconverged_folds`` and
     ``irls_iterations`` add up, once per replication whose cross-fit
@@ -237,11 +278,10 @@ def error_decomposition(dataset: ObservationalDataset, truth: GroundTruth) -> Er
     )
 
 
-def _ipw_oracle(dataset: ObservationalDataset, truth: GroundTruth, level: float) -> Estimate:
-    """Horvitz-Thompson IPW with the true propensities, which only a simulation knows."""
-    if truth.pi is None:
-        raise EstimationError("ipw_oracle requires ground-truth propensities")
-    return ipw(dataset, truth.pi, "horvitz_thompson", level=level)
+def _mean_truth(truths: list[float]) -> float:
+    """The mean of per-replication truths; a truth shared by every replication
+    is returned as it is, free of the rounding of a mean."""
+    return truths[0] if len(set(truths)) == 1 else float(np.mean(truths))
 
 
 class _Tally:
@@ -251,6 +291,7 @@ class _Tally:
         self.estimators = estimators
         self.values: dict[str, list[float]] = {e: [] for e in estimators}
         self.ses: dict[str, list[float | None]] = {e: [] for e in estimators}
+        self.truths: dict[str, list[float]] = {e: [] for e in estimators}
         self.covered: dict[str, list[bool]] = {e: [] for e in estimators}
         self.clip_counts: dict[str, list[float]] = {e: [] for e in estimators}
         self.unmatched: dict[str, list[float]] = {e: [] for e in estimators}
@@ -274,11 +315,12 @@ class _Tally:
         if len(self.notes) < 10:
             self.notes.append(f"rep {r} {name}: {exc}")
 
-    def add(self, name: str, est: Estimate, true_ate: float) -> None:
+    def add(self, name: str, est: Estimate, truth: float) -> None:
         self.values[name].append(est.psi_hat)
         self.ses[name].append(est.se)
+        self.truths[name].append(truth)
         if est.ci_low is not None:
-            self.covered[name].append(bool(est.ci_low <= true_ate <= est.ci_high))
+            self.covered[name].append(bool(est.ci_low <= truth <= est.ci_high))
         if "clip_count" in est.diagnostics:
             self.clip_counts[name].append(float(est.diagnostics["clip_count"]))
         if "unmatched_count" in est.diagnostics:
@@ -297,7 +339,7 @@ class _Tally:
             summarize_estimator(
                 name,
                 self.values[name],
-                true_ate,
+                _mean_truth(self.truths[name]),
                 ses=self.ses[name],
                 covered=self.covered[name],
                 n_failed=self.failed[name],
@@ -310,7 +352,7 @@ class _Tally:
             scenario=scenario,
             true_ate=true_ate,
             replications=config.replications,
-            n=config.dgp.n,
+            n=_units(config.dgp),
             seed=config.seed,
             rows=rows,
             failures=tuple(self.notes),
@@ -352,32 +394,36 @@ def _nuisance_for(
     return fits[maps]
 
 
-def _run_scenarios(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, McReport]:
-    """Run ``config`` once per scenario, replications in the outer loop.
+def _run_scenarios(
+    config: McConfig, scenarios: tuple[str, ...], key: tuple[int, ...] = ()
+) -> tuple[dict[str, _Tally], float]:
+    """The package's replication loop: each scenario's tally, and the truth of
+    the DGP's first estimand.
 
-    Every scenario's report equals that of ``run_mc`` on ``config`` with the
-    scenario swapped in.  Each replication draws its dataset once and
-    cross-fits each distinct feature-map pair at most once (see
-    ``_nuisance_for``); ``config.scenario`` itself is not read.
+    Replication r draws through the DGP's row from substream ``(*key, r)``
+    and shuffles folds from ``(*key, r, 1)``.  Each replication draws its
+    dataset once and cross-fits each distinct feature-map pair at most once
+    (see ``_nuisance_for``), and only if a method needs a fit;
+    ``config.scenario`` itself is not read.  A truth is computed only for a
+    method that returned an estimate.  No failure ceiling is applied here.
     """
-    maps = {s: scenario_feature_maps(config.dgp, s) for s in scenarios}
-    true_ate = float(config.dgp.tau)
-    # every estimator but the simulation-only ipw_oracle runs from the method table
-    methods = {e: METHODS.get(e) for e in config.estimators}
-    needs_nuisance = any(m is not None and m.nuisance for m in methods.values())
+    dgp = DGPS[_KINDS[type(config.dgp)]]
+    methods = {e: MC_METHODS[e] for e in config.estimators}
+    needs_nuisance = any(m.nuisance for m in methods.values())
+    maps = {s: scenario_feature_maps(config.dgp, s) for s in scenarios} if needs_nuisance else {}
     tallies = {s: _Tally(config.estimators) for s in scenarios}
     order = sorted(scenarios, key=lambda s: s not in _DIAGONAL)
 
     for r in range(config.replications):
-        dataset, truth = generate_observational(config.dgp, child_seed(config.seed, r))
+        data, truth, estimands = dgp.generate(config.dgp, child_seed(config.seed, *key, r))
         fit = partial(
             cross_fit,
-            dataset,
+            data,
             k=config.k,
             clip=config.clip,
             propensity_lambda=config.propensity_lambda,
             outcome_lambda=config.outcome_lambda,
-            seed=child_seed(config.seed, r, 1),
+            seed=child_seed(config.seed, *key, r, 1),
         )
         fits: dict[tuple[str, str], NuisanceFit | CausalKitError] = {}
         for scenario in order:
@@ -386,39 +432,43 @@ def _run_scenarios(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, Mc
             if isinstance(nuisance, NuisanceFit):
                 tally.count_fit(nuisance)
             for name, method in methods.items():
-                if method is not None and method.nuisance and isinstance(nuisance, CausalKitError):
+                if method.nuisance and isinstance(nuisance, CausalKitError):
                     tally.fail(r, name, nuisance)
                     continue
                 try:
-                    if method is None:
-                        est = _ipw_oracle(dataset, truth, config.level)
-                    else:
-                        est = method.run(dataset, nuisance, config.level)
+                    est = method.run(data, truth if method.oracle else nuisance, config.level)
                 except CausalKitError as exc:
                     tally.fail(r, name, exc)
                     continue
-                tally.add(name, est, true_ate)
+                tally.add(name, est, estimands[method.estimand]())
         # free this replication's fits before the next draw, so that at most
         # two are alive at a time
         del fits, nuisance
 
+    return tallies, estimands[next(iter(estimands))]()
+
+
+def _reports(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, McReport]:
+    """Each scenario's report of ``config``, after the failure ceiling."""
+    tallies, true_ate = _run_scenarios(config, scenarios)
     for scenario in scenarios:
         tallies[scenario].check_ceiling(config.replications)
     return {s: tallies[s].report(config, s, true_ate) for s in scenarios}
 
 
 def run_mc(config: McConfig) -> McReport:
-    """Run the configured Monte Carlo study, each replication on ``config.dgp.n`` units.
+    """Run the configured Monte Carlo study, each replication on one draw of ``config.dgp``.
 
-    Bias and coverage are measured against the population ATE (the
-    configured tau; heterogeneous coefficients average out because the
-    covariates are centered).  Replication r draws its dataset from
-    substream (r,) and its fold shuffle from substream (r, 1), so reports
-    are bit-identical across re-runs of the same config.  A ConfigError,
-    such as a fold count outside [2, n], is raised at once rather than
-    counted as a replication failure.
+    Each estimator's bias and coverage are measured against the truth of its
+    estimand: the population ATE (the configured tau; heterogeneous
+    coefficients average out because the covariates are centered), the
+    LATE, the panel effect or the jump.  A method runs with its estimator's defaults; ``rd``'s cutoff is 0.
+    Replication r draws its dataset from substream (r,) and its fold shuffle
+    from substream (r, 1), so reports are bit-identical across re-runs of
+    the same config.  A ConfigError, such as a fold count outside [2, n], is
+    raised at once rather than counted as a replication failure.
     """
-    return _run_scenarios(config, (config.scenario,))[config.scenario]
+    return _reports(config, (config.scenario,))[config.scenario]
 
 
 def dr_suite(
@@ -448,4 +498,58 @@ def dr_suite(
         seed=seed,
         **kwargs,
     )
-    return _run_scenarios(config, SCENARIOS)
+    return _reports(config, SCENARIOS)
+
+
+@dataclass(frozen=True)
+class WeakIvRow:
+    first_stage_strength: float
+    median_late: float
+    median_ci_width: float
+    median_bias: float
+    n_failed: int = 0
+
+
+def weak_iv_study(
+    strengths: tuple[float, ...],
+    n: int = 2000,
+    reps: int = 200,
+    seed: int = 0,
+) -> list[WeakIvRow]:
+    """Monte Carlo sweep of the Wald estimator over first-stage strength.
+
+    Each strength s draws `reps` datasets with complier share s (the rest
+    split evenly between always- and never-takers), a complier effect of 2
+    and unit-variance noise, and summarizes ``iv`` by median estimate,
+    median normal-CI width (2 z se) and median bias against the LATE.
+    Replication r of grid point i draws from substream (i, r) of `seed`, so
+    rows are reproducible and order-independent.  Failed replications are
+    counted, with no ceiling; a grid point where every one fails is an
+    InstrumentError.
+    """
+    if not strengths:
+        raise ConfigError("strengths grid must be non-empty")
+    if any(not (0.0 < s <= 1.0) for s in strengths):
+        raise ConfigError("each strength must lie in (0, 1]; zero is instrument irrelevance")
+    rows = []
+    for i, s in enumerate(strengths):
+        rest = (1.0 - s) / 2.0
+        dgp = IvDgpConfig(n=n, p_always=rest, p_complier=s, p_never=rest, effect_by_type={"complier": 2.0})
+        config = McConfig(dgp=dgp, estimators=("iv",), replications=reps, seed=seed)
+        tallies, true_late = _run_scenarios(config, (config.scenario,), key=(i,))
+        tally = tallies[config.scenario]
+        if not tally.values["iv"]:
+            raise InstrumentError(f"every replication failed at strength {s}; grid point unusable")
+        z = normal_quantile(config.level)
+        widths = [2.0 * z * se if se is not None else np.inf for se in tally.ses["iv"]]
+        med = float(np.median(tally.values["iv"]))
+        rows.append(
+            WeakIvRow(
+                first_stage_strength=float(s),
+                median_late=med,
+                median_ci_width=float(np.median(widths)),
+                median_bias=med - true_late,
+                n_failed=tally.failed["iv"],
+            )
+        )
+    return rows

@@ -8,19 +8,19 @@ and relevance of an instrument (IV), or time-invariant unit heterogeneity
 values and take their standard error from :func:`variance_ci`, as the ATE
 estimators do; DID's units are panel units, so its se is clustered by unit.
 Two-stage least squares and the within estimator keep their homoskedastic
-textbook standard errors.
+textbook standard errors.  This module reads data and draws none: Monte Carlo
+studies of these estimators, the weak-instrument sweep among them, run in
+:mod:`causalkit.montecarlo`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 from .ate_estimators import normal_ci, variance_ci
 from .data_model import Estimate, IvDataset, ObservationalDataset, PanelDataset
-from .dgp import IvDgpConfig, generate_iv
 from .errors import (
     BandwidthError,
     CellError,
@@ -31,18 +31,15 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .rng import child_seed
 
 __all__ = [
     "RdSpec",
-    "WeakIvRow",
     "did",
     "did_placebo",
     "rd_local_linear",
     "iv_wald",
     "tsls",
     "fe_within",
-    "weak_iv_study",
 ]
 
 KERNELS = ("rectangular", "triangular")
@@ -360,70 +357,3 @@ def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
         ci_high=ci_high,
         diagnostics={"n_units": int(units.size), "n_units_identifying": identifying},
     )
-
-
-@dataclass(frozen=True)
-class WeakIvRow:
-    first_stage_strength: float
-    median_late: float
-    median_ci_width: float
-    median_bias: float
-    n_failed: int = 0
-
-
-def weak_iv_study(
-    strengths: tuple[float, ...],
-    n: int = 2000,
-    reps: int = 200,
-    seed: int = 0,
-) -> list[WeakIvRow]:
-    """Monte Carlo sweep over first-stage strength.
-
-    Each strength s draws `reps` datasets with complier share s (the rest
-    split evenly between always- and never-takers), a complier effect of 2
-    and unit-variance noise, and summarizes the Wald estimator by median
-    estimate, median normal-CI width, and median bias against the true
-    complier effect.  Replication (i, r) uses an independent substream of
-    `seed`, so rows are reproducible and order-independent.
-    """
-    if not strengths:
-        raise ConfigError("strengths grid must be non-empty")
-    if any(not (0.0 < s <= 1.0) for s in strengths):
-        raise ConfigError("each strength must lie in (0, 1]; zero is instrument irrelevance")
-    z = NormalDist().inv_cdf(0.975)
-    rows = []
-    for i, s in enumerate(strengths):
-        rest = (1.0 - s) / 2.0
-        config = IvDgpConfig(
-            n=n,
-            p_always=rest,
-            p_complier=s,
-            p_never=rest,
-            effect_by_type={"complier": 2.0},
-        )
-        lates, widths = [], []
-        failed = 0
-        for r in range(reps):
-            dataset, _, true_late = generate_iv(config, child_seed(seed, i, r))
-            try:
-                est = iv_wald(dataset)
-            except InstrumentError:
-                failed += 1
-                continue
-            lates.append(est.psi_hat)
-            widths.append(2.0 * z * est.se if est.se is not None else np.inf)
-        if not lates:
-            raise InstrumentError(
-                f"every replication failed at strength {s}; grid point unusable"
-            )
-        med = float(np.median(lates))
-        rows.append(
-            WeakIvRow(
-                first_stage_strength=float(s),
-                median_late=med,
-                median_ci_width=float(np.median(widths)),
-                median_bias=med - true_late,
-                n_failed=failed,
-            )
-        )
-    return rows

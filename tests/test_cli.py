@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
+import ast
 import functools
 import importlib.util
 import json
@@ -632,6 +633,19 @@ class TestTopLevel:
             "causalkit.dgp", "causalkit.eif_engine", "causalkit.errors", "causalkit.methods",
             "causalkit.montecarlo", "causalkit.nuisance", "causalkit.quasi_experimental", "causalkit.rng",
         ]
+
+    @pytest.mark.parametrize("module", ["ate_estimators", "quasi_experimental"])
+    def test_estimators_import_no_generator_or_harness(self, module):
+        # estimators read data: drawing it belongs to dgp, replicating draws to montecarlo
+        source = Path(causalkit.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.update([node.module or ""] + [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        parts = {part for name in imported for part in name.split(".")}
+        assert not parts & {"dgp", "montecarlo"}
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -16,18 +16,23 @@ import pytest
 
 from causalkit import (
     GroundTruth,
+    IvDgpConfig,
     McConfig,
     ObsDgpConfig,
     ObservationalDataset,
+    PanelDgpConfig,
+    RdDgpConfig,
     dr_suite,
     error_decomposition,
     naive_dim,
     run_mc,
     scenario_feature_maps,
     summarize_estimator,
+    weak_iv_study,
 )
-from causalkit import montecarlo
+from causalkit import dgp, montecarlo
 from causalkit.errors import ConfigError, EstimationError
+from causalkit.rng import child_seed
 
 
 class TestSummarizeEstimator:
@@ -195,13 +200,13 @@ class TestRunMc:
     @pytest.mark.parametrize("bad", [dict(k=1), dict(clip=(0.5, 0.4))])
     def test_bad_fold_settings_raise_in_the_first_replication(self, bad, monkeypatch):
         draws = []
-        draw = montecarlo.generate_observational
+        draw = dgp.generate_observational
 
         def counted(*args):
             draws.append(args)
             return draw(*args)
 
-        monkeypatch.setattr(montecarlo, "generate_observational", counted)
+        monkeypatch.setattr(dgp, "generate_observational", counted)
         cfg = McConfig(dgp=BASE, estimators=("naive", "aipw"), replications=3, **bad)
         with pytest.raises(ConfigError, match="k must satisfy|clip bounds"):
             run_mc(cfg)
@@ -269,17 +274,17 @@ class TestDrSuite:
     def test_one_draw_and_two_cross_fits_per_replication(self, monkeypatch):
         results = {"generate_observational": [], "cross_fit": []}
 
-        def counted(name):
-            original = getattr(montecarlo, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 results[name].append(original(*args, **kwargs))
                 return results[name][-1]
 
-            monkeypatch.setattr(montecarlo, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("generate_observational")
-        counted("cross_fit")
+        counted(dgp, "generate_observational")
+        counted(montecarlo, "cross_fit")
         base, kwargs = self.SUITES["clean"]
         dr_suite(base, k=4, **kwargs)
         reps = kwargs["replications"]
@@ -315,3 +320,74 @@ class TestNuisanceCounts:
         n_failed = sum(r.n_failed for r in report.rows)
         assert report.failures_by_class == {"RankDeficiencyError": n_failed}
         assert len(report.failures) == min(10, n_failed)
+
+
+# a small DGP of each kind; the rd DGP's cutoff is rd's default cutoff, 0
+KIND_DGPS = {
+    "obs": ObsDgpConfig(n=200, d=1, confounding_strength=0.5, tau=1.0, tau_x=(0.5,)),
+    "iv": IvDgpConfig(n=300, p_always=0.2, p_complier=0.6, p_never=0.2,
+                      effect_by_type={"complier": 1.5, "always": 3.0}),
+    "panel": PanelDgpConfig(n_units=40, n_periods=3, time_trend=0.5, treatment_effect=1.0),
+    "rd": RdDgpConfig(n=300, jump=1.0, slope_left=0.5, slope_right=1.0),
+}
+
+
+class TestOneHarness:
+    @pytest.mark.parametrize("name", list(montecarlo.MC_METHODS))
+    def test_every_method_runs_on_a_dgp_of_its_kind(self, name):
+        method = montecarlo.MC_METHODS[name]
+        cfg = McConfig(dgp=KIND_DGPS[method.kind], estimators=(name,), replications=4, seed=3)
+        row = run_mc(cfg).rows[0]
+        assert (row.estimator, row.n_ok, row.n_failed) == (name, 4, 0)
+        # the row is scored against the truth of its own estimand in each draw
+        truths = [dgp.DGPS[method.kind].generate(cfg.dgp, child_seed(3, r))[2][method.estimand]()
+                  for r in range(4)]
+        assert row.bias == pytest.approx(row.mean_estimate - np.mean(truths), abs=1e-12)
+
+    def test_all_ten_methods_and_the_oracle_are_in_the_table(self):
+        assert set(montecarlo.MC_METHODS) == {
+            "naive", "ipw", "gformula", "psm", "aipw", "did", "rd", "iv", "tsls", "fe", "ipw_oracle",
+        }
+
+    def test_report_truth_is_the_dgps_first_estimand(self):
+        report = run_mc(McConfig(dgp=KIND_DGPS["iv"], estimators=("iv", "tsls"), replications=3))
+        assert report.true_ate == 1.5
+        assert report.n == 300
+        panel = run_mc(McConfig(dgp=KIND_DGPS["panel"], estimators=("did", "fe"), replications=3))
+        assert (panel.true_ate, panel.n) == (1.0, 40)
+
+    @pytest.mark.parametrize("kind, name", [("obs", "did"), ("iv", "aipw")])
+    def test_method_of_another_kind_is_rejected_before_any_draw(self, kind, name, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a dataset was drawn")
+
+        for generator in ("generate_observational", "generate_iv", "generate_panel", "generate_rd"):
+            monkeypatch.setattr(dgp, generator, no_draw)
+        with pytest.raises(ConfigError, match=f"estimators \\['{name}'\\] do not read the data of a {kind} DGP"):
+            run_mc(McConfig(dgp=KIND_DGPS[kind], estimators=(name,), replications=3))
+
+    def test_scenario_needs_feature_map_forms(self):
+        with pytest.raises(ConfigError, match="needs feature-map forms"):
+            McConfig(dgp=KIND_DGPS["panel"], estimators=("did",), replications=3, scenario="pi_wrong")
+
+    def test_config_of_no_dgp_is_rejected(self):
+        with pytest.raises(ConfigError, match="is not the config of a DGP"):
+            McConfig(dgp=object(), replications=3)
+
+
+class TestWeakIvStudy:
+    def test_rows_cover_grid_in_order(self):
+        rows = weak_iv_study((0.2, 0.8), n=400, reps=20, seed=0)
+        assert [r.first_stage_strength for r in rows] == [0.2, 0.8]
+        assert rows[1].median_ci_width < rows[0].median_ci_width
+
+    def test_deterministic(self):
+        r1 = weak_iv_study((0.5,), n=300, reps=10, seed=4)
+        r2 = weak_iv_study((0.5,), n=300, reps=10, seed=4)
+        assert r1[0].median_late == r2[0].median_late
+
+    def test_invalid_grid_rejected(self):
+        with pytest.raises(ConfigError):
+            weak_iv_study((), n=100, reps=5)
+        with pytest.raises(ConfigError):
+            weak_iv_study((0.0, 0.5), n=100, reps=5)

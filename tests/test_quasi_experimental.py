@@ -15,6 +15,7 @@ from statistics import NormalDist
 
 from causalkit import (
     IvDataset,
+    McConfig,
     ObservationalDataset,
     PanelDataset,
     PanelDgpConfig,
@@ -27,9 +28,9 @@ from causalkit import (
     generate_rd,
     iv_wald,
     rd_local_linear,
+    run_mc,
     tsls,
     variance_ci,
-    weak_iv_study,
 )
 from causalkit.errors import (
     BandwidthError,
@@ -114,12 +115,9 @@ class TestDid:
         # Unit effects make each unit's pre and post records move together; a
         # four-cell se that treats the cells as independent covers at 1.000 here.
         cfg = PanelDgpConfig(n_units=200, unit_effect_sd=2.0, treatment_effect=1.0)
-        hits = []
-        for seed in range(1000):
-            panel, true_effect, _ = generate_panel(cfg, seed)
-            est = did(panel)
-            hits.append(est.ci_low <= true_effect <= est.ci_high)
-        assert 0.92 <= np.mean(hits) <= 0.97
+        report = run_mc(McConfig(dgp=cfg, estimators=("did",), replications=1000, seed=0))
+        assert report.rows[0].n_ok == 1000
+        assert 0.92 <= report.rows[0].coverage <= 0.97
 
     def test_noiseless_violation_recovered_exactly(self):
         cfg = PanelDgpConfig(
@@ -410,21 +408,3 @@ class TestFeWithin:
         )
         with pytest.raises(IdentificationError):
             fe_within(panel)
-
-
-class TestWeakIvStudy:
-    def test_rows_cover_grid_in_order(self):
-        rows = weak_iv_study((0.2, 0.8), n=400, reps=20, seed=0)
-        assert [r.first_stage_strength for r in rows] == [0.2, 0.8]
-        assert rows[1].median_ci_width < rows[0].median_ci_width
-
-    def test_deterministic(self):
-        r1 = weak_iv_study((0.5,), n=300, reps=10, seed=4)
-        r2 = weak_iv_study((0.5,), n=300, reps=10, seed=4)
-        assert r1[0].median_late == r2[0].median_late
-
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            weak_iv_study((), n=100, reps=5)
-        with pytest.raises(ConfigError):
-            weak_iv_study((0.0, 0.5), n=100, reps=5)
