@@ -374,7 +374,8 @@ class Dgp:
 
 def _generate_obs(config: ObsDgpConfig, seed: int) -> tuple:
     dataset, truth = generate_observational(config, seed)
-    return dataset, truth, {"ate": lambda: float(config.tau)}
+    att = lambda: float(np.mean((truth.y1 - truth.y0)[dataset.a == 1]))  # noqa: E731
+    return dataset, truth, {"ate": lambda: float(config.tau), "att": att}
 
 
 def _known(estimand: str, data, truth, value: float) -> tuple:

@@ -86,7 +86,7 @@ METHODS: dict[str, Method] = {
     "psm": Method(
         _OBS + _CROSSFIT + ("caliper", "with_replacement"),
         "obs",
-        "ate",
+        "att",
         _psm,
         options=("caliper", "with_replacement"),
         nuisance=True,

@@ -166,8 +166,8 @@ class McReport:
 
     ``true_ate`` is the truth of the DGP's first estimand, which its config
     fixes: tau, the LATE, the panel effect or the jump.  Each row is scored
-    against its method's own estimand.  ``n`` is the
-    number of units per replication.  ``failures`` keeps the first 10 failure messages; ``failures_by_class``
+    against its method's own estimand (``psm`` against the ATT).  ``n`` is
+    the number of units per replication.  ``failures`` keeps the first 10 failure messages; ``failures_by_class``
     counts every failed (replication, estimator) pair by error class, so its
     values sum to the rows' ``n_failed``.  ``nonconverged_folds`` and
     ``irls_iterations`` add up, once per replication whose cross-fit
@@ -462,7 +462,9 @@ def run_mc(config: McConfig) -> McReport:
     Each estimator's bias and coverage are measured against the truth of its
     estimand: the population ATE (the configured tau; heterogeneous
     coefficients average out because the covariates are centered), the
-    LATE, the panel effect or the jump.  A method runs with its estimator's defaults; ``rd``'s cutoff is 0.
+    replication's sample ATT for ``psm`` (its bias is against the mean ATT
+    over the replications it succeeded in), the LATE, the panel effect or
+    the jump.  A method runs with its estimator's defaults; ``rd``'s cutoff is 0.
     Replication r draws its dataset from substream (r,) and its fold shuffle
     from substream (r, 1), so reports are bit-identical across re-runs of
     the same config.  A ConfigError, such as a fold count outside [2, n], is

@@ -17,14 +17,18 @@ import pytest
 from causalkit import (
     GroundTruth,
     IvDgpConfig,
+    MatchSpec,
     McConfig,
     ObsDgpConfig,
     ObservationalDataset,
     PanelDgpConfig,
     RdDgpConfig,
+    cross_fit,
     dr_suite,
     error_decomposition,
+    generate_observational,
     naive_dim,
+    psm_att,
     run_mc,
     scenario_feature_maps,
     summarize_estimator,
@@ -176,6 +180,26 @@ class TestRunMc:
         report = run_mc(cfg)
         assert report.n == 120
         assert report.rows[0].mean_unmatched is not None
+
+    def test_psm_is_scored_against_the_att(self):
+        # with tau_x set the treated units' mean effect exceeds tau, so the ATT
+        # psm estimates differs from the ATE the other rows are scored against
+        obs = ObsDgpConfig(n=1000, d=1, confounding_strength=0.2, tau=2.0, tau_x=(1.0,))
+        report = run_mc(McConfig(dgp=obs, estimators=("psm", "aipw"), replications=20, seed=1))
+        atts, hits = [], []
+        for r in range(20):
+            data, truth = generate_observational(obs, child_seed(1, r))
+            atts.append(float(np.mean((truth.y1 - truth.y0)[data.a == 1])))
+            fit = cross_fit(data, seed=child_seed(1, r, 1))
+            est, _ = psm_att(data, fit.pi_hat, MatchSpec())
+            hits.append(est.ci_low <= atts[-1] <= est.ci_high)
+        psm, aipw_row = report.rows
+        assert np.mean(atts) > 2.05
+        assert report.true_ate == 2.0
+        assert psm.bias == pytest.approx(psm.mean_estimate - np.mean(atts), abs=1e-12)
+        # each replication against its own ATT: 16 of 20 intervals cover it, 6 cover tau
+        assert psm.coverage == np.mean(hits) == 0.8
+        assert aipw_row.bias == aipw_row.mean_estimate - 2.0
 
     def test_failure_ceiling_enforced(self):
         # at n=4 with 2 folds most draws leave a training half single-armed,
