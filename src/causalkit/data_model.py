@@ -312,7 +312,7 @@ _BLOCK_ROWS = 8192  # rows per block written; bounds the cell strings held at on
 
 @contextmanager
 def _opened(path: str) -> Iterator[tuple[TextIO, list[str]]]:
-    """The open file and its stripped header; a read or decode failure is a SchemaError."""
+    """The open file and its stripped header; a read, decode or csv failure is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             header = next(csv.reader(f), None)
@@ -323,6 +323,8 @@ def _opened(path: str) -> Iterator[tuple[TextIO, list[str]]]:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: not readable as CSV: {exc}") from exc
 
 
 def _parse_cell(row: list[str], idx: int, column: str, row_number: int) -> float:

@@ -248,6 +248,19 @@ class TestEstimate:
         assert run_cli("estimate", "--method", "naive", "--input", str(path)) == 2
         assert capsys.readouterr().err == f"error: SchemaError: {path}: not UTF-8 text (byte 0xe9)\n"
 
+    # a cell past csv's field limit (131072 characters): in the header, and in a
+    # row of a file that takes the row scan (the 1_0 cell sends it there)
+    @pytest.mark.parametrize("content", ["a,y," + "x" * 140000 + "\n1,2,3\n0,1,2\n",
+                                         "a,y\n1," + "1" * 140000 + "\n0,1_0\n"],
+                             ids=["header", "row_scan"])
+    def test_oversized_cell_is_schema_error(self, tmp_path, capsys, content):
+        path = tmp_path / "huge.csv"
+        path.write_text(content)
+        assert run_cli("estimate", "--method", "naive", "--input", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: SchemaError: {path}: not readable as CSV: field larger than field limit (131072)\n"
+        )
+
     def test_estimation_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "onearm.csv"
         path.write_text("a,y\n1,3.0\n1,4.0\n")
