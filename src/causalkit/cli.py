@@ -226,21 +226,29 @@ _HELP = {
 }
 
 
-def _add_flag(p: argparse.ArgumentParser, dest: str, kind, default=None) -> None:
-    """Add the flag --dest, '_' written '-'; ``kind`` is bool for a switch, a
-    tuple of the allowed values, or an argparse type (None for text)."""
+def _add_flag(p: argparse.ArgumentParser, dest: str, kind) -> None:
+    """Add the flag --dest, '_' written '-', whose value is None when it is not
+    given; ``kind`` is bool for a switch, a tuple of the allowed values, or an
+    argparse type (None for text)."""
     flag = "--" + dest.replace("_", "-")
     if kind is bool:
-        p.add_argument(flag, action="store_true", default=default, help=_HELP.get(dest))
+        p.add_argument(flag, action="store_true", default=None, help=_HELP.get(dest))
     elif isinstance(kind, tuple):
-        p.add_argument(flag, choices=kind, default=default, help=_HELP.get(dest))
+        p.add_argument(flag, choices=kind, help=_HELP.get(dest))
     else:
-        p.add_argument(flag, type=kind, default=default, help=_HELP.get(dest))
+        p.add_argument(flag, type=kind, help=_HELP.get(dest))
+
+
+def _check_read(args: argparse.Namespace, dests, read, what: str) -> None:
+    """A usage error naming the first flag in ``dests`` that is given but not in ``read``."""
+    unread = [dest for dest in dests if dest not in read and getattr(args, dest) is not None]
+    if unread:
+        raise UsageError(f"--{unread[0].replace('_', '-')} is not read by {what}")
 
 
 def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
-    """Add the flag of each option key; an unset flag is None, so the config
-    file or the default decides."""
+    """Add the flag of each option key; an unset flag leaves the value to the
+    config file or the default."""
     for key in keys:
         dest, _, cast, allowed = _OPTIONS[key]
         _add_flag(p, dest, allowed or _FLAG_TYPES.get(cast))
@@ -310,8 +318,9 @@ def emit_report(result: dict, format: str = "json", path: str | None = None) -> 
 
 
 # simulate flag dest -> kind (see _add_flag), for the flags that do not take
-# a float.  An unset flag keeps the default of the config field it sets; n and
-# n_units, whose fields have none, get the defaults below.
+# a float.  A flag the chosen DGP does not read is a usage error.  An unset
+# flag keeps the default of the config field it sets; n and n_units, whose
+# fields have none, get the defaults below.
 _SIMULATE_TYPES = {
     "n": int,
     "d": int,
@@ -325,21 +334,25 @@ _SIMULATE_TYPES = {
 }
 _SIMULATE_DEFAULTS = {"n": 100, "n_units": 20}
 
+# every DGP's flags, in table order
+_DGP_FLAGS = tuple(dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.flags))
+
 
 def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dgp", choices=tuple(DGPS), required=True)
     p.add_argument("--out", help="dataset CSV path (required)")
     p.add_argument("--truth-out", dest="truth_out", help="ground-truth sidecar CSV path")
     p.add_argument("--seed", type=int, default=0)
-    for dest in dict.fromkeys(flag for dgp in DGPS.values() for flag in dgp.flags):
-        _add_flag(p, dest, _SIMULATE_TYPES.get(dest, float), _SIMULATE_DEFAULTS.get(dest))
+    for dest in _DGP_FLAGS:
+        _add_flag(p, dest, _SIMULATE_TYPES.get(dest, float))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     if not args.out:
         raise UsageError("--out is required for simulate")
     dgp = DGPS[args.dgp]
-    config = dgp.make(vars(args))
+    _check_read(args, _DGP_FLAGS, dgp.flags, f"--dgp {args.dgp}")
+    config = dgp.make({k: _SIMULATE_DEFAULTS.get(k) if v is None else v for k, v in vars(args).items()})
     summary = {
         "subcommand": "simulate",
         "dgp": args.dgp,
@@ -380,6 +393,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     if name not in METHODS:
         raise ConfigError(f"unknown method '{name}'")
     method = METHODS[name]
+    dests = [_OPTIONS[key][0] for key in _ESTIMATE_KEYS]
+    _check_read(args, dests, {_OPTIONS[key][0] for key in method.keys}, f"--method {name}")
     input_path = r.get("input", "input", None, _cast_str)
     if input_path is None:
         raise UsageError("--input is required")

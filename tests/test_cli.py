@@ -83,6 +83,23 @@ class TestSimulate:
         assert err == "causalkit simulate: error: argument --tau-x: expected comma-separated numbers, got 'abc'"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--dgp", "obs", "--n", "5", "--jump", "3"), "--jump"),
+        (("--dgp", "panel", "--n", "5"), "--n"),
+        (("--dgp", "iv", "--n-units", "5"), "--n-units"),
+        (("--dgp", "rd", "--allow-defiers"), "--allow-defiers"),
+    ])
+    def test_flag_the_dgp_does_not_read_is_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "d.csv"
+        assert run_cli("simulate", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"causalkit: error: {flag} is not read by {argv[0]} {argv[1]}\n"
+        assert not out.exists()
+
+    def test_sizes_default_when_unset(self, tmp_path, capsys):
+        for dgp, key, default in (("obs", "n", 100), ("panel", "n_units", 20)):
+            assert run_cli("simulate", "--dgp", dgp, "--out", str(tmp_path / "d.csv")) == 0
+            assert json.loads(capsys.readouterr().out)["config"][key] == default
+
     def test_rd_simulation(self, tmp_path):
         out = tmp_path / "rd.csv"
         code = run_cli(
@@ -237,6 +254,22 @@ class TestEstimate:
     def test_missing_method_is_usage_error(self, obs_csv, capsys):
         assert run_cli("estimate", "--input", obs_csv) == 1
         assert "--method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, flags", [
+        ("naive", ("--placebo",)),
+        ("did", ("--covariates", "x1")),
+        ("rd", ("--cutoff", "0", "--with-replacement")),
+        ("aipw", ("--covariates", "x1,x2", "--bandwidth", "0.5")),
+    ])
+    def test_flag_the_method_does_not_read_is_usage_error(self, obs_csv, capsys, method, flags):
+        assert run_cli("estimate", "--method", method, "--input", obs_csv, *flags) == 1
+        unread = [f for f in flags if f.startswith("--")][-1]
+        assert capsys.readouterr().err == f"causalkit: error: {unread} is not read by --method {method}\n"
+
+    def test_config_file_keys_of_other_methods_are_accepted(self, obs_csv, tmp_path, capsys):
+        conf = tmp_path / "run.cfg"
+        conf.write_text("placebo = true\nbandwidth = 0.5\n")
+        assert run_cli("estimate", "--method", "naive", "--input", obs_csv, "--config", str(conf)) == 0
 
     def test_missing_input_file_is_input_error(self, capsys):
         assert run_cli("estimate", "--method", "naive", "--input", "/nonexistent.csv") == 2
