@@ -326,16 +326,16 @@ class Dgp:
 
     ``flags`` maps each flag to the config field it sets, in the order the
     summary echoes them; a field ``effect_by_type.<type>`` is one entry of
-    that mapping.  ``derived`` names the config fields the class works out
-    itself, echoed after the flags.  ``generate(config, seed)`` returns
-    ``(data, truth, estimands)``: the dataset, what the truth sidecar holds,
-    and for each estimand the DGP defines a call that returns its true value,
-    so a truth is computed only when asked for.  The first estimand is fixed
-    by the config.  ``write(draw, out, truth_out)`` writes what ``generate``
-    returned, the data to ``out`` and the truth to ``truth_out`` (when given),
-    and returns the summary's row count plus its true-effect item, if any.
-    ``load(path, values)`` reads a dataset of this kind, with ``values``
-    mapping config keys to resolved values.
+    that mapping.  ``generate(config, seed)`` is the draw that simulate and
+    the harness share: the generator's tuple, data first, then its truth.
+    ``write(draw, out, truth_out)`` writes a draw's data to ``out`` and its
+    truth to ``truth_out`` (when given), and returns the summary's row count
+    plus its true-effect item, if any.  ``load(path, values)`` reads a
+    dataset of this kind, with ``values`` mapping config keys to resolved
+    values.  ``estimands`` maps each estimand the DGP defines to
+    ``f(config, draw)``, its true value in a draw; the first is fixed by the
+    config, and each is computed only when asked for.  ``derived`` names the
+    config fields the class works out itself, echoed after the flags.
     """
 
     config: type
@@ -343,6 +343,7 @@ class Dgp:
     generate: Callable[[object, int], tuple]
     write: Callable[[tuple, str, str | None], dict]
     load: Callable[[str, dict], object]
+    estimands: dict[str, Callable[[object, tuple], float]]
     derived: tuple[str, ...] = ()
 
     def make(self, values: Mapping[str, object]):
@@ -372,24 +373,8 @@ class Dgp:
 # at those module attributes sees every call.
 
 
-def _generate_obs(config: ObsDgpConfig, seed: int) -> tuple:
-    dataset, truth = generate_observational(config, seed)
-    att = lambda: float(np.mean((truth.y1 - truth.y0)[dataset.a == 1]))  # noqa: E731
-    return dataset, truth, {"ate": lambda: float(config.tau), "att": att}
-
-
-def _known(estimand: str, data, truth, value: float) -> tuple:
-    """A draw whose one estimand has a truth its config fixes."""
-    return data, truth, {estimand: lambda: value}
-
-
-def _generate_panel(config: PanelDgpConfig, seed: int) -> tuple:
-    panel, true_effect, unit_effects = generate_panel(config, seed)
-    return _known("effect", panel, unit_effects, true_effect)
-
-
 def _write_obs(draw: tuple, out: str, truth_out: str | None) -> dict:
-    dataset, truth, _ = draw
+    dataset, truth = draw
     write_csv(dataset, out)
     if truth_out:
         write_ground_truth_csv(truth, truth_out)
@@ -397,16 +382,15 @@ def _write_obs(draw: tuple, out: str, truth_out: str | None) -> dict:
 
 
 def _write_iv(draw: tuple, out: str, truth_out: str | None) -> dict:
-    dataset, truth, estimands = draw
+    dataset, truth, true_late = draw
     write_iv_csv(dataset, out)
     if truth_out:
         write_ground_truth_csv(truth, truth_out)
-    return {"rows": dataset.n, "true_late": estimands["late"]()}
+    return {"rows": dataset.n, "true_late": true_late}
 
 
 def _write_panel(draw: tuple, out: str, truth_out: str | None) -> dict:
-    panel, unit_effects, estimands = draw
-    true_effect = estimands["effect"]()
+    panel, true_effect, unit_effects = draw
     write_panel_csv(panel, out)
     if truth_out:
         n_units = unit_effects.shape[0]
@@ -419,11 +403,11 @@ def _write_panel(draw: tuple, out: str, truth_out: str | None) -> dict:
 
 
 def _write_rd(draw: tuple, out: str, truth_out: str | None) -> dict:
-    dataset, truth, estimands = draw
+    dataset, truth, true_jump = draw
     write_csv(dataset, out, schema={"covariates": ["x"]})
     if truth_out:
         write_ground_truth_csv(truth, truth_out)
-    return {"rows": dataset.n, "true_jump": estimands["jump"]()}
+    return {"rows": dataset.n, "true_jump": true_jump}
 
 
 def _load_rd(path: str, values: dict) -> ObservationalDataset:
@@ -432,6 +416,12 @@ def _load_rd(path: str, values: dict) -> ObservationalDataset:
     cols, _ = _parse_columns(path, [values["running"], values["outcome"]])
     x = cols[values["running"]]
     return ObservationalDataset(x=x, a=x >= values["cutoff"], y=cols[values["outcome"]])
+
+
+def _att(config: ObsDgpConfig, draw: tuple) -> float:
+    """The mean of y1 - y0 over the draw's treated units."""
+    dataset, truth = draw
+    return float(np.mean((truth.y1 - truth.y0)[dataset.a == 1]))
 
 
 DGPS: dict[str, Dgp] = {
@@ -447,9 +437,10 @@ DGPS: dict[str, Dgp] = {
             "outcome_form": "outcome_form",
             "propensity_form": "propensity_form",
         },
-        _generate_obs,
+        lambda config, seed: generate_observational(config, seed),
         _write_obs,
         lambda path, values: load_csv(path, values),
+        {"ate": lambda config, draw: float(config.tau), "att": _att},
     ),
     "iv": Dgp(
         IvDgpConfig,
@@ -467,9 +458,10 @@ DGPS: dict[str, Dgp] = {
             "defier_effect": "effect_by_type.defier",
             "noise_sd": "noise_sd",
         },
-        lambda config, seed: _known("late", *generate_iv(config, seed)),
+        lambda config, seed: generate_iv(config, seed),
         _write_iv,
         lambda path, values: load_iv_csv(path, values),
+        {"late": lambda config, draw: draw[2]},
         derived=("first_stage_strength",),
     ),
     "panel": Dgp(
@@ -486,9 +478,10 @@ DGPS: dict[str, Dgp] = {
             "treated_fraction": "treated_fraction",
             "first_treated_period": "first_treated_period",
         },
-        _generate_panel,
+        lambda config, seed: generate_panel(config, seed),
         _write_panel,
         lambda path, values: load_panel_csv(path, values),
+        {"effect": lambda config, draw: draw[1]},
     ),
     "rd": Dgp(
         RdDgpConfig,
@@ -501,8 +494,9 @@ DGPS: dict[str, Dgp] = {
             "noise_sd": "noise_sd",
             "half_width": "half_width",
         },
-        lambda config, seed: _known("jump", *generate_rd(config, seed)),
+        lambda config, seed: generate_rd(config, seed),
         _write_rd,
         _load_rd,
+        {"jump": lambda config, draw: draw[2]},
     ),
 }

@@ -45,7 +45,7 @@ class Method:
     also loads its input file; ``estimand`` names the truth of that row it is
     scored against.  ``run(data, fit, level, **options)`` returns the
     estimate, where ``fit`` is the NuisanceFit when ``nuisance`` is set, the
-    draw's ground truth when ``oracle`` is set, and None otherwise.
+    draw's GroundTruth when ``oracle`` is set, and None otherwise.
     """
 
     keys: tuple[str, ...]

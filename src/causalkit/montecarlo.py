@@ -132,12 +132,10 @@ class McConfig:
         estimators = tuple(self.estimators)
         if not estimators:
             raise ConfigError("estimator list must be non-empty")
-        unknown = [e for e in estimators if e not in MC_METHODS]
-        if unknown:
-            raise ConfigError(f"unknown estimators {unknown}, expected a subset of {tuple(MC_METHODS)}")
-        other = [e for e in estimators if MC_METHODS[e].kind != kind]
-        if other:
-            raise ConfigError(f"estimators {other} do not read the data of a {kind} DGP")
+        readers = tuple(name for name, method in MC_METHODS.items() if method.kind == kind)
+        unread = [e for e in estimators if e not in readers]
+        if unread:
+            raise ConfigError(f"estimators {unread} do not read {kind} data, expected a subset of {readers}")
         check_level(self.level)
         object.__setattr__(self, "estimators", estimators)
 
@@ -415,10 +413,10 @@ def _run_scenarios(
     order = sorted(scenarios, key=lambda s: s not in _DIAGONAL)
 
     for r in range(config.replications):
-        data, truth, estimands = dgp.generate(config.dgp, child_seed(config.seed, *key, r))
+        draw = dgp.generate(config.dgp, child_seed(config.seed, *key, r))
         fit = partial(
             cross_fit,
-            data,
+            draw[0],
             k=config.k,
             clip=config.clip,
             propensity_lambda=config.propensity_lambda,
@@ -436,16 +434,16 @@ def _run_scenarios(
                     tally.fail(r, name, nuisance)
                     continue
                 try:
-                    est = method.run(data, truth if method.oracle else nuisance, config.level)
+                    est = method.run(draw[0], draw[1] if method.oracle else nuisance, config.level)
                 except CausalKitError as exc:
                     tally.fail(r, name, exc)
                     continue
-                tally.add(name, est, estimands[method.estimand]())
+                tally.add(name, est, dgp.estimands[method.estimand](config.dgp, draw))
         # free this replication's fits before the next draw, so that at most
         # two are alive at a time
         del fits, nuisance
 
-    return tallies, estimands[next(iter(estimands))]()
+    return tallies, next(iter(dgp.estimands.values()))(config.dgp, draw)
 
 
 def _reports(config: McConfig, scenarios: tuple[str, ...]) -> dict[str, McReport]:

@@ -364,7 +364,8 @@ class TestOneHarness:
         row = run_mc(cfg).rows[0]
         assert (row.estimator, row.n_ok, row.n_failed) == (name, 4, 0)
         # the row is scored against the truth of its own estimand in each draw
-        truths = [dgp.DGPS[method.kind].generate(cfg.dgp, child_seed(3, r))[2][method.estimand]()
+        kind = dgp.DGPS[method.kind]
+        truths = [kind.estimands[method.estimand](cfg.dgp, kind.generate(cfg.dgp, child_seed(3, r)))
                   for r in range(4)]
         assert row.bias == pytest.approx(row.mean_estimate - np.mean(truths), abs=1e-12)
 
@@ -387,7 +388,7 @@ class TestOneHarness:
 
         for generator in ("generate_observational", "generate_iv", "generate_panel", "generate_rd"):
             monkeypatch.setattr(dgp, generator, no_draw)
-        with pytest.raises(ConfigError, match=f"estimators \\['{name}'\\] do not read the data of a {kind} DGP"):
+        with pytest.raises(ConfigError, match=f"estimators \\['{name}'\\] do not read {kind} data"):
             run_mc(McConfig(dgp=KIND_DGPS[kind], estimators=(name,), replications=3))
 
     def test_scenario_needs_feature_map_forms(self):
