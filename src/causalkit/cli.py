@@ -239,11 +239,11 @@ def _add_flag(p: argparse.ArgumentParser, dest: str, kind) -> None:
         p.add_argument(flag, type=kind, help=_HELP.get(dest))
 
 
-def _check_read(args: argparse.Namespace, dests, read, what: str) -> None:
-    """A usage error naming the first flag in ``dests`` that is given but not in ``read``."""
-    unread = [dest for dest in dests if dest not in read and getattr(args, dest) is not None]
-    if unread:
-        raise UsageError(f"--{unread[0].replace('_', '-')} is not read by {what}")
+def _check_unread(args: argparse.Namespace, unread, what: str) -> None:
+    """A usage error naming the first flag in ``unread`` that is given: ``what`` does not read it."""
+    given = [dest for dest in unread if getattr(args, dest) is not None]
+    if given:
+        raise UsageError(f"--{given[0].replace('_', '-')} is not read by {what}")
 
 
 def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
@@ -351,7 +351,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     if not args.out:
         raise UsageError("--out is required for simulate")
     dgp = DGPS[args.dgp]
-    _check_read(args, _DGP_FLAGS, dgp.flags, f"--dgp {args.dgp}")
+    _check_unread(args, [flag for flag in _DGP_FLAGS if flag not in dgp.flags], f"--dgp {args.dgp}")
     config = dgp.make({k: _SIMULATE_DEFAULTS.get(k) if v is None else v for k, v in vars(args).items()})
     summary = {
         "subcommand": "simulate",
@@ -393,8 +393,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     if name not in METHODS:
         raise ConfigError(f"unknown method '{name}'")
     method = METHODS[name]
-    dests = [_OPTIONS[key][0] for key in _ESTIMATE_KEYS]
-    _check_read(args, dests, {_OPTIONS[key][0] for key in method.keys}, f"--method {name}")
+    unread = [_OPTIONS[key][0] for key in _ESTIMATE_KEYS if key not in method.keys]
+    _check_unread(args, unread, f"--method {name}")
     input_path = r.get("input", "input", None, _cast_str)
     if input_path is None:
         raise UsageError("--input is required")
