@@ -153,7 +153,6 @@ __all__ = [
     "iv_wald",
     "tsls",
     "fe_within",
-    "weak_iv_study",
     "RdSpec",
     # eif engine
     "DiscreteMeasure",
@@ -184,6 +183,7 @@ __all__ = [
     "error_decomposition",
     "scenario_feature_maps",
     "summarize_estimator",
+    "weak_iv_study",
     "ErrorDecomposition",
     "EstimatorSummary",
     # infrastructure

@@ -20,8 +20,10 @@ fields are independent misspecification hooks: a learner using the wrong
 feature map for one of them is wrong in a controlled way while the other
 stays right.
 
-``DGPS`` is the table `causalkit simulate` draws through, one row per DGP, as
-``methods.METHODS`` is for `causalkit estimate`.
+``DGPS`` is the table `causalkit simulate` draws through, one row per DGP.
+`run_mc` draws through it too, and scores each method against the truth of
+the estimand its ``methods.METHODS`` row names; `causalkit estimate` reads
+its input with the loader of the row whose kind of data the method reads.
 """
 
 from __future__ import annotations

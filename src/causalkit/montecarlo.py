@@ -165,12 +165,12 @@ class McReport:
     ``true_ate`` is the truth of the DGP's first estimand, which its config
     fixes: tau, the LATE, the panel effect or the jump.  Each row is scored
     against its method's own estimand (``psm`` against the ATT).  ``n`` is
-    the number of units per replication.  ``failures`` keeps the first 10 failure messages; ``failures_by_class``
-    counts every failed (replication, estimator) pair by error class, so its
-    values sum to the rows' ``n_failed``.  ``nonconverged_folds`` and
-    ``irls_iterations`` add up, once per replication whose cross-fit
-    succeeded, the fold propensity fits that did not converge and their IRLS
-    iterations.
+    the number of units per replication.  ``failures`` keeps the first 10
+    failure messages; ``failures_by_class`` counts every failed
+    (replication, estimator) pair by error class, so its values sum to the
+    rows' ``n_failed``.  ``nonconverged_folds`` and ``irls_iterations`` add
+    up, once per replication whose cross-fit succeeded, the fold propensity
+    fits that did not converge and their IRLS iterations.
     """
 
     scenario: str
@@ -462,10 +462,10 @@ def run_mc(config: McConfig) -> McReport:
     coefficients average out because the covariates are centered), the
     replication's sample ATT for ``psm`` (its bias is against the mean ATT
     over the replications it succeeded in), the LATE, the panel effect or
-    the jump.  A method runs with its estimator's defaults; ``rd``'s cutoff is 0.
-    Replication r draws its dataset from substream (r,) and its fold shuffle
-    from substream (r, 1), so reports are bit-identical across re-runs of
-    the same config.  A ConfigError, such as a fold count outside [2, n], is
+    the jump.  A method runs with its estimator's defaults, so ``rd``
+    estimates the jump at cutoff 0.  Replication r draws its dataset from
+    substream (r,) and its fold shuffle from substream (r, 1), so reports
+    are bit-identical across re-runs of the same config.  A ConfigError, such as a fold count outside [2, n], is
     raised at once rather than counted as a replication failure.
     """
     return _reports(config, (config.scenario,))[config.scenario]
