@@ -135,7 +135,9 @@ class McConfig:
         readers = tuple(name for name, method in MC_METHODS.items() if method.kind == kind)
         unread = [e for e in estimators if e not in readers]
         if unread:
-            raise ConfigError(f"estimators {unread} do not read {kind} data, expected a subset of {readers}")
+            raise ConfigError(
+                f"estimators {unread} are not methods that read {kind} data, expected a subset of {readers}"
+            )
         check_level(self.level)
         object.__setattr__(self, "estimators", estimators)
 

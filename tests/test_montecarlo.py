@@ -388,7 +388,7 @@ class TestOneHarness:
 
         for generator in ("generate_observational", "generate_iv", "generate_panel", "generate_rd"):
             monkeypatch.setattr(dgp, generator, no_draw)
-        with pytest.raises(ConfigError, match=f"estimators \\['{name}'\\] do not read {kind} data"):
+        with pytest.raises(ConfigError, match=f"estimators \\['{name}'\\] are not methods that read {kind} data"):
             run_mc(McConfig(dgp=KIND_DGPS[kind], estimators=(name,), replications=3))
 
     def test_scenario_needs_feature_map_forms(self):
