@@ -28,7 +28,7 @@ its input with the loader of the row whose kind of data the method reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -338,6 +338,9 @@ class Dgp:
     ``f(config, draw)``, its true value in a draw; the first is fixed by the
     config, and each is computed only when asked for.  ``derived`` names the
     config fields the class works out itself, echoed after the flags.
+    ``fixes`` maps each method option that describes the design, not a
+    tuning choice, to the config field that fixes it; the harness passes it
+    to every method that takes that option.
     """
 
     config: type
@@ -347,6 +350,7 @@ class Dgp:
     load: Callable[[str, dict], object]
     estimands: dict[str, Callable[[object, tuple], float]]
     derived: tuple[str, ...] = ()
+    fixes: dict[str, str] = field(default_factory=dict)
 
     def make(self, values: Mapping[str, object]):
         """The config from flag values; a field whose flag is absent or None keeps its default."""
@@ -500,5 +504,6 @@ DGPS: dict[str, Dgp] = {
         _write_rd,
         _load_rd,
         {"jump": lambda config, draw: draw[2]},
+        fixes={"cutoff": "cutoff"},
     ),
 }

@@ -3,8 +3,9 @@
 Each row says which config keys a method's report echoes (in report order),
 which kind of data it reads (a ``dgp.DGPS`` row, whose loader reads its input
 file and whose draws feed it in a Monte Carlo study), the estimand it is
-scored against, whether it needs a cross-fitted NuisanceFit, which of its keys
-are passed on as options, and the call that returns its :class:`Estimate`.
+scored against, which halves of a cross-fitted NuisanceFit it reads, which of
+its keys are passed on as options, and the call that returns its
+:class:`Estimate`.
 ``run(data, fit, level, **options)`` falls back on the estimator's own
 defaults for options it is not given, which is how `run_mc` calls every
 method.
@@ -44,8 +45,13 @@ class Method:
     ``kind`` names the ``dgp.DGPS`` row whose data the method reads, which
     also loads its input file; ``estimand`` names the truth of that row it is
     scored against.  ``run(data, fit, level, **options)`` returns the
-    estimate, where ``fit`` is the NuisanceFit when ``nuisance`` is set, the
-    draw's GroundTruth when ``oracle`` is set, and None otherwise.
+    estimate, where ``fit`` is the NuisanceFit when ``nuisance`` is not
+    empty, the draw's GroundTruth when ``oracle`` is set, and None otherwise.
+    ``nuisance`` names the halves of the fit that ``run`` reads:
+    "propensity" (``pi_hat`` and its clip count) and "outcome" (``mu0_hat``
+    and ``mu1_hat``); the folds are shared by every fit of one replication.
+    The estimate depends on the fit through those halves only, so the Monte
+    Carlo harness shares it between scenarios whose fits agree on them.
     """
 
     keys: tuple[str, ...]
@@ -53,7 +59,7 @@ class Method:
     estimand: str
     run: Callable[..., Estimate]
     options: tuple[str, ...] = ()
-    nuisance: bool = False
+    nuisance: tuple[str, ...] = ()
     oracle: bool = False
 
 
@@ -74,14 +80,14 @@ METHODS: dict[str, Method] = {
         "ate",
         lambda data, fit, level, **options: ipw(data, fit.pi_hat, level=level, **options),
         options=("normalization",),
-        nuisance=True,
+        nuisance=("propensity",),
     ),
     "gformula": Method(
         _OBS + _CROSSFIT,
         "obs",
         "ate",
         lambda data, fit, level: g_formula(data, fit.mu0_hat, fit.mu1_hat, level=level),
-        nuisance=True,
+        nuisance=("outcome",),
     ),
     "psm": Method(
         _OBS + _CROSSFIT + ("caliper", "with_replacement"),
@@ -89,14 +95,14 @@ METHODS: dict[str, Method] = {
         "att",
         _psm,
         options=("caliper", "with_replacement"),
-        nuisance=True,
+        nuisance=("propensity",),
     ),
     "aipw": Method(
         _OBS + _CROSSFIT,
         "obs",
         "ate",
         lambda data, fit, level: aipw(data, fit, level=level),
-        nuisance=True,
+        nuisance=("propensity", "outcome"),
     ),
     "did": Method(
         _PANEL + ("placebo",),

@@ -366,6 +366,9 @@ class _Tally:
 # outcome map of the four, so the other two are assembled from their pieces.
 _DIAGONAL = ("both_correct", "both_wrong")
 
+# The fit halves a Method.nuisance names, in the order of scenario_feature_maps.
+_HALVES = ("propensity", "outcome")
+
 
 def _nuisance_for(
     fits: dict[tuple[str, str], NuisanceFit | CausalKitError],
@@ -404,13 +407,26 @@ def _run_scenarios(
     and shuffles folds from ``(*key, r, 1)``.  Each replication draws its
     dataset once and cross-fits each distinct feature-map pair at most once
     (see ``_nuisance_for``), and only if a method needs a fit;
-    ``config.scenario`` itself is not read.  A truth is computed only for a
+    ``config.scenario`` itself is not read.  Each distinct estimate is
+    computed once per replication: a method's result, estimate or raised
+    CausalKitError, is keyed by its name and the feature map of each fit half
+    its ``Method.nuisance`` names, and every scenario with that key shares
+    it.  So ``naive`` runs once per replication, ``ipw`` once per propensity
+    map, ``gformula`` once per outcome map and ``aipw`` once per scenario.  A
+    scenario whose fit failed fails its nuisance methods with that error.  A
+    method runs with the options its DGP's row fixes (``Dgp.fixes``) and its
+    estimator's defaults for the rest.  A truth is computed only for a
     method that returned an estimate.  No failure ceiling is applied here.
     """
     dgp = DGPS[_KINDS[type(config.dgp)]]
     methods = {e: MC_METHODS[e] for e in config.estimators}
+    options = {
+        e: {o: getattr(config.dgp, f) for o, f in dgp.fixes.items() if o in m.options} for e, m in methods.items()
+    }
     needs_nuisance = any(m.nuisance for m in methods.values())
-    maps = {s: scenario_feature_maps(config.dgp, s) for s in scenarios} if needs_nuisance else {}
+    maps = (
+        {s: dict(zip(_HALVES, scenario_feature_maps(config.dgp, s))) for s in scenarios} if needs_nuisance else {}
+    )
     tallies = {s: _Tally(config.estimators) for s in scenarios}
     order = sorted(scenarios, key=lambda s: s not in _DIAGONAL)
 
@@ -426,24 +442,33 @@ def _run_scenarios(
             seed=child_seed(config.seed, *key, r, 1),
         )
         fits: dict[tuple[str, str], NuisanceFit | CausalKitError] = {}
+        results: dict[tuple[str, ...], tuple[Estimate, float] | CausalKitError] = {}
         for scenario in order:
             tally = tallies[scenario]
-            nuisance = _nuisance_for(fits, maps[scenario], fit) if needs_nuisance else None
+            nuisance = _nuisance_for(fits, tuple(maps[scenario].values()), fit) if needs_nuisance else None
             if isinstance(nuisance, NuisanceFit):
                 tally.count_fit(nuisance)
             for name, method in methods.items():
                 if method.nuisance and isinstance(nuisance, CausalKitError):
                     tally.fail(r, name, nuisance)
                     continue
-                try:
-                    est = method.run(draw[0], draw[1] if method.oracle else nuisance, config.level)
-                except CausalKitError as exc:
-                    tally.fail(r, name, exc)
-                    continue
-                tally.add(name, est, dgp.estimands[method.estimand](config.dgp, draw))
-        # free this replication's fits before the next draw, so that at most
-        # two are alive at a time
-        del fits, nuisance
+                inputs = (name, *(maps[scenario][half] for half in method.nuisance))
+                if inputs not in results:
+                    try:
+                        est = method.run(draw[0], draw[1] if method.oracle else nuisance, config.level,
+                                         **options[name])
+                    except CausalKitError as exc:
+                        results[inputs] = exc
+                    else:
+                        results[inputs] = est, dgp.estimands[method.estimand](config.dgp, draw)
+                result = results[inputs]
+                if isinstance(result, CausalKitError):
+                    tally.fail(r, name, result)
+                else:
+                    tally.add(name, *result)
+        # free this replication's fits and estimates before the next draw, so
+        # that at most two sets are alive at a time
+        del fits, results, nuisance
 
     return tallies, next(iter(dgp.estimands.values()))(config.dgp, draw)
 
@@ -464,8 +489,9 @@ def run_mc(config: McConfig) -> McReport:
     coefficients average out because the covariates are centered), the
     replication's sample ATT for ``psm`` (its bias is against the mean ATT
     over the replications it succeeded in), the LATE, the panel effect or
-    the jump.  A method runs with its estimator's defaults, so ``rd``
-    estimates the jump at cutoff 0.  Replication r draws its dataset from
+    the jump.  A method runs with the options its DGP's config fixes, so
+    ``rd`` estimates the jump at ``RdDgpConfig.cutoff``, and with its
+    estimator's defaults for the rest.  Replication r draws its dataset from
     substream (r,) and its fold shuffle from substream (r, 1), so reports
     are bit-identical across re-runs of the same config.  A ConfigError, such as a fold count outside [2, n], is
     raised at once rather than counted as a replication failure.
@@ -491,7 +517,11 @@ def dr_suite(
     ``both_wrong``.  ``pi_wrong`` takes its propensity fit (pi_hat, clip
     count, IRLS flags) from ``both_wrong`` and its outcome fits from
     ``both_correct``; ``mu_wrong`` the other way round.  A scenario whose
-    donor fit failed runs its own cross-fit instead.
+    donor fit failed runs its own cross-fit instead.  Each distinct estimate
+    is computed once per replication and shared by the scenarios that agree
+    on the fit halves it reads: ``naive`` runs once, ``ipw`` and ``psm``
+    once per propensity map, ``gformula`` once per outcome map and ``aipw``
+    in every scenario.
     """
     config = McConfig(
         dgp=replace(base, n=n),

@@ -100,15 +100,23 @@ def _grams(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ((w[:, None, :] * d).reshape(-1, b) @ d.T).reshape(len(w), p, p)
 
 
-def _logistic_ll(d: np.ndarray, a: np.ndarray, w: np.ndarray, beta: np.ndarray, lam: float) -> np.ndarray:
-    """Penalized Bernoulli log-likelihood of each row of beta over the units its row of 0/1 w marks."""
-    ll = np.zeros(len(beta))
+def _logistic_pass(
+    d: np.ndarray, a: np.ndarray, w: np.ndarray, beta: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the units for each row of beta, weighted by its row of 0/1 w.
+
+    Returns the penalized Bernoulli log-likelihood, its gradient and the
+    per-unit probabilities, all from one product ``beta @ d``.
+    """
+    ll, grad, prob = np.zeros(len(beta)), -lam * (np.arange(len(d)) > 0) * beta, np.empty(w.shape)
     for rows in _blocks(d.shape[1]):
         eta = np.clip(beta @ d[:, rows], -_MAX_LOGIT, _MAX_LOGIT)
         # log(1 + e^eta), stable on both tails
         softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
         ll += np.sum(w[:, rows] * (a[rows] * eta - softplus), axis=1)
-    return ll - 0.5 * lam * np.sum(beta[:, 1:] ** 2, axis=1)
+        prob[:, rows] = 1.0 / (1.0 + np.exp(-eta))
+        grad += (w[:, rows] * (a[rows] - prob[:, rows])) @ d[:, rows].T
+    return ll - 0.5 * lam * np.sum(beta[:, 1:] ** 2, axis=1), grad, prob
 
 
 def _irls(
@@ -117,44 +125,48 @@ def _irls(
     """Fit one ridge-logistic model to the units of each row of `masks`, by IRLS.
 
     The problems take their Newton steps together, each with its own step
-    halving, convergence test and iteration count, which it returns.
+    halving, convergence test and iteration count, which it returns.  Each
+    candidate costs one pass over the units (:func:`_logistic_pass`), whose
+    gradient the convergence test reads; a Hessian is built from the pass's
+    probabilities only for a problem that goes on to take a step, so the
+    per-problem Hessians equal the Newton steps taken.
     """
     if lam < 0:
         raise ConfigError("ridge_lambda must be >= 0")
     k, p = len(masks), design.shape[0]
     pen = lam * (np.arange(p) > 0)  # the intercept is not penalized
-    beta = np.zeros((k, p))
-    ll = _logistic_ll(design, a, masks, beta, lam)
+    beta, w = np.zeros((k, p)), masks.astype(float)
+    ll, grad, prob = _logistic_pass(design, a, w, beta, lam)
     converged, iterations, live = np.zeros(k, dtype=bool), np.zeros(k, dtype=np.int64), np.arange(k)
     for it in range(max_iter + 1):
-        b, w = beta[live], masks[live].astype(float)
-        grad, hess = -pen * b, np.zeros((live.size, p, p)) + np.diag(pen)
-        for rows in _blocks(design.shape[1]):
-            d, w_rows = design[:, rows], w[:, rows]
-            prob = _sigmoid(b @ d)
-            grad += (w_rows * (a[rows] - prob)) @ d.T
-            hess += _grams(w_rows * np.maximum(prob * (1.0 - prob), 1e-10), d)
         done = np.max(np.abs(grad), axis=1) < tol
-        converged[live[done]] = True
-        live, grad, hess, w = live[~done], grad[~done], hess[~done], w[~done]
+        if done.any():
+            # the (problems, units) arrays shrink only here: re-indexing them
+            # on every pass costs more than it saves
+            converged[live[done]] = True
+            live, ll, grad, prob, w = live[~done], ll[~done], grad[~done], prob[~done], w[~done]
         if live.size == 0 or it == max_iter:
             break
+        hess = np.zeros((live.size, p, p)) + np.diag(pen)
+        for rows in _blocks(design.shape[1]):
+            pr = prob[:, rows]
+            hess += _grams(w[:, rows] * np.maximum(pr * (1.0 - pr), 1e-10), design[:, rows])
         try:
             step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise RankDeficiencyError(
                 "singular IRLS system; increase ridge_lambda or drop collinear covariates"
             ) from None
-        base, floor = beta[live], ll[live] - 1e-12 * np.maximum(1.0, np.abs(ll[live]))
+        base, floor = beta[live], ll - 1e-12 * np.maximum(1.0, np.abs(ll))
         scale, cand = np.ones(live.size), base + step
-        cand_ll = _logistic_ll(design, a, w, cand, lam)
-        short = cand_ll < floor
+        ll, grad, prob = _logistic_pass(design, a, w, cand, lam)
+        short = ll < floor
         while short.any():
             scale[short] *= 0.5
             cand[short] = base[short] + scale[short, None] * step[short]
-            cand_ll[short] = _logistic_ll(design, a, w[short], cand[short], lam)
-            short = (cand_ll < floor) & (scale > 1e-12)
-        beta[live], ll[live], iterations[live] = cand, cand_ll, it + 1
+            ll[short], grad[short], prob[short] = _logistic_pass(design, a, w[short], cand[short], lam)
+            short = (ll < floor) & (scale > 1e-12)
+        beta[live], iterations[live] = cand, it + 1
     return beta, converged, iterations
 
 
@@ -332,6 +344,9 @@ def cross_fit(
     For each fold j, all three models are fitted on the other folds and
     evaluated on fold j only: the k propensity fits run as one stacked IRLS
     and the 2k outcome fits as one stacked solve, on designs built once.
+    The IRLS makes one pass over the units per candidate step and builds a
+    Hessian only for a fold that goes on to take a step, so a fold's
+    Hessians number its ``irls_iterations``.
     Propensities are then clipped to `clip` and the number of clipped units
     recorded, along with each fold's IRLS convergence flag and iteration count.
     """

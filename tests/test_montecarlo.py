@@ -34,7 +34,7 @@ from causalkit import (
     summarize_estimator,
     weak_iv_study,
 )
-from causalkit import dgp, montecarlo
+from causalkit import dgp, methods, montecarlo
 from causalkit.errors import ConfigError, EstimationError
 from causalkit.rng import child_seed
 
@@ -296,7 +296,8 @@ class TestDrSuite:
             assert set(failed.values()) == {0}
 
     def test_one_draw_and_two_cross_fits_per_replication(self, monkeypatch):
-        results = {"generate_observational": [], "cross_fit": []}
+        results = {name: [] for name in ("generate_observational", "cross_fit", "naive_dim", "ipw", "g_formula",
+                                         "aipw")}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -309,12 +310,20 @@ class TestDrSuite:
 
         counted(dgp, "generate_observational")
         counted(montecarlo, "cross_fit")
+        for name in ("naive_dim", "ipw", "g_formula", "aipw"):
+            counted(methods, name)
         base, kwargs = self.SUITES["clean"]
         dr_suite(base, k=4, **kwargs)
         reps = kwargs["replications"]
+        # each distinct estimate once: naive reads no fit, ipw one propensity
+        # map of two, gformula one outcome map of two, aipw both
         assert {name: len(r) for name, r in results.items()} == {
             "generate_observational": reps,
             "cross_fit": 2 * reps,
+            "naive_dim": reps,
+            "ipw": 2 * reps,
+            "g_formula": 2 * reps,
+            "aipw": 4 * reps,
         }
         # each cross_fit fits one propensity problem per fold
         assert [len(fit.irls_iterations) for fit in results["cross_fit"]] == [4] * (2 * reps)
@@ -346,7 +355,7 @@ class TestNuisanceCounts:
         assert len(report.failures) == min(10, n_failed)
 
 
-# a small DGP of each kind; the rd DGP's cutoff is rd's default cutoff, 0
+# a small DGP of each kind
 KIND_DGPS = {
     "obs": ObsDgpConfig(n=200, d=1, confounding_strength=0.5, tau=1.0, tau_x=(0.5,)),
     "iv": IvDgpConfig(n=300, p_always=0.2, p_complier=0.6, p_never=0.2,
@@ -368,6 +377,12 @@ class TestOneHarness:
         truths = [kind.estimands[method.estimand](cfg.dgp, kind.generate(cfg.dgp, child_seed(3, r)))
                   for r in range(4)]
         assert row.bias == pytest.approx(row.mean_estimate - np.mean(truths), abs=1e-12)
+
+    def test_rd_estimates_the_jump_at_its_dgps_cutoff(self):
+        cfg = McConfig(dgp=RdDgpConfig(n=2000, cutoff=0.5, jump=1.0, slope_left=0.5, slope_right=1.0),
+                       estimators=("rd",), replications=50, seed=0)
+        # at rd's default cutoff 0 the bias is -1.30
+        assert abs(run_mc(cfg).rows[0].bias) <= 0.05
 
     def test_all_ten_methods_and_the_oracle_are_in_the_table(self):
         assert set(montecarlo.MC_METHODS) == {
@@ -398,6 +413,43 @@ class TestOneHarness:
     def test_config_of_no_dgp_is_rejected(self):
         with pytest.raises(ConfigError, match="is not the config of a DGP"):
             McConfig(dgp=object(), replications=3)
+
+
+# the NuisanceFit fields of each half a Method.nuisance names
+HALF_FIELDS = {"propensity": ("pi_hat", "clip_count"), "outcome": ("mu0_hat", "mu1_hat")}
+
+
+def _same_estimate(e, f):
+    if (e.psi_hat, e.se, e.ci_low, e.ci_high) != (f.psi_hat, f.se, f.ci_low, f.ci_high):
+        return False
+    if (e.eif is None) != (f.eif is None) or (e.eif is not None and not np.array_equal(e.eif, f.eif)):
+        return False
+    return e.diagnostics.keys() == f.diagnostics.keys() and all(
+        np.array_equal(e.diagnostics[k], f.diagnostics[k]) for k in e.diagnostics
+    )
+
+
+class TestNuisanceHalves:
+    """The harness shares an estimate between fits that agree on the halves its
+    method declares, which is sound only if the method reads no other half."""
+
+    @pytest.mark.parametrize("name", [name for name, m in methods.METHODS.items() if m.nuisance])
+    def test_estimate_reads_only_the_declared_halves(self, name):
+        method = methods.METHODS[name]
+        ds, _ = generate_observational(
+            ObsDgpConfig(n=400, d=2, confounding_strength=1.0, tau=1.0, outcome_form="linear_plus_quadratic",
+                         propensity_form="linear_plus_quadratic"), 5)
+        fit = cross_fit(ds, seed=2)
+        other = cross_fit(ds, seed=2, propensity_features="linear_plus_quadratic",
+                          outcome_features="linear_plus_quadratic")
+        want = method.run(ds, fit, 0.95)
+        undeclared = [f for half, fields in HALF_FIELDS.items() if half not in method.nuisance for f in fields]
+        hybrid = dataclasses.replace(fit, **{f: getattr(other, f) for f in undeclared})
+        assert _same_estimate(method.run(ds, hybrid, 0.95), want)
+        # and each declared half is read
+        for half in method.nuisance:
+            swapped = dataclasses.replace(fit, **{f: getattr(other, f) for f in HALF_FIELDS[half]})
+            assert method.run(ds, swapped, 0.95).psi_hat != want.psi_hat, half
 
 
 class TestWeakIvStudy:

@@ -7,6 +7,7 @@ Oracle values are frozen from hand derivations:
 - intercept-only logistic with mean(a)=1/4 has MLE logit(1/4) = -log 3.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -284,7 +285,8 @@ class TestCrossFit:
                 clip_hi=0.99,
             )
 
-    def test_memory_stays_bounded(self):
+    @pytest.mark.parametrize("features", nuisance.FEATURE_MAPS)
+    def test_memory_stays_bounded(self, features):
         # n = 20000, d = 3, k = 5: the input of perfbench's psm_match workload.
         # Stacking the k folds over all n units at once would hold k times the
         # per-fold temporaries (15 MB here); summing by row blocks keeps the
@@ -292,7 +294,7 @@ class TestCrossFit:
         ds, _ = generate_observational(ObsDgpConfig(n=20000, d=3, confounding_strength=0.5, tau=2.0), 0)
         tracemalloc.start()
         try:
-            cross_fit(ds, k=5, seed=1)
+            cross_fit(ds, k=5, seed=1, propensity_features=features, outcome_features=features)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,11 +392,34 @@ class TestCrossFitAgainstReference:
 
     def test_step_halving(self, monkeypatch):
         evaluations = []
-        ll = nuisance._logistic_ll
-        monkeypatch.setattr(nuisance, "_logistic_ll", lambda *a: evaluations.append(1) or ll(*a))
+        one_pass = nuisance._logistic_pass
+        monkeypatch.setattr(nuisance, "_logistic_pass", lambda *a: evaluations.append(1) or one_pass(*a))
         fit = self.assert_same_fit(_heavy_tailed_dataset(), k=3, propensity_features="linear_plus_quadratic")
         # one evaluation at the start and one per iteration, unless a step was halved
         assert len(evaluations) > 1 + max(fit.irls_iterations)
+
+    def test_one_hessian_per_newton_step(self, monkeypatch):
+        built = []
+        grams = nuisance._grams
+
+        def counted(w, d):
+            if sys._getframe(1).f_code.co_name == "_irls":
+                built.append(len(w))
+            return grams(w, d)
+
+        monkeypatch.setattr(nuisance, "_grams", counted)
+        # the DGP of perfbench's mc_dr workload
+        mc_dr = ObsDgpConfig(n=2000, d=2, confounding_strength=0.5, tau=2.0,
+                             outcome_form="linear_plus_quadratic", propensity_form="linear_plus_quadratic")
+        datasets = [_heavy_tailed_dataset()] + [generate_observational(mc_dr, seed)[0] for seed in range(3)]
+        for ds in datasets:
+            assert ds.n <= nuisance._BLOCK_ROWS  # one _grams call per Hessian build
+            for features in nuisance.FEATURE_MAPS:
+                for max_iter in (2, 100):
+                    built.clear()
+                    fit = cross_fit(ds, k=5, seed=1, propensity_features=features, max_iter=max_iter)
+                    # a problem that converges or runs out of iterations builds no Hessian
+                    assert sum(built) == sum(fit.irls_iterations)
 
     def test_many_row_blocks(self):
         self.assert_same_fit(_sim_dataset(n=20001, seed=5), k=5, seed=2,
