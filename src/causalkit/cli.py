@@ -269,7 +269,11 @@ def _jsonable(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        # tolist gives Python scalars; only objects and non-finite floats need the walk
+        items = value.tolist()
+        if value.dtype.kind == "O" or (value.dtype.kind == "f" and not np.isfinite(value).all()):
+            return _jsonable(items)
+        return items
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -529,9 +533,9 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
         "functional": f.label,
         "psi": f.value(measure),
         "support_size": measure.m,
-        "phi_numerical": list(phi_num),
-        "phi_closed_form": list(phi_cf),
-        "phi_error_estimates": list(err),
+        "phi_numerical": phi_num,
+        "phi_closed_form": phi_cf,
+        "phi_error_estimates": err,
         "eps_schedule": list(eps),
         "max_error_estimate": float(np.max(err)),
         "max_abs_diff": float(np.max(np.abs(phi_num - phi_cf))),
@@ -570,14 +574,18 @@ _SUBCOMMANDS = {
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse argv with every subcommand registered but only the flags of the first word
-    naming one built: the top level takes no values, so a word before it is an invalid choice."""
+    """Parse argv, building only the flags of the first word naming a subcommand: the
+    top level takes no values, so a word before it is an invalid choice.  When argv
+    starts with that word only its subparser is registered, as the top level then
+    never lists the subcommands; otherwise all are, for its help and its errors."""
     argv = sys.argv[1:] if argv is None else argv
     chosen = next((a for a in argv if not a.startswith("-") and a in _SUBCOMMANDS), None)
     parser = _Parser(prog=PROG, description="causal-effect estimation toolkit")
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, (text, add_flags, _) in _SUBCOMMANDS.items():
+    names = [chosen] if argv[:1] == [chosen] else _SUBCOMMANDS
+    for name in names:
+        text, add_flags, _ = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=text)
         if name == chosen:
             add_flags(p)

@@ -122,7 +122,7 @@ class DiscreteMeasure:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probs must sum to 1 within 1e-12, got {total!r}")
-        if np.unique(support, axis=0).shape[0] != support.shape[0]:
+        if len(_cells(support)[0]) != support.shape[0]:
             raise ValidationError("support points must be distinct")
         support.setflags(write=False)
         probs.setflags(write=False)
@@ -148,8 +148,8 @@ class DiscreteMeasure:
         data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
         if data.shape[0] == 0:
             raise ValidationError("empirical measure needs at least one observation")
-        points, counts = np.unique(data, axis=0, return_counts=True)
-        return cls(names=tuple(names), support=points, probs=counts / data.shape[0])
+        points, inverse = _cells(data)
+        return cls(names=tuple(names), support=points, probs=np.bincount(inverse) / data.shape[0])
 
     @classmethod
     def from_csv(cls, path: str, prob_column: str = "prob") -> "DiscreteMeasure":
@@ -190,11 +190,22 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def _cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in sorted order, and the cell index of every row."""
+    """Distinct rows in sorted order, and the cell index of every row.
+
+    One stable lexsort orders the rows, first column first; a cell starts
+    wherever a row differs from the row before it.  Rows compare with ``==``,
+    so ``-0.0`` and ``0.0`` share a cell, and its label is whichever of its
+    rows comes first in ``rows``.
+    """
     if rows.shape[1] == 0:
         return np.empty((1, 0)), np.zeros(rows.shape[0], dtype=np.intp)
-    cells, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return cells, inverse.reshape(-1)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 # ---------------------------------------------------------------------------

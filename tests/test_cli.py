@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
+import argparse
 import ast
 import functools
 import importlib.util
@@ -8,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import causalkit
 from causalkit import cross_fit, eif_engine
-from causalkit.cli import emit_report, main
+from causalkit.cli import _jsonable, emit_report, main, parse_args
+from causalkit.rng import stream
 
 REPORT_KEYS = ["method", "psi_hat", "se", "ci_low", "ci_high", "n", "diagnostics", "config", "version"]
 
@@ -394,6 +397,50 @@ def test_eif_check_builds_the_ate_forms_once_per_measure(tmp_path, monkeypatch, 
     assert calls == [(1, 0), (1, 0)]
 
 
+def _walk(value):
+    """The element-by-element coercion an array went through before it became one ``tolist``."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        value = float(value)
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.ndarray):
+        return [_walk(v) for v in value.tolist()]
+    if isinstance(value, list):
+        return [_walk(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _walk(v) for k, v in value.items()}
+    return value
+
+
+ARRAYS = {
+    "float_1d": np.array([0.1, -2.5, 1e300, 5e-324, -0.0]),
+    "float_2d": stream(5).normal(scale=1e3, size=(4, 5)),
+    "float32_1d": np.array([0.1, 2.5], dtype=np.float32),
+    "float_1d_non_finite": np.array([np.inf, 0.5, np.nan, -np.inf]),
+    "float_2d_non_finite": np.array([[1.0, np.nan], [-np.inf, 2.0]]),
+    "int_1d": np.array([0, -3, 2**62]),
+    "int_2d": np.array([[1, 2], [3, 4]], dtype=np.int32),
+    "bool_1d": np.array([True, False]),
+    "bool_2d": np.array([[True], [False]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_arrays_encode_as_the_element_walk_did(name):
+    report = {"a": ARRAYS[name], "b": [ARRAYS[name], 1.0]}
+    text = json.dumps(_jsonable(report), indent=2, allow_nan=False)
+    assert text == json.dumps(_walk(report), indent=2, allow_nan=False)
+
+
+def test_non_finite_array_entries_are_null():
+    array = np.array([[np.inf, 1.5], [np.nan, -np.inf]])
+    assert json.dumps(_jsonable(array)) == "[[null, 1.5], [null, null]]"
+
+
 def test_csv_report_cells_as_written_today(tmp_path):
     """CSV cells are numbers as ``format_number`` writes them: a bool as an
     integer, an integer of 1e16 or more as a float."""
@@ -644,6 +691,30 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
+
+    @staticmethod
+    def registered_subparsers(monkeypatch):
+        """The names passed to ``add_parser`` from now on, in call order."""
+        names, add_parser = [], argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(
+            argparse._SubParsersAction, "add_parser",
+            lambda self, name, **kwargs: names.append(name) or add_parser(self, name, **kwargs),
+        )
+        return names
+
+    def test_a_leading_subcommand_registers_only_its_subparser(self, monkeypatch):
+        names = self.registered_subparsers(monkeypatch)
+        args = parse_args(["eif-check", "--measure", "m.csv", "--functional", "ate"])
+        assert (args.subcommand, args.measure) == ("eif-check", "m.csv")
+        assert names == ["eif-check"]
+
+    @pytest.mark.parametrize("argv, code", [(["--help", "eif-check"], 0), (["frobnicate", "eif-check"], 1)])
+    def test_a_later_subcommand_registers_and_lists_all_four(self, monkeypatch, capsys, argv, code):
+        names = self.registered_subparsers(monkeypatch)
+        assert run_cli(*argv) == code
+        assert names == ["simulate", "estimate", "montecarlo", "eif-check"]
+        printed = "".join(capsys.readouterr())
+        assert all(name in printed for name in names)
 
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0

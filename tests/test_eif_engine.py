@@ -99,6 +99,57 @@ class TestDiscreteMeasure:
         assert idx[(0.0, 1.0)] == pytest.approx(0.2)
 
 
+def random_grid(rng: np.random.Generator) -> np.ndarray:
+    """1-4 columns, up to 200 rows, each column drawn from a few values between
+    1e-300 and 1e300 in magnitude (and 0.0), so that rows repeat."""
+    k, n = int(rng.integers(1, 5)), int(rng.integers(1, 201))
+    columns = []
+    for _ in range(k):
+        pool = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-300, 300, 4)
+        columns.append(rng.choice(np.r_[pool, 0.0], n))
+    return np.column_stack(columns)
+
+
+class TestCells:
+    """``_cells`` against ``np.unique(rows, axis=0, return_inverse=True)``, which it replaced."""
+
+    def test_same_cells_and_inverse_as_unique(self):
+        rng = stream(2024)
+        for _ in range(300):
+            rows = random_grid(rng)
+            cells, inverse = eif_engine._cells(rows)
+            ref_cells, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert cells.tobytes() == ref_cells.tobytes()
+            assert inverse.tobytes() == ref_inverse.reshape(-1).tobytes()
+
+    def test_from_data_gives_the_support_and_probs_of_unique(self):
+        rng = stream(2025)
+        for _ in range(50):
+            rows = random_grid(rng)
+            p = DiscreteMeasure.from_data([f"c{i}" for i in range(rows.shape[1])], *rows.T)
+            points, counts = np.unique(rows, axis=0, return_counts=True)
+            assert p.support.tobytes() == points.tobytes()
+            assert p.probs.tobytes() == (counts / rows.shape[0]).tobytes()
+
+    @pytest.mark.parametrize("support", [[[1.0, 2.0], [0.0, 1.0], [1.0, 2.0]], [[-0.0, 1.0], [0.0, 1.0]]])
+    def test_repeated_point_is_rejected(self, support):
+        probs = np.full(len(support), 1.0 / len(support))
+        with pytest.raises(ValidationError, match="support points must be distinct"):
+            DiscreteMeasure(names=("u", "v"), support=np.array(support), probs=probs)
+
+    def test_signed_zeros_share_a_cell_labelled_by_its_first_row(self):
+        rows = np.array([[1.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0]])
+        cells, inverse = eif_engine._cells(rows)
+        assert cells.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]]
+        assert np.signbit(cells).tolist() == [[True, False], [False, True], [False, False]]
+        assert inverse.tolist() == [2, 0, 0, 1, 1]
+        cells, _ = eif_engine._cells(rows[::-1])
+        assert np.signbit(cells).tolist() == [[False, False], [False, False], [False, False]]
+        rows = np.array([[0.0], [1.0], [-0.0]] * 200)  # long enough for an unstable sort to reorder
+        assert np.signbit(eif_engine._cells(rows)[0]).tolist() == [[False], [False]]
+        assert np.signbit(eif_engine._cells(rows[::-1])[0]).tolist() == [[True], [False]]
+
+
 class TestFunctionalValues:
     def test_hand_measure_oracles(self):
         p = hand_measure()
