@@ -1,12 +1,13 @@
 """Average-treatment-effect estimators: naive, IPW, g-formula, matching, AIPW.
 
-Every estimator is a pure function returning an :class:`Estimate`.  Where a
-per-unit influence-function vector has a standard closed form it is stored on
-the estimate (centered, mean zero) and drives the standard error through
-:func:`variance_ci`.  Every interval, here and in the quasi-experimental
-module, is :func:`normal_ci` of the point estimate and its standard error.
-The doubly-robust estimator consumes out-of-fold nuisances from
-:func:`causalkit.nuisance.cross_fit`.
+Every estimator is a pure function returning an :class:`Estimate`, and every
+one, here and in the quasi-experimental module, builds it through
+:func:`build_estimate`, whose interval is :func:`normal_ci` of the point
+estimate and the standard error the estimator chose.  Where a per-unit
+influence-function vector has a standard closed form it is stored on the
+estimate (centered, mean zero) and drives the standard error through
+:func:`variance_ci`.  The doubly-robust estimator consumes out-of-fold
+nuisances from :func:`causalkit.nuisance.cross_fit`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "normal_quantile",
     "normal_ci",
     "variance_ci",
+    "build_estimate",
 ]
 
 
@@ -75,6 +77,22 @@ def variance_ci(eif: np.ndarray, psi_hat: float, level: float = 0.95) -> tuple[f
     return se, normal_ci(psi_hat, se, level)
 
 
+def build_estimate(
+    psi_hat: float, method: str, n: int, level: float, *, eif: np.ndarray | None = None,
+    se: float | None = None, diagnostics: dict | None = None, input_scale: float = 0.0,
+) -> Estimate:
+    """The estimate with interval ``normal_ci(psi_hat, se, level)``.
+
+    The one place an :class:`Estimate` is made, so every method's interval
+    comes from its se the same way and every level is checked, se or not.
+    """
+    ci_low, ci_high = normal_ci(psi_hat, se, level)
+    return Estimate(
+        psi_hat=psi_hat, method=method, n=n, eif=eif, se=se, ci_low=ci_low, ci_high=ci_high,
+        diagnostics={} if diagnostics is None else diagnostics, input_scale=input_scale,
+    )
+
+
 def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> Estimate:
     """Difference in arm means, with the two-sample standard error."""
     require_both_arms(dataset, "naive_dim")
@@ -89,19 +107,9 @@ def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> Estimate:
         (dataset.y - m1) / rho,
         -(dataset.y - m0) / (1.0 - rho),
     )
-    if n1 >= 2 and n0 >= 2:
-        se = float(np.sqrt(np.var(y1, ddof=1) / n1 + np.var(y0, ddof=1) / n0))
-    else:
-        se = None
-    ci = normal_ci(psi, se, level)
-    return Estimate(
-        psi_hat=psi,
-        method="naive",
-        n=dataset.n,
-        eif=eif,
-        se=se,
-        ci_low=ci[0],
-        ci_high=ci[1],
+    se = float(np.sqrt(np.var(y1, ddof=1) / n1 + np.var(y0, ddof=1) / n0)) if min(n1, n0) >= 2 else None
+    return build_estimate(
+        psi, "naive", dataset.n, level, eif=eif, se=se,
         diagnostics={"treated_mean": m1, "control_mean": m0, "n_treated": n1, "n_control": n0},
         input_scale=float(np.max(np.abs(dataset.y))),
     )
@@ -141,15 +149,8 @@ def ipw(
         # linearized ratio-estimator influence function, arm by arm
         eif = w1 * (y - psi1) / float(np.mean(w1)) - w0 * (y - psi0) / float(np.mean(w0))
     psi = psi1 - psi0
-    se, ci = variance_ci(eif, psi, level) if dataset.n >= 2 else (None, (None, None))
-    return Estimate(
-        psi_hat=psi,
-        method="ipw",
-        n=dataset.n,
-        eif=eif,
-        se=se,
-        ci_low=ci[0],
-        ci_high=ci[1],
+    return build_estimate(
+        psi, "ipw", dataset.n, level, eif=eif, se=variance_ci(eif, psi, level)[0],
         diagnostics={"normalization": normalization, "psi1_hat": psi1, "psi0_hat": psi0},
         input_scale=float(np.max(np.abs(y))),
     )
@@ -170,16 +171,8 @@ def g_formula(
     contrast = mu1_hat - mu0_hat
     psi = float(contrast.mean())
     eif = contrast - psi
-    se, ci = variance_ci(eif, psi, level) if dataset.n >= 2 else (None, (None, None))
-    return Estimate(
-        psi_hat=psi,
-        method="gformula",
-        n=dataset.n,
-        eif=eif,
-        se=se,
-        ci_low=ci[0],
-        ci_high=ci[1],
-    )
+    se = variance_ci(eif, psi, level)[0] if dataset.n >= 2 else None
+    return build_estimate(psi, "gformula", dataset.n, level, eif=eif, se=se)
 
 
 @dataclass(frozen=True)
@@ -312,14 +305,8 @@ def psm_att(
     gaps = np.abs(pi_hat[t_ids] - pi_hat[c_ids])
     psi = float(diffs.mean())
     se = float(np.sqrt(np.var(diffs, ddof=1) / diffs.size)) if diffs.size >= 2 else None
-    ci = normal_ci(psi, se, level)
-    estimate = Estimate(
-        psi_hat=psi,
-        method="psm",
-        n=dataset.n,
-        se=se,
-        ci_low=ci[0],
-        ci_high=ci[1],
+    estimate = build_estimate(
+        psi, "psm", dataset.n, level, se=se,
         diagnostics={
             "estimand": "att",
             "n_pairs": len(matches),
@@ -358,19 +345,13 @@ def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.
     terms = _aipw_terms(dataset, pi, nuisance.mu0_hat, nuisance.mu1_hat)
     psi = float(terms.mean())
     eif = terms - psi
-    se, ci = variance_ci(eif, psi, level) if dataset.n >= 2 else (None, (None, None))
+    se = variance_ci(eif, psi, level)[0] if dataset.n >= 2 else None
     a = dataset.a.astype(float)
     arm1 = a * (dataset.y - nuisance.mu1_hat) / pi + nuisance.mu1_hat
     arm0 = (1.0 - a) * (dataset.y - nuisance.mu0_hat) / (1.0 - pi) + nuisance.mu0_hat
     fold_means = [float(terms[nuisance.folds.indices(j)].mean()) for j in range(nuisance.folds.k)]
-    return Estimate(
-        psi_hat=psi,
-        method="aipw",
-        n=dataset.n,
-        eif=eif,
-        se=se,
-        ci_low=ci[0],
-        ci_high=ci[1],
+    return build_estimate(
+        psi, "aipw", dataset.n, level, eif=eif, se=se,
         diagnostics={
             "psi1_hat": float(arm1.mean()),
             "psi0_hat": float(arm0.mean()),

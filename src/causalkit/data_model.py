@@ -181,12 +181,14 @@ def _centering_tolerance(eif: np.ndarray, input_scale: float) -> float:
 class Estimate:
     """The result of every estimator: a point estimate with its inference.
 
-    ``eif`` holds per-unit influence values, centered (mean zero), when the
-    estimator has them; for difference-in-differences the units are panel
-    units, not records.  ``se``/``ci_low``/``ci_high`` are present when the
-    estimator provides inference.  ``diagnostics`` carries method-specific
-    values (cell means, first stage, clip counts, match distances) in the
-    order the report emits them.
+    Estimators make it only through :func:`ate_estimators.build_estimate`,
+    the only way an estimate gets its interval: ``normal_ci(psi_hat, se,
+    level)``.  ``eif`` holds per-unit influence values, centered (mean
+    zero), when the estimator has them; for difference-in-differences the
+    units are panel units, not records.  ``ci_low``/``ci_high`` are present
+    when ``se`` is.  ``diagnostics`` carries method-specific values (cell
+    means, first stage, clip counts, match distances) in the order the
+    report emits them.
 
     ``input_scale`` (not stored) is the magnitude of the values the
     influence values were computed from, such as max|y| when they are

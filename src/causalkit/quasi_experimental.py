@@ -3,12 +3,13 @@
 These designs trade the unconfoundedness-plus-positivity route for structural
 assumptions: parallel trends (DID), continuity at a threshold (RD), exclusion
 and relevance of an instrument (IV), or time-invariant unit heterogeneity
-(FE).  Each returns an :class:`Estimate` whose interval is
-:func:`normal_ci`.  DID, RD and the Wald ratio build per-unit influence
-values and take their standard error from :func:`variance_ci`, as the ATE
-estimators do; DID's units are panel units, so its se is clustered by unit.
-Two-stage least squares and the within estimator keep their homoskedastic
-textbook standard errors.  This module reads data and draws none: Monte Carlo
+(FE).  Each returns an :class:`Estimate` made by :func:`build_estimate`, as
+the ATE estimators do, so its interval is :func:`normal_ci` of the standard
+error the estimator chose.  DID, RD and the Wald ratio build per-unit
+influence values and take their standard error from :func:`variance_ci`;
+DID's units are panel units, so its se is clustered by unit.  Two-stage
+least squares and the within estimator keep their homoskedastic textbook
+standard errors.  This module reads data and draws none: Monte Carlo
 studies of these estimators, the weak-instrument sweep among them, run in
 :mod:`causalkit.montecarlo`.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ate_estimators import normal_ci, variance_ci
+from .ate_estimators import build_estimate, variance_ci
 from .data_model import Estimate, IvDataset, ObservationalDataset, PanelDataset
 from .errors import (
     BandwidthError,
@@ -80,18 +81,10 @@ def _did_cells(panel: PanelDataset, pre: int, post: int, placebo: bool, level: f
     eif = n_units * np.bincount(unit_of, weights=record_terms[window], minlength=n_units)
     eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
     n_treated = int(np.count_nonzero(np.bincount(unit_of, weights=panel.group[window])))
-    if min(n_treated, n_units - n_treated) >= 2:
-        se, (ci_low, ci_high) = variance_ci(eif, estimate, level)
-    else:
-        se, ci_low, ci_high = None, None, None
-    return Estimate(
-        psi_hat=estimate,
-        method="did",
-        n=panel.n,
-        eif=eif,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
+    two_per_group = min(n_treated, n_units - n_treated) >= 2
+    se = variance_ci(eif, estimate, level)[0] if two_per_group else None
+    return build_estimate(
+        estimate, "did", panel.n, level, eif=eif, se=se,
         diagnostics={
             "cell_means": [m00, m01, m10, m11],
             "cell_counts": [int(masks[c].sum()) for c in ((0, pre), (0, post), (1, pre), (1, post))],
@@ -197,18 +190,9 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 
     eif[left] = -dataset.n * terms_l
     eif[right] = dataset.n * terms_r
     eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
-    if n_left > 2 and n_right > 2:
-        se, (ci_low, ci_high) = variance_ci(eif, estimate, level)
-    else:
-        se, ci_low, ci_high = None, None, None
-    return Estimate(
-        psi_hat=estimate,
-        method="rd",
-        n=dataset.n,
-        eif=eif,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
+    se = variance_ci(eif, estimate, level)[0] if n_left > 2 and n_right > 2 else None
+    return build_estimate(
+        estimate, "rd", dataset.n, level, eif=eif, se=se,
         diagnostics={
             "intercept_left": float(beta_l[0]),
             "intercept_right": float(beta_r[0]),
@@ -220,26 +204,12 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 
     )
 
 
-def _iv_estimate(
-    method: str, iv: IvDataset, late: float, first_stage: float, reduced_form: float,
-    se: float | None, level: float, eif: np.ndarray | None = None, input_scale: float = 0.0,
-) -> Estimate:
-    ci_low, ci_high = normal_ci(late, se, level)
-    return Estimate(
-        psi_hat=late,
-        method=method,
-        n=iv.n,
-        eif=eif,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        diagnostics={
-            "first_stage": first_stage,
-            "reduced_form": reduced_form,
-            "weak_flag": bool(abs(first_stage) < WEAK_IV_THRESHOLD),
-        },
-        input_scale=input_scale,
-    )
+def _iv_diagnostics(first_stage: float, reduced_form: float) -> dict:
+    return {
+        "first_stage": first_stage,
+        "reduced_form": reduced_form,
+        "weak_flag": bool(abs(first_stage) < WEAK_IV_THRESHOLD),
+    }
 
 
 def iv_wald(iv: IvDataset, level: float = 0.95) -> Estimate:
@@ -266,11 +236,13 @@ def iv_wald(iv: IvDataset, level: float = 0.95) -> Estimate:
     resid1 = (iv.y - float(y1.mean())) - late * (iv.a - float(a1.mean()))
     resid0 = (iv.y - float(y0.mean())) - late * (iv.a - float(a0.mean()))
     phi = (np.where(z1, resid1, 0.0) / p - np.where(z1, 0.0, resid0) / (1.0 - p)) / first_stage
-    se = variance_ci(phi, late, level)[0]  # both instrument arms are non-empty, so n >= 2
     # phi's mean is the rounding error of the arm means of y and late*a,
     # divided by the first stage
     scale = (float(np.max(np.abs(iv.y))) + abs(late)) / abs(first_stage)
-    return _iv_estimate("iv", iv, late, first_stage, reduced_form, se, level, eif=phi, input_scale=scale)
+    return build_estimate(
+        late, "iv", iv.n, level, eif=phi, se=variance_ci(phi, late, level)[0],
+        diagnostics=_iv_diagnostics(first_stage, reduced_form), input_scale=scale,
+    )
 
 
 def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
@@ -319,7 +291,8 @@ def tsls(iv: IvDataset, level: float = 0.95) -> Estimate:
         se = float(np.sqrt(max(cov[1, 1], 0.0)))
     else:
         se = None
-    return _iv_estimate("tsls", iv, late, first_stage, late * first_stage, se, level)
+    diagnostics = _iv_diagnostics(first_stage, late * first_stage)
+    return build_estimate(late, "tsls", iv.n, level, se=se, diagnostics=diagnostics)
 
 
 def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
@@ -347,13 +320,7 @@ def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
     resid = y_t - slope * a_t
     df = panel.n - units.size - 1
     se = float(np.sqrt((resid @ resid) / df / denom)) if df > 0 else None
-    ci_low, ci_high = normal_ci(slope, se, level)
-    return Estimate(
-        psi_hat=slope,
-        method="fe",
-        n=panel.n,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
+    return build_estimate(
+        slope, "fe", panel.n, level, se=se,
         diagnostics={"n_units": int(units.size), "n_units_identifying": identifying},
     )

@@ -15,12 +15,15 @@ from statistics import NormalDist
 
 from causalkit import (
     IvDataset,
+    IvDgpConfig,
     McConfig,
+    ObsDgpConfig,
     ObservationalDataset,
     PanelDataset,
     PanelDgpConfig,
     RdDgpConfig,
     RdSpec,
+    cross_fit,
     did,
     did_placebo,
     fe_within,
@@ -40,6 +43,8 @@ from causalkit.errors import (
     InstrumentError,
     InsufficientDataError,
 )
+from causalkit.dgp import DGPS
+from causalkit.methods import METHODS
 
 
 def make_panel(unit, period, a, y, group):
@@ -264,6 +269,25 @@ def wald_dataset():
     return IvDataset(z=z, a=a, y=y)
 
 
+# one draw of each kind of data, for the method table's rows
+KIND_CONFIGS = {
+    "obs": ObsDgpConfig(n=200, d=1, confounding_strength=0.5, tau=1.0),
+    "iv": IvDgpConfig(n=300, p_always=0.2, p_complier=0.6, p_never=0.2),
+    "panel": PanelDgpConfig(n_units=40, n_periods=3, time_trend=0.5, treatment_effect=1.0),
+    "rd": RdDgpConfig(n=300, jump=1.0, slope_left=0.5, slope_right=1.0),
+}
+# the rows whose estimate stores no eif: matching and the two regression se's
+NO_EIF = ("psm", "tsls", "fe")
+EIF_CASES = ["wald_dataset"] + [name for name in METHODS if name not in NO_EIF]
+
+
+def method_estimate(name):
+    """The data of one draw of the row's kind, and the row's estimate on it."""
+    method = METHODS[name]
+    data = DGPS[method.kind].generate(KIND_CONFIGS[method.kind], 1)[0]
+    return data, method.run(data, cross_fit(data, seed=0) if method.nuisance else None, 0.95)
+
+
 class TestIv:
     def test_wald_hand_oracle(self):
         est = iv_wald(wald_dataset())
@@ -305,10 +329,27 @@ class TestIv:
         assert est.se is not None
         assert est.se > 0
 
-    def test_eif_is_stored_and_gives_the_se(self):
-        est = iv_wald(wald_dataset())
-        assert est.eif.shape == (15,)
-        assert est.se == variance_ci(est.eif, est.psi_hat)[0]
+    @pytest.mark.parametrize("case", EIF_CASES)
+    def test_eif_is_stored_and_gives_the_se(self, case):
+        if case == "wald_dataset":
+            data = wald_dataset()
+            est = iv_wald(data)
+        else:
+            data, est = method_estimate(case)
+        # did's influence values are one per panel unit
+        assert est.eif.shape == ({"wald_dataset": 15, "did": 40}.get(case, est.n),)
+        assert est.se is not None
+        if case == "naive":
+            # the one listed exception keeps its two-sample se
+            y1, y0 = data.y[data.a == 1], data.y[data.a == 0]
+            assert est.se == float(np.sqrt(np.var(y1, ddof=1) / y1.size + np.var(y0, ddof=1) / y0.size))
+        else:
+            assert est.se == variance_ci(est.eif, est.psi_hat)[0]
+
+    @pytest.mark.parametrize("name", NO_EIF)
+    def test_matching_and_regression_rows_store_no_eif(self, name):
+        _, est = method_estimate(name)
+        assert est.eif is None and est.se is not None
 
     @pytest.mark.parametrize("complier_share", [0.3, 0.02])
     @pytest.mark.parametrize("seed", range(4))
