@@ -18,8 +18,7 @@ linear_plus_quadratic (a quadratic learner on a linear DGP nests the truth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .data_model import Estimate, GroundTruth, ObservationalDataset, require_bot
 from .dgp import DGPS, FORMS, IvDgpConfig, ObsDgpConfig, PanelDgpConfig, RdDgpConfig
 from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError
 from .methods import METHODS, Method
-from .nuisance import NuisanceFit, cross_fit
+from .nuisance import NuisanceFit, cross_fit_pairs
 from .rng import child_seed
 
 __all__ = [
@@ -102,8 +101,9 @@ def _units(dgp) -> int:
 class McConfig:
     """A Monte Carlo study: each replication draws one dataset from ``dgp``.
 
-    Every estimator must read the kind of data ``dgp`` draws, and a scenario
-    other than both_correct needs the feature-map forms of ObsDgpConfig.
+    Every estimator must read the kind of data ``dgp`` draws and be named
+    once, and a scenario other than both_correct needs the feature-map forms
+    of ObsDgpConfig.
     """
 
     dgp: ObsDgpConfig | IvDgpConfig | PanelDgpConfig | RdDgpConfig
@@ -132,6 +132,8 @@ class McConfig:
         estimators = tuple(self.estimators)
         if not estimators:
             raise ConfigError("estimator list must be non-empty")
+        if len(set(estimators)) < len(estimators):
+            raise ConfigError(f"estimator list {list(estimators)} names a method more than once")
         readers = tuple(name for name, method in MC_METHODS.items() if method.kind == kind)
         unread = [e for e in estimators if e not in readers]
         if unread:
@@ -362,39 +364,8 @@ class _Tally:
         )
 
 
-# Between them, these two scenarios' fits use every propensity map and every
-# outcome map of the four, so the other two are assembled from their pieces.
-_DIAGONAL = ("both_correct", "both_wrong")
-
 # The fit halves a Method.nuisance names, in the order of scenario_feature_maps.
 _HALVES = ("propensity", "outcome")
-
-
-def _nuisance_for(
-    fits: dict[tuple[str, str], NuisanceFit | CausalKitError],
-    maps: tuple[str, str],
-    fit: Callable[..., NuisanceFit],
-) -> NuisanceFit | CausalKitError:
-    """The cross-fit with feature maps (propensity, outcome), or the error it raises.
-
-    A fit already in ``fits`` whose propensity map matches lends pi_hat, the
-    clip count and the IRLS flags, one whose outcome map matches lends the
-    outcome predictions; both come from the same folds.  Without a successful
-    fit for each half, ``fit`` runs this pair's own cross-fit, so a scenario
-    fails exactly where its own cross-fit would.
-    """
-    if maps not in fits:
-        done = {m: f for m, f in fits.items() if isinstance(f, NuisanceFit)}
-        prop = next((f for m, f in done.items() if m[0] == maps[0]), None)
-        out = next((f for m, f in done.items() if m[1] == maps[1]), None)
-        if prop is not None and out is not None:
-            fits[maps] = replace(prop, mu0_hat=out.mu0_hat, mu1_hat=out.mu1_hat)
-        else:
-            try:
-                fits[maps] = fit(propensity_features=maps[0], outcome_features=maps[1])
-            except CausalKitError as exc:
-                fits[maps] = exc
-    return fits[maps]
 
 
 def _run_scenarios(
@@ -403,10 +374,11 @@ def _run_scenarios(
     """The package's replication loop: each scenario's tally, and the truth of
     the DGP's first estimand.
 
-    Replication r draws through the DGP's row from substream ``(*key, r)``
-    and shuffles folds from ``(*key, r, 1)``.  Each replication draws its
-    dataset once and cross-fits each distinct feature-map pair at most once
-    (see ``_nuisance_for``), and only if a method needs a fit;
+    Replication r draws its dataset once, through the DGP's row from
+    substream ``(*key, r)``.  If a method needs a fit, one call to
+    ``cross_fit_pairs`` shuffles folds from ``(*key, r, 1)`` once and fits
+    each half once per feature map of the scenarios' distinct pairs; each
+    scenario gets the fit, or the error, of its own ``cross_fit``.
     ``config.scenario`` itself is not read.  Each distinct estimate is
     computed once per replication: a method's result, estimate or raised
     CausalKitError, is keyed by its name and the feature map of each fit half
@@ -423,36 +395,27 @@ def _run_scenarios(
     options = {
         e: {o: getattr(config.dgp, f) for o, f in dgp.fixes.items() if o in m.options} for e, m in methods.items()
     }
-    needs_nuisance = any(m.nuisance for m in methods.values())
-    maps = (
-        {s: dict(zip(_HALVES, scenario_feature_maps(config.dgp, s))) for s in scenarios} if needs_nuisance else {}
-    )
+    needs_fit = any(m.nuisance for m in methods.values())
+    maps = {s: scenario_feature_maps(config.dgp, s) for s in scenarios if needs_fit}
+    pairs = list(dict.fromkeys(maps.values()))
     tallies = {s: _Tally(config.estimators) for s in scenarios}
-    order = sorted(scenarios, key=lambda s: s not in _DIAGONAL)
 
     for r in range(config.replications):
         draw = dgp.generate(config.dgp, child_seed(config.seed, *key, r))
-        fit = partial(
-            cross_fit,
-            draw[0],
-            k=config.k,
-            clip=config.clip,
-            propensity_lambda=config.propensity_lambda,
-            outcome_lambda=config.outcome_lambda,
-            seed=child_seed(config.seed, *key, r, 1),
-        )
-        fits: dict[tuple[str, str], NuisanceFit | CausalKitError] = {}
+        fits = dict(zip(pairs, cross_fit_pairs(
+            draw[0], pairs, config.k, clip=config.clip, propensity_lambda=config.propensity_lambda,
+            outcome_lambda=config.outcome_lambda, seed=child_seed(config.seed, *key, r, 1)) if pairs else ()))
         results: dict[tuple[str, ...], tuple[Estimate, float] | CausalKitError] = {}
-        for scenario in order:
+        for scenario in scenarios:
             tally = tallies[scenario]
-            nuisance = _nuisance_for(fits, tuple(maps[scenario].values()), fit) if needs_nuisance else None
+            nuisance = fits[maps[scenario]] if maps else None
             if isinstance(nuisance, NuisanceFit):
                 tally.count_fit(nuisance)
             for name, method in methods.items():
                 if method.nuisance and isinstance(nuisance, CausalKitError):
                     tally.fail(r, name, nuisance)
                     continue
-                inputs = (name, *(maps[scenario][half] for half in method.nuisance))
+                inputs = (name, *(maps[scenario][_HALVES.index(half)] for half in method.nuisance))
                 if inputs not in results:
                     try:
                         est = method.run(draw[0], draw[1] if method.oracle else nuisance, config.level,
@@ -492,9 +455,10 @@ def run_mc(config: McConfig) -> McReport:
     the jump.  A method runs with the options its DGP's config fixes, so
     ``rd`` estimates the jump at ``RdDgpConfig.cutoff``, and with its
     estimator's defaults for the rest.  Replication r draws its dataset from
-    substream (r,) and its fold shuffle from substream (r, 1), so reports
-    are bit-identical across re-runs of the same config.  A ConfigError, such as a fold count outside [2, n], is
-    raised at once rather than counted as a replication failure.
+    substream (r,) and shuffles its folds once, from substream (r, 1), for
+    the one cross-fit its methods share, so reports are bit-identical across
+    re-runs of the same config.  A ConfigError, such as a fold count outside
+    [2, n], is raised at once rather than counted as a replication failure.
     """
     return _reports(config, (config.scenario,))[config.scenario]
 
@@ -513,15 +477,13 @@ def dr_suite(
     every scenario, so the r-th replication sees the same dataset and the
     same folds in all four; only the learners' feature maps differ.  Each
     report equals ``run_mc`` on that scenario, but a replication draws its
-    dataset once and cross-fits twice, for ``both_correct`` and
-    ``both_wrong``.  ``pi_wrong`` takes its propensity fit (pi_hat, clip
-    count, IRLS flags) from ``both_wrong`` and its outcome fits from
-    ``both_correct``; ``mu_wrong`` the other way round.  A scenario whose
-    donor fit failed runs its own cross-fit instead.  Each distinct estimate
-    is computed once per replication and shared by the scenarios that agree
-    on the fit halves it reads: ``naive`` runs once, ``ipw`` and ``psm``
-    once per propensity map, ``gformula`` once per outcome map and ``aipw``
-    in every scenario.
+    dataset once, shuffles its folds once and fits each nuisance half once
+    per feature map: two propensity fits and two outcome fits serve the four
+    scenarios, each of which gets the fit or the error of its own
+    ``cross_fit``.  Each distinct estimate is computed once per replication
+    and shared by the scenarios that agree on the fit halves it reads:
+    ``naive`` runs once, ``ipw`` and ``psm`` once per propensity map,
+    ``gformula`` once per outcome map and ``aipw`` in every scenario.
     """
     config = McConfig(
         dgp=replace(base, n=n),

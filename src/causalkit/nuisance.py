@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ObservationalDataset
-from .errors import ConfigError, FoldError, RankDeficiencyError, SeparationError, ValidationError
+from .errors import CausalKitError, ConfigError, FoldError, RankDeficiencyError, SeparationError, ValidationError
 from .rng import stream
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "fit_linear",
     "make_folds",
     "cross_fit",
+    "cross_fit_pairs",
 ]
 
 FEATURE_MAPS = ("linear", "linear_plus_quadratic")
@@ -38,6 +39,8 @@ _MAX_LOGIT = 30.0
 # Units per block of the stacked fits' sums, which bounds their (problems x
 # columns x units) temporaries at any n; 2000 units make one block.
 _BLOCK_ROWS = 2048
+
+_TOL, _MAX_ITER = 1e-8, 100  # the IRLS defaults of fit_logistic and every cross-fit
 
 
 def apply_feature_map(x: np.ndarray, features: str) -> np.ndarray:
@@ -195,8 +198,8 @@ def fit_logistic(
     x: np.ndarray,
     a: np.ndarray,
     ridge_lambda: float = 0.0,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
     features: str = "linear",
 ) -> PropensityModel:
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
@@ -326,6 +329,70 @@ class NuisanceFit:
             raise ValidationError("pi_hat outside clip bounds after clipping")
 
 
+def cross_fit_pairs(
+    dataset: ObservationalDataset, pairs: list[tuple[str, str]], k: int, *, clip: tuple[float, float],
+    propensity_lambda: float, outcome_lambda: float, seed: int, tol: float = _TOL, max_iter: int = _MAX_ITER,
+) -> list[NuisanceFit | CausalKitError]:
+    """Cross-fit each (propensity map, outcome map) pair of `pairs` on one set of folds.
+
+    The pairs share one fold shuffle, one design per feature map, one
+    stacked IRLS per propensity map (the k fold problems, each with its own
+    step halving, convergence flag and iteration count) and one stacked
+    ridge solve per outcome map (the 2k per-arm problems).  Each pair gets
+    its :class:`NuisanceFit`, or the CausalKitError its own :func:`cross_fit`
+    raises: a clip, fold-count or FoldError for every pair, else the
+    propensity half's error, else the outcome half's, whose map is fitted
+    only for a pair whose propensity half succeeded.
+    """
+    try:
+        clip_lo, clip_hi = float(clip[0]), float(clip[1])
+        if not (0.0 < clip_lo < clip_hi < 1.0):
+            raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, got {clip!r}")
+        n, folds = dataset.n, make_folds(dataset.n, k, seed)
+        fold = folds.fold_index
+        train = fold != np.arange(k)[:, None]  # row j: the units fold j's models are fitted on
+        treated = dataset.a == 1
+        n_treated = np.count_nonzero(train & treated, axis=1)
+        empty = np.flatnonzero((n_treated == 0) | (n_treated == n - np.bincount(fold, minlength=k)))
+        if empty.size:
+            missing = "treated" if n_treated[empty[0]] == 0 else "control"
+            raise FoldError(f"training complement of fold {empty[0]} contains no {missing} units")
+    except CausalKitError as exc:
+        return [exc] * len(pairs)
+
+    def propensity(design):
+        beta, converged, iterations = _irls(design, treated.astype(float), train, propensity_lambda, tol, max_iter)
+        pi_raw = _sigmoid(np.einsum("ij,ji->i", beta[fold], design))
+        return dict(pi_hat=np.clip(pi_raw, clip_lo, clip_hi),
+                    clip_count=int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi))),
+                    irls_converged=tuple(bool(c) for c in converged),
+                    irls_iterations=tuple(int(i) for i in iterations))
+
+    def outcome(design):
+        # rows 0..k-1 fit the treated units of each fold's complement, rows k..2k-1 the controls
+        coef = _ridge(design, dataset.y, np.concatenate([train & treated, train & ~treated]), outcome_lambda)
+        return dict(mu0_hat=np.einsum("ij,ji->i", coef[k + fold], design),
+                    mu1_hat=np.einsum("ij,ji->i", coef[fold], design))
+
+    designs, halves, fits = {}, {}, []
+    for pair in pairs:
+        for half, features in zip((propensity, outcome), pair):
+            if (half, features) not in halves:
+                try:
+                    if features not in designs:
+                        designs[features] = _design(dataset.x, features)
+                    halves[half, features] = half(designs[features])
+                except CausalKitError as exc:
+                    halves[half, features] = exc
+            if isinstance(halves[half, features], CausalKitError):
+                fits.append(halves[half, features])
+                break
+        else:
+            fits.append(NuisanceFit(folds=folds, clip_lo=clip_lo, clip_hi=clip_hi,
+                                    **halves[propensity, pair[0]], **halves[outcome, pair[1]]))
+    return fits
+
+
 def cross_fit(
     dataset: ObservationalDataset,
     k: int = 5,
@@ -335,49 +402,19 @@ def cross_fit(
     outcome_lambda: float = 1e-8,
     propensity_features: str = "linear",
     outcome_features: str = "linear",
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
     seed: int = 0,
 ) -> NuisanceFit:
     """Produce out-of-fold propensity and per-arm outcome predictions.
 
     For each fold j, all three models are fitted on the other folds and
-    evaluated on fold j only: the k propensity fits run as one stacked IRLS
-    and the 2k outcome fits as one stacked solve, on designs built once.
-    The IRLS makes one pass over the units per candidate step and builds a
-    Hessian only for a fold that goes on to take a step, so a fold's
-    Hessians number its ``irls_iterations``.
-    Propensities are then clipped to `clip` and the number of clipped units
-    recorded, along with each fold's IRLS convergence flag and iteration count.
+    evaluated on fold j only; propensities are clipped to `clip`, counting
+    the clipped units.  This is the one-pair case of :func:`cross_fit_pairs`
+    (one design when the two maps agree), raising the pair's error.
     """
-    clip_lo, clip_hi = float(clip[0]), float(clip[1])
-    if not (0.0 < clip_lo < clip_hi < 1.0):
-        raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, got {clip!r}")
-    n = dataset.n
-    folds = make_folds(n, k, seed)
-    fold = folds.fold_index
-    train = fold != np.arange(k)[:, None]  # row j: the units fold j's models are fitted on
-    treated = dataset.a == 1
-    n_treated = np.count_nonzero(train & treated, axis=1)
-    empty = np.flatnonzero((n_treated == 0) | (n_treated == n - np.bincount(fold, minlength=k)))
-    if empty.size:
-        missing = "treated" if n_treated[empty[0]] == 0 else "control"
-        raise FoldError(f"training complement of fold {empty[0]} contains no {missing} units")
-    design = _design(dataset.x, propensity_features)
-    beta, converged, iterations = _irls(design, treated.astype(float), train, propensity_lambda, tol, max_iter)
-    pi_raw = _sigmoid(np.einsum("ij,ji->i", beta[fold], design))
-    if outcome_features != propensity_features:
-        design = _design(dataset.x, outcome_features)
-    # rows 0..k-1 fit the treated units of each fold's complement, rows k..2k-1 the controls
-    coef = _ridge(design, dataset.y, np.concatenate([train & treated, train & ~treated]), outcome_lambda)
-    return NuisanceFit(
-        pi_hat=np.clip(pi_raw, clip_lo, clip_hi),
-        mu0_hat=np.einsum("ij,ji->i", coef[k + fold], design),
-        mu1_hat=np.einsum("ij,ji->i", coef[fold], design),
-        folds=folds,
-        clip_lo=clip_lo,
-        clip_hi=clip_hi,
-        clip_count=int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi))),
-        irls_converged=tuple(bool(c) for c in converged),
-        irls_iterations=tuple(int(i) for i in iterations),
-    )
+    (fit,) = cross_fit_pairs(dataset, [(propensity_features, outcome_features)], k, clip=clip, seed=seed, tol=tol,
+                             max_iter=max_iter, propensity_lambda=propensity_lambda, outcome_lambda=outcome_lambda)
+    if isinstance(fit, CausalKitError):
+        raise fit
+    return fit

@@ -525,6 +525,11 @@ class TestMontecarlo:
         assert run_cli("montecarlo", "--config", str(conf)) == 2
         assert "'outcome_form' must be one of" in capsys.readouterr().err
 
+    def test_repeated_estimator_rejected(self, capsys):
+        assert run_cli("montecarlo", "--reps", "3", "--n", "200", "--estimators", "naive,naive") == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigError: estimator list ['naive', 'naive'] names a method more than once\n")
+
     @pytest.mark.parametrize("flags, message", [
         (("--k", "1"), "k must satisfy 2 <= k <= n, got k=1 with n=200"),
         (("--clip", "0.5,0.4"), "clip bounds must satisfy 0 < lo < hi < 1, got (0.5, 0.4)"),

@@ -34,8 +34,8 @@ from causalkit import (
     summarize_estimator,
     weak_iv_study,
 )
-from causalkit import dgp, methods, montecarlo
-from causalkit.errors import ConfigError, EstimationError
+from causalkit import dgp, methods, montecarlo, nuisance
+from causalkit.errors import CausalKitError, ConfigError, EstimationError
 from causalkit.rng import child_seed
 
 
@@ -236,6 +236,15 @@ class TestRunMc:
             run_mc(cfg)
         assert len(draws) == 1
 
+    def test_repeated_estimator_is_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a dataset was drawn")
+
+        monkeypatch.setattr(dgp, "generate_observational", no_draw)
+        # accepted, it would report two identical naive rows
+        with pytest.raises(ConfigError, match=r"estimator list \['naive', 'naive'\] names a method more than once"):
+            run_mc(McConfig(dgp=ObsDgpConfig(n=200), estimators=("naive", "naive"), replications=3))
+
 
 class TestDrSuite:
     def test_scenarios_share_data_streams(self):
@@ -259,9 +268,8 @@ class TestDrSuite:
         assert len(means) == 1
 
     # (base DGP, dr_suite arguments): a clean run, and a small unpenalized one
-    # in which both_correct's and pi_wrong's outcome fits are rank deficient in
-    # some replications, so mu_wrong runs its own cross-fit for want of
-    # both_correct's propensity fit
+    # in which the quadratic outcome fits (both_correct's and pi_wrong's) are
+    # rank deficient in some replications while mu_wrong's fit succeeds
     SUITES = {
         "clean": (
             ObsDgpConfig(n=300, d=2, confounding_strength=0.5, tau=2.0,
@@ -295,9 +303,9 @@ class TestDrSuite:
         else:
             assert set(failed.values()) == {0}
 
-    def test_one_draw_and_two_cross_fits_per_replication(self, monkeypatch):
-        results = {name: [] for name in ("generate_observational", "cross_fit", "naive_dim", "ipw", "g_formula",
-                                         "aipw")}
+    def test_one_draw_and_one_fold_shuffle_per_replication(self, monkeypatch):
+        results = {name: [] for name in ("generate_observational", "make_folds", "_irls", "_ridge", "naive_dim",
+                                         "ipw", "g_formula", "aipw")}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -309,29 +317,78 @@ class TestDrSuite:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(dgp, "generate_observational")
-        counted(montecarlo, "cross_fit")
+        for name in ("make_folds", "_irls", "_ridge"):
+            counted(nuisance, name)
         for name in ("naive_dim", "ipw", "g_formula", "aipw"):
             counted(methods, name)
         base, kwargs = self.SUITES["clean"]
         dr_suite(base, k=4, **kwargs)
         reps = kwargs["replications"]
-        # each distinct estimate once: naive reads no fit, ipw one propensity
-        # map of two, gformula one outcome map of two, aipw both
+        # one fold shuffle, one IRLS per propensity map and one solve per
+        # outcome map; each distinct estimate once: naive reads no fit, ipw one
+        # propensity map of two, gformula one outcome map of two, aipw both
         assert {name: len(r) for name, r in results.items()} == {
             "generate_observational": reps,
-            "cross_fit": 2 * reps,
+            "make_folds": reps,
+            "_irls": 2 * reps,
+            "_ridge": 2 * reps,
             "naive_dim": reps,
             "ipw": 2 * reps,
             "g_formula": 2 * reps,
             "aipw": 4 * reps,
         }
-        # each cross_fit fits one propensity problem per fold
-        assert [len(fit.irls_iterations) for fit in results["cross_fit"]] == [4] * (2 * reps)
+        # each IRLS fits one propensity problem per fold, each solve one outcome problem per fold and arm
+        assert [len(beta) for beta, _, _ in results["_irls"]] == [4] * (2 * reps)
+        assert [len(coef) for coef in results["_ridge"]] == [8] * (2 * reps)
+
+    # the data of each suite's replications, and a binary covariate whose
+    # square is itself: unpenalized, the quadratic map's IRLS is singular and
+    # its outcome design rank deficient
+    @pytest.mark.parametrize("suite", [*SUITES, "collinear"])
+    def test_each_pair_fits_as_its_own_cross_fit(self, suite):
+        if suite == "collinear":
+            g = np.random.default_rng(5)
+            x = np.column_stack([g.integers(0, 2, 60), g.normal(size=60)]).astype(float)
+            draws = [ObservationalDataset(x=x, a=g.random(60) < 0.5, y=g.normal(size=60))]
+            cfg = McConfig(dgp=ObsDgpConfig(n=60), propensity_lambda=0.0, outcome_lambda=0.0, k=3, replications=2)
+        else:
+            base, kwargs = self.SUITES[suite]
+            cfg = McConfig(dgp=dataclasses.replace(base, n=kwargs["n"]),
+                           **{k: v for k, v in kwargs.items() if k != "n"})
+            draws = [generate_observational(cfg.dgp, child_seed(cfg.seed, r))[0] for r in range(cfg.replications)]
+        pairs = [("linear", "linear"), ("linear_plus_quadratic", "linear"), ("linear", "linear_plus_quadratic"),
+                 ("linear_plus_quadratic", "linear_plus_quadratic")]
+        failed = []
+        for r, ds in enumerate(draws):
+            settings = dict(clip=cfg.clip, propensity_lambda=cfg.propensity_lambda,
+                            outcome_lambda=cfg.outcome_lambda, seed=child_seed(cfg.seed, r, 1))
+            for pair, got in zip(pairs, nuisance.cross_fit_pairs(ds, pairs, cfg.k, **settings)):
+                try:
+                    want = cross_fit(ds, cfg.k, propensity_features=pair[0], outcome_features=pair[1], **settings)
+                except CausalKitError as exc:
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                    failed.append((pair, str(exc).split(";")[0]))
+                    continue
+                for name in ("pi_hat", "mu0_hat", "mu1_hat"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (pair, name)
+                assert np.array_equal(got.folds.fold_index, want.folds.fold_index)
+                assert (got.clip_count, got.irls_converged, got.irls_iterations) == (
+                    want.clip_count, want.irls_converged, want.irls_iterations)
+        singular, deficient = "singular IRLS system", "design matrix is rank deficient"
+        quadratic = "linear_plus_quadratic"
+        expected = {
+            "clean": set(),
+            "failing": {(("linear", quadratic), deficient), ((quadratic, quadratic), deficient)},
+            # the propensity half fails first, then the outcome half
+            "collinear": {((quadratic, "linear"), singular), (("linear", quadratic), deficient),
+                          ((quadratic, quadratic), singular)},
+        }
+        assert set(failed) == expected[suite]
 
 
 class TestNuisanceCounts:
     def test_irls_counts_once_per_replication_fit(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "cross_fit", functools.partial(montecarlo.cross_fit, max_iter=1))
+        monkeypatch.setattr(montecarlo, "cross_fit_pairs", functools.partial(montecarlo.cross_fit_pairs, max_iter=1))
         cfg = McConfig(dgp=BASE, estimators=("naive", "ipw", "aipw"), replications=3, k=4)
         report = run_mc(cfg)
         # one IRLS step leaves every fold unconverged, whatever uses the fit
