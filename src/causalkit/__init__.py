@@ -15,12 +15,11 @@ double robustness.
 from .ate_estimators import (
     MatchSpec,
     aipw,
+    eif_se,
     g_formula,
     ipw,
     naive_dim,
-    normal_ci,
     psm_att,
-    variance_ci,
 )
 from .data_model import (
     Estimate,
@@ -32,6 +31,7 @@ from .data_model import (
     load_csv,
     load_iv_csv,
     load_panel_csv,
+    normal_ci,
     write_csv,
     write_ground_truth_csv,
     write_iv_csv,
@@ -120,6 +120,7 @@ __all__ = [
     "write_panel_csv",
     "write_ground_truth_csv",
     "format_number",
+    "normal_ci",
     # dgp
     "ObsDgpConfig",
     "IvDgpConfig",
@@ -143,8 +144,7 @@ __all__ = [
     "g_formula",
     "psm_att",
     "aipw",
-    "normal_ci",
-    "variance_ci",
+    "eif_se",
     "MatchSpec",
     # quasi-experimental
     "did",

@@ -1,19 +1,17 @@
 """Average-treatment-effect estimators: naive, IPW, g-formula, matching, AIPW.
 
-Every estimator is a pure function returning an :class:`Estimate`, and every
-one, here and in the quasi-experimental module, builds it through
-:func:`build_estimate`, whose interval is :func:`normal_ci` of the point
-estimate and the standard error the estimator chose.  Where a per-unit
-influence-function vector has a standard closed form it is stored on the
-estimate (centered, mean zero) and drives the standard error through
-:func:`variance_ci`.  The doubly-robust estimator consumes out-of-fold
-nuisances from :func:`causalkit.nuisance.cross_fit`.
+Every estimator is a pure function returning an :class:`Estimate`, which
+sets its own interval from the point estimate, the standard error the
+estimator chose and the level.  Where a per-unit influence-function vector
+has a standard closed form it is stored on the estimate (centered, mean
+zero) and gives the standard error through :func:`eif_se`.  The
+doubly-robust estimator consumes out-of-fold nuisances from
+:func:`causalkit.nuisance.cross_fit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -34,63 +32,18 @@ __all__ = [
     "g_formula",
     "psm_att",
     "aipw",
-    "check_level",
-    "normal_quantile",
-    "normal_ci",
-    "variance_ci",
-    "build_estimate",
+    "eif_se",
 ]
 
 
-def check_level(level: float) -> None:
-    """A confidence level outside (0, 1) is a ConfigError."""
-    if not (0.0 < level < 1.0):
-        raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
-
-
-def normal_quantile(level: float) -> float:
-    """The z with P(|Z| <= z) = level for a standard normal Z."""
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
-
-
-def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
-    """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
-    check_level(level)
-    if se is None:
-        return None, None
-    z = normal_quantile(level)
-    return float(psi - z * se), float(psi + z * se)
-
-
-def variance_ci(eif: np.ndarray, psi_hat: float, level: float = 0.95) -> tuple[float, tuple[float, float]]:
-    """Standard error and normal-quantile CI from a centered eif vector.
-
-    se = sd(eif)/sqrt(n) with the n-1 divisor; the interval is
-    psi_hat +/- z*se at the requested level.
-    """
+def eif_se(eif: np.ndarray) -> float:
+    """Standard error sd(eif)/sqrt(n), with the n-1 divisor, of a centered eif vector."""
     eif = np.asarray(eif, dtype=float)
     if eif.ndim != 1 or eif.size == 0:
         raise ValidationError("eif must be a non-empty vector")
     if eif.size < 2:
         raise InsufficientDataError("need at least 2 observations for a variance estimate")
-    se = float(np.sqrt(np.var(eif, ddof=1) / eif.size))
-    return se, normal_ci(psi_hat, se, level)
-
-
-def build_estimate(
-    psi_hat: float, method: str, n: int, level: float, *, eif: np.ndarray | None = None,
-    se: float | None = None, diagnostics: dict | None = None, input_scale: float = 0.0,
-) -> Estimate:
-    """The estimate with interval ``normal_ci(psi_hat, se, level)``.
-
-    The one place an :class:`Estimate` is made, so every method's interval
-    comes from its se the same way and every level is checked, se or not.
-    """
-    ci_low, ci_high = normal_ci(psi_hat, se, level)
-    return Estimate(
-        psi_hat=psi_hat, method=method, n=n, eif=eif, se=se, ci_low=ci_low, ci_high=ci_high,
-        diagnostics={} if diagnostics is None else diagnostics, input_scale=input_scale,
-    )
+    return float(np.sqrt(np.var(eif, ddof=1) / eif.size))
 
 
 def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> Estimate:
@@ -108,10 +61,10 @@ def naive_dim(dataset: ObservationalDataset, level: float = 0.95) -> Estimate:
         -(dataset.y - m0) / (1.0 - rho),
     )
     se = float(np.sqrt(np.var(y1, ddof=1) / n1 + np.var(y0, ddof=1) / n0)) if min(n1, n0) >= 2 else None
-    return build_estimate(
-        psi, "naive", dataset.n, level, eif=eif, se=se,
+    return Estimate(
+        psi, "naive", dataset.n, eif=eif, se=se,
         diagnostics={"treated_mean": m1, "control_mean": m0, "n_treated": n1, "n_control": n0},
-        input_scale=float(np.max(np.abs(dataset.y))),
+        input_scale=float(np.max(np.abs(dataset.y))), level=level,
     )
 
 
@@ -149,10 +102,10 @@ def ipw(
         # linearized ratio-estimator influence function, arm by arm
         eif = w1 * (y - psi1) / float(np.mean(w1)) - w0 * (y - psi0) / float(np.mean(w0))
     psi = psi1 - psi0
-    return build_estimate(
-        psi, "ipw", dataset.n, level, eif=eif, se=variance_ci(eif, psi, level)[0],
+    return Estimate(
+        psi, "ipw", dataset.n, eif=eif, se=eif_se(eif),
         diagnostics={"normalization": normalization, "psi1_hat": psi1, "psi0_hat": psi0},
-        input_scale=float(np.max(np.abs(y))),
+        input_scale=float(np.max(np.abs(y))), level=level,
     )
 
 
@@ -171,8 +124,8 @@ def g_formula(
     contrast = mu1_hat - mu0_hat
     psi = float(contrast.mean())
     eif = contrast - psi
-    se = variance_ci(eif, psi, level)[0] if dataset.n >= 2 else None
-    return build_estimate(psi, "gformula", dataset.n, level, eif=eif, se=se)
+    se = eif_se(eif) if dataset.n >= 2 else None
+    return Estimate(psi, "gformula", dataset.n, eif=eif, se=se, level=level)
 
 
 @dataclass(frozen=True)
@@ -305,8 +258,8 @@ def psm_att(
     gaps = np.abs(pi_hat[t_ids] - pi_hat[c_ids])
     psi = float(diffs.mean())
     se = float(np.sqrt(np.var(diffs, ddof=1) / diffs.size)) if diffs.size >= 2 else None
-    estimate = build_estimate(
-        psi, "psm", dataset.n, level, se=se,
+    estimate = Estimate(
+        psi, "psm", dataset.n, se=se,
         diagnostics={
             "estimand": "att",
             "n_pairs": len(matches),
@@ -315,6 +268,7 @@ def psm_att(
             "mean_match_distance": float(gaps.mean()),
             "max_match_distance": float(gaps.max()),
         },
+        level=level,
     )
     return estimate, matches
 
@@ -340,18 +294,16 @@ def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.
             f"nuisance fit covers {nuisance.folds.n} units, dataset has {dataset.n}"
         )
     pi = nuisance.pi_hat
-    if pi.size and (pi.min() < nuisance.clip_lo or pi.max() > nuisance.clip_hi):
-        raise ValidationError("propensity outside clip bounds; NuisanceFit invariant violated")
     terms = _aipw_terms(dataset, pi, nuisance.mu0_hat, nuisance.mu1_hat)
     psi = float(terms.mean())
     eif = terms - psi
-    se = variance_ci(eif, psi, level)[0] if dataset.n >= 2 else None
+    se = eif_se(eif) if dataset.n >= 2 else None
     a = dataset.a.astype(float)
     arm1 = a * (dataset.y - nuisance.mu1_hat) / pi + nuisance.mu1_hat
     arm0 = (1.0 - a) * (dataset.y - nuisance.mu0_hat) / (1.0 - pi) + nuisance.mu0_hat
     fold_means = [float(terms[nuisance.folds.indices(j)].mean()) for j in range(nuisance.folds.k)]
-    return build_estimate(
-        psi, "aipw", dataset.n, level, eif=eif, se=se,
+    return Estimate(
+        psi, "aipw", dataset.n, eif=eif, se=se,
         diagnostics={
             "psi1_hat": float(arm1.mean()),
             "psi0_hat": float(arm0.mean()),
@@ -360,4 +312,5 @@ def aipw(dataset: ObservationalDataset, nuisance: NuisanceFit, level: float = 0.
             "clip_count": nuisance.clip_count,
             "k": nuisance.folds.k,
         },
+        level=level,
     )

@@ -22,11 +22,13 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from itertools import starmap
+from statistics import NormalDist
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     ParseError,
     SchemaError,
@@ -37,6 +39,9 @@ __all__ = [
     "ObservationalDataset",
     "GroundTruth",
     "Estimate",
+    "check_level",
+    "normal_quantile",
+    "normal_ci",
     "PanelDataset",
     "IvDataset",
     "load_csv",
@@ -177,18 +182,38 @@ def _centering_tolerance(eif: np.ndarray, input_scale: float) -> float:
     return _EIF_MEAN_TOL * size + 4.0 * levels * np.finfo(float).eps * max(size, input_scale)
 
 
+def check_level(level: float) -> None:
+    """A confidence level outside (0, 1) is a ConfigError."""
+    if not (0.0 < level < 1.0):
+        raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
+
+
+def normal_quantile(level: float) -> float:
+    """The z with P(|Z| <= z) = level for a standard normal Z."""
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
+def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
+    """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
+    check_level(level)
+    if se is None:
+        return None, None
+    z = normal_quantile(level)
+    return float(psi - z * se), float(psi + z * se)
+
+
 @dataclass(frozen=True)
 class Estimate:
     """The result of every estimator: a point estimate with its inference.
 
-    Estimators make it only through :func:`ate_estimators.build_estimate`,
-    the only way an estimate gets its interval: ``normal_ci(psi_hat, se,
-    level)``.  ``eif`` holds per-unit influence values, centered (mean
+    The interval is not an input: ``ci_low``/``ci_high`` are always
+    ``normal_ci(psi_hat, se, level)``, so they are present exactly when
+    ``se`` is, and ``level`` (not stored) is checked whether or not there
+    is an se.  ``eif`` holds per-unit influence values, centered (mean
     zero), when the estimator has them; for difference-in-differences the
-    units are panel units, not records.  ``ci_low``/``ci_high`` are present
-    when ``se`` is.  ``diagnostics`` carries method-specific values (cell
-    means, first stage, clip counts, match distances) in the order the
-    report emits them.
+    units are panel units, not records.  ``diagnostics`` carries
+    method-specific values (cell means, first stage, clip counts, match
+    distances) in the order the report emits them.
 
     ``input_scale`` (not stored) is the magnitude of the values the
     influence values were computed from, such as max|y| when they are
@@ -201,12 +226,14 @@ class Estimate:
     n: int
     eif: np.ndarray | None = None
     se: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
+    ci_low: float | None = field(init=False)
+    ci_high: float | None = field(init=False)
     diagnostics: dict = field(default_factory=dict)
     input_scale: InitVar[float] = 0.0
+    level: InitVar[float] = 0.95
 
-    def __post_init__(self, input_scale: float) -> None:
+    def __post_init__(self, input_scale: float, level: float) -> None:
+        ci_low, ci_high = normal_ci(self.psi_hat, self.se, level)
         if not math.isfinite(self.psi_hat):
             raise ValidationError(f"psi_hat is not finite: {self.psi_hat}")
         if self.eif is not None:
@@ -217,11 +244,8 @@ class Estimate:
             object.__setattr__(self, "eif", eif)
         if self.se is not None and (not math.isfinite(self.se) or self.se < 0):
             raise ValidationError(f"se must be finite and >= 0, got {self.se}")
-        if (self.ci_low is None) != (self.ci_high is None):
-            raise ValidationError("ci_low and ci_high must be present together")
-        if self.ci_low is not None:
-            if not (self.ci_low <= self.psi_hat <= self.ci_high):
-                raise ValidationError("confidence interval does not contain psi_hat")
+        object.__setattr__(self, "ci_low", ci_low)
+        object.__setattr__(self, "ci_high", ci_high)
 
 
 @dataclass(frozen=True)

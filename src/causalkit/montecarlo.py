@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ate_estimators import check_level, ipw, normal_quantile
-from .data_model import Estimate, GroundTruth, ObservationalDataset, require_both_arms
+from .ate_estimators import ipw
+from .data_model import Estimate, GroundTruth, ObservationalDataset, check_level, normal_quantile, require_both_arms
 from .dgp import DGPS, FORMS, IvDgpConfig, ObsDgpConfig, PanelDgpConfig, RdDgpConfig
 from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError
 from .methods import METHODS, Method

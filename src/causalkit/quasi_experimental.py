@@ -3,15 +3,14 @@
 These designs trade the unconfoundedness-plus-positivity route for structural
 assumptions: parallel trends (DID), continuity at a threshold (RD), exclusion
 and relevance of an instrument (IV), or time-invariant unit heterogeneity
-(FE).  Each returns an :class:`Estimate` made by :func:`build_estimate`, as
-the ATE estimators do, so its interval is :func:`normal_ci` of the standard
-error the estimator chose.  DID, RD and the Wald ratio build per-unit
-influence values and take their standard error from :func:`variance_ci`;
-DID's units are panel units, so its se is clustered by unit.  Two-stage
-least squares and the within estimator keep their homoskedastic textbook
-standard errors.  This module reads data and draws none: Monte Carlo
-studies of these estimators, the weak-instrument sweep among them, run in
-:mod:`causalkit.montecarlo`.
+(FE).  Each returns an :class:`Estimate`, which sets its own interval from
+the standard error the estimator chose, as the ATE estimators do.  DID, RD
+and the Wald ratio build per-unit influence values and take their standard
+error from :func:`eif_se`; DID's units are panel units, so its se is
+clustered by unit.  Two-stage least squares and the within estimator keep
+their homoskedastic textbook standard errors.  This module reads data and
+draws none: Monte Carlo studies of these estimators, the weak-instrument
+sweep among them, run in :mod:`causalkit.montecarlo`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ate_estimators import build_estimate, variance_ci
+from .ate_estimators import eif_se
 from .data_model import Estimate, IvDataset, ObservationalDataset, PanelDataset
 from .errors import (
     BandwidthError,
@@ -82,9 +81,9 @@ def _did_cells(panel: PanelDataset, pre: int, post: int, placebo: bool, level: f
     eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
     n_treated = int(np.count_nonzero(np.bincount(unit_of, weights=panel.group[window])))
     two_per_group = min(n_treated, n_units - n_treated) >= 2
-    se = variance_ci(eif, estimate, level)[0] if two_per_group else None
-    return build_estimate(
-        estimate, "did", panel.n, level, eif=eif, se=se,
+    se = eif_se(eif) if two_per_group else None
+    return Estimate(
+        estimate, "did", panel.n, eif=eif, se=se,
         diagnostics={
             "cell_means": [m00, m01, m10, m11],
             "cell_counts": [int(masks[c].sum()) for c in ((0, pre), (0, post), (1, pre), (1, post))],
@@ -92,6 +91,7 @@ def _did_cells(panel: PanelDataset, pre: int, post: int, placebo: bool, level: f
             "post_period": int(post),
             "placebo": placebo,
         },
+        level=level,
     )
 
 
@@ -190,9 +190,9 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 
     eif[left] = -dataset.n * terms_l
     eif[right] = dataset.n * terms_r
     eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
-    se = variance_ci(eif, estimate, level)[0] if n_left > 2 and n_right > 2 else None
-    return build_estimate(
-        estimate, "rd", dataset.n, level, eif=eif, se=se,
+    se = eif_se(eif) if n_left > 2 and n_right > 2 else None
+    return Estimate(
+        estimate, "rd", dataset.n, eif=eif, se=se,
         diagnostics={
             "intercept_left": float(beta_l[0]),
             "intercept_right": float(beta_r[0]),
@@ -201,6 +201,7 @@ def rd_local_linear(dataset: ObservationalDataset, spec: RdSpec, level: float = 
             "n_left": n_left,
             "n_right": n_right,
         },
+        level=level,
     )
 
 
@@ -239,9 +240,9 @@ def iv_wald(iv: IvDataset, level: float = 0.95) -> Estimate:
     # phi's mean is the rounding error of the arm means of y and late*a,
     # divided by the first stage
     scale = (float(np.max(np.abs(iv.y))) + abs(late)) / abs(first_stage)
-    return build_estimate(
-        late, "iv", iv.n, level, eif=phi, se=variance_ci(phi, late, level)[0],
-        diagnostics=_iv_diagnostics(first_stage, reduced_form), input_scale=scale,
+    return Estimate(
+        late, "iv", iv.n, eif=phi, se=eif_se(phi),
+        diagnostics=_iv_diagnostics(first_stage, reduced_form), input_scale=scale, level=level,
     )
 
 
@@ -292,7 +293,7 @@ def tsls(iv: IvDataset, level: float = 0.95) -> Estimate:
     else:
         se = None
     diagnostics = _iv_diagnostics(first_stage, late * first_stage)
-    return build_estimate(late, "tsls", iv.n, level, se=se, diagnostics=diagnostics)
+    return Estimate(late, "tsls", iv.n, se=se, diagnostics=diagnostics, level=level)
 
 
 def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
@@ -320,7 +321,7 @@ def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:
     resid = y_t - slope * a_t
     df = panel.n - units.size - 1
     se = float(np.sqrt((resid @ resid) / df / denom)) if df > 0 else None
-    return build_estimate(
-        slope, "fe", panel.n, level, se=se,
-        diagnostics={"n_units": int(units.size), "n_units_identifying": identifying},
+    return Estimate(
+        slope, "fe", panel.n, se=se,
+        diagnostics={"n_units": int(units.size), "n_units_identifying": identifying}, level=level,
     )

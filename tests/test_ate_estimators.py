@@ -28,8 +28,8 @@ from causalkit import (
     ipw,
     make_folds,
     naive_dim,
+    eif_se,
     psm_att,
-    variance_ci,
 )
 from causalkit.data_model import Estimate
 from causalkit.dgp import ObsDgpConfig
@@ -180,16 +180,17 @@ def _nuisance(dataset, pi, mu0, mu1, k=2, seed=0):
     )
 
 
-class TestVarianceCi:
+class TestEifSe:
     def test_two_point_oracle(self):
-        se, (lo, hi) = variance_ci(np.array([-1.0, 1.0]), 0.0)
+        se = eif_se(np.array([-1.0, 1.0]))
         assert se == pytest.approx(1.0, abs=1e-15)
-        assert lo == pytest.approx(-Z975, abs=1e-12)
-        assert hi == pytest.approx(Z975, abs=1e-12)
+        est = Estimate(psi_hat=0.0, method="t", n=2, eif=np.array([-1.0, 1.0]), se=se)
+        assert est.ci_low == pytest.approx(-Z975, abs=1e-12)
+        assert est.ci_high == pytest.approx(Z975, abs=1e-12)
 
     def test_singleton_rejected(self):
         with pytest.raises(InsufficientDataError):
-            variance_ci(np.array([0.0]), 0.0)
+            eif_se(np.array([0.0]))
 
 
 class TestNaive:

@@ -20,6 +20,7 @@ from causalkit import (
 )
 from causalkit.data_model import _as_binary_vector
 from causalkit.errors import (
+    ConfigError,
     ParseError,
     SchemaError,
     ValidationError,
@@ -116,13 +117,12 @@ class TestAteEstimate:
         with pytest.raises(ValidationError, match="centered"):
             Estimate(psi_hat=1.0, method="test", n=2, eif=np.array([1.0, 2.0]))
 
-    def test_ci_must_contain_point(self):
-        with pytest.raises(ValidationError, match="contain"):
-            Estimate(psi_hat=5.0, method="test", n=2, ci_low=1.0, ci_high=2.0)
-
-    def test_ci_bounds_come_together(self):
-        with pytest.raises(ValidationError, match="together"):
-            Estimate(psi_hat=1.0, method="test", n=2, ci_low=0.0)
+    def test_level_is_checked_first_and_without_an_se(self):
+        with pytest.raises(ConfigError, match="confidence level"):
+            Estimate(psi_hat=1.0, method="test", n=2, se=None, level=2.0)
+        # the level before psi_hat, the eif and the se
+        with pytest.raises(ConfigError, match="confidence level"):
+            Estimate(psi_hat=float("nan"), method="test", n=2, eif=np.array([1.0, 2.0]), se=-1.0, level=0.0)
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValidationError):

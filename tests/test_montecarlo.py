@@ -35,7 +35,7 @@ from causalkit import (
     weak_iv_study,
 )
 from causalkit import dgp, methods, montecarlo, nuisance
-from causalkit.errors import CausalKitError, ConfigError, EstimationError
+from causalkit.errors import CausalKitError, ConfigError, EstimationError, IdentificationError
 from causalkit.rng import child_seed
 
 
@@ -340,6 +340,45 @@ class TestDrSuite:
         # each IRLS fits one propensity problem per fold, each solve one outcome problem per fold and arm
         assert [len(beta) for beta, _, _ in results["_irls"]] == [4] * (2 * reps)
         assert [len(coef) for coef in results["_ridge"]] == [8] * (2 * reps)
+
+    # 2 failed replications of 20 are within the 10% ceiling, 3 are beyond it
+    @pytest.mark.parametrize("failing", [(1, 4), (1, 4, 7)])
+    def test_a_raised_error_is_shared_by_the_scenarios_that_read_its_fit(self, failing, monkeypatch):
+        draws, calls = [], []
+        g_formula = methods.g_formula
+
+        def flaky(data, *args, **kwargs):
+            if not draws or draws[-1] is not data:
+                draws.append(data)
+            r = len(draws) - 1
+            calls.append(r)
+            # the first call of a replication is for both_correct's outcome map
+            if r in failing and calls.count(r) == 1:
+                raise IdentificationError("injected")
+            return g_formula(data, *args, **kwargs)
+
+        monkeypatch.setattr(methods, "g_formula", flaky)
+        base, _ = self.SUITES["clean"]
+        kwargs = dict(replications=20, n=200, seed=3, estimators=("naive", "gformula"))
+        if len(failing) > 2:
+            with pytest.raises(EstimationError, match=r"estimator 'gformula' failed in 3 of 20 replications \(>10%\)"):
+                dr_suite(base, **kwargs)
+        else:
+            suite = dr_suite(base, **kwargs)
+            # pi_wrong shares both_correct's outcome map, so it shares the error
+            shared = {"both_correct", "pi_wrong"}
+            for scenario, report in suite.items():
+                naive, gformula = report.rows
+                assert naive.n_failed == 0
+                if scenario in shared:
+                    assert (gformula.n_ok, gformula.n_failed) == (18, 2)
+                    assert report.failures_by_class == {"IdentificationError": 2}
+                    assert report.failures == ("rep 1 gformula: injected", "rep 4 gformula: injected")
+                else:
+                    assert (gformula.n_ok, gformula.n_failed) == (20, 0)
+                    assert (report.failures_by_class, report.failures) == ({}, ())
+        # once per outcome map per replication, a failing one included
+        assert calls == [r for r in range(20) for _ in range(2)]
 
     # the data of each suite's replications, and a binary covariate whose
     # square is itself: unpenalized, the quadratic map's IRLS is singular and

@@ -26,6 +26,7 @@ from causalkit import (
     cross_fit,
     did,
     did_placebo,
+    eif_se,
     fe_within,
     generate_panel,
     generate_rd,
@@ -33,7 +34,6 @@ from causalkit import (
     rd_local_linear,
     run_mc,
     tsls,
-    variance_ci,
 )
 from causalkit.errors import (
     BandwidthError,
@@ -65,6 +65,12 @@ class TestDid:
         assert est.diagnostics["cell_means"] == [1.0, 2.0, 3.0, 6.0]
         assert est.diagnostics["cell_counts"] == [1, 1, 1, 1]
         assert est.se is None  # one unit per group carries no variance estimate
+
+    def test_one_period_panel_rejected(self):
+        panel = make_panel(unit=[0, 1, 2, 3], period=[0, 0, 0, 0], a=[0, 0, 1, 1], y=[1.0, 2.0, 3.0, 4.0],
+                           group=[0, 0, 1, 1])
+        with pytest.raises(InsufficientDataError, match="at least 2 periods"):
+            did(panel)
 
     def test_estimate_recomputable_from_cell_means(self):
         cfg = PanelDgpConfig(
@@ -218,6 +224,13 @@ class TestRd:
         assert (est.diagnostics["n_left"], est.diagnostics["n_right"]) == (2, 2)
         assert est.se is None  # two points fit each line exactly
 
+    def test_coincident_running_values_on_one_side_rejected(self):
+        # three left points at one running value: the local line is not identified
+        x = np.array([-0.5, -0.5, -0.5, 0.2, 0.4, 0.5])
+        y = np.array([0.0, 0.1, 0.2, 2.2, 2.4, 2.5])
+        with pytest.raises(BandwidthError, match="degenerate local fit"):
+            rd_local_linear(make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=1.0))
+
     def test_triangular_downweights_far_points(self):
         # place an outlier near the edge: triangular deweights it, so the
         # two kernels must disagree
@@ -344,7 +357,7 @@ class TestIv:
             y1, y0 = data.y[data.a == 1], data.y[data.a == 0]
             assert est.se == float(np.sqrt(np.var(y1, ddof=1) / y1.size + np.var(y0, ddof=1) / y0.size))
         else:
-            assert est.se == variance_ci(est.eif, est.psi_hat)[0]
+            assert est.se == eif_se(est.eif)
 
     @pytest.mark.parametrize("name", NO_EIF)
     def test_matching_and_regression_rows_store_no_eif(self, name):
