@@ -35,8 +35,8 @@ from .eif_engine import (
     step_schedule,
 )
 from .errors import CausalKitError, ConfigError, EstimationError
-from .methods import METHODS
-from .montecarlo import ESTIMATORS, SCENARIOS, EstimatorSummary, McConfig, run_mc
+from .methods import CROSSFIT_KEYS, METHODS
+from .montecarlo import MC_METHODS, SCENARIOS, EstimatorSummary, McConfig, run_mc
 from .nuisance import FEATURE_MAPS, cross_fit
 from .quasi_experimental import KERNELS
 from .rng import check_seed, stream
@@ -71,6 +71,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -81,46 +82,41 @@ def _load_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' is already set on line {first_line[key]}")
+        first_line[key] = lineno
         entries[key] = value.strip()
     return entries
 
 
-def _cast_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"config key '{key}' must be an integer, got '{text}'") from None
-
-
-def _cast_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"config key '{key}' must be a number, got '{text}'") from None
-
-
-def _cast_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"config key '{key}' must be a boolean, got '{text}'")
+    raise ValueError(text)
 
 
-def _cast_str(text: str, key: str) -> str:
-    return text
+def _pair(text: str) -> tuple[float, float]:
+    lo, hi = map(float, text.split(","))
+    return lo, hi
 
 
-def _cast_pair(text: str, key: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"config key '{key}' must be 'lo,hi', got '{text}'")
-    return (_cast_float(parts[0], key), _cast_float(parts[1], key))
-
-
-def _cast_names(text: str, key: str) -> list[str]:
+def _names(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
+
+
+# each kind whose parse can fail -> what its text must be
+_KIND_TEXT = {int: "an integer", float: "a number", _boolean: "a boolean", _pair: "'lo,hi'"}
+
+
+def _cast(kind, text: str, key: str):
+    """The value of config key ``key`` from its config-file or flag text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"config key '{key}' must be {_KIND_TEXT[kind]}, got '{text}'") from None
 
 
 def _float_tuple(text: str) -> tuple[float, ...] | None:
@@ -142,26 +138,24 @@ class _Resolver:
         self.args = args
         self.entries = entries
 
-    def get(self, dest: str, key: str, default, cast):
+    def get(self, dest: str, key: str):
         flag_value = getattr(self.args, dest)
-        if flag_value is not None:
-            return flag_value
-        if key in self.entries:
-            return cast(self.entries[key], key)
-        return default
+        return self.entries.get(key) if flag_value is None else flag_value
 
     def options(self, keys, context: str) -> dict:
-        """The value of each option key in ``keys``, cast and checked; ``context``
+        """The value of each option key in ``keys``, defaulted, cast and checked; ``context``
         names what a required key is required for.  Every subcommand with
         options reads a seed, which is checked even where no stream is drawn."""
         values = {}
         for key in keys:
-            dest, default, cast, allowed = _OPTIONS[key]
-            value = self.get(dest, key, default, cast)
+            dest, default, kind, allowed = _OPTIONS[key]
+            value = self.get(dest, key)
+            if value is None:
+                value = default
+            if isinstance(value, str):
+                value = _cast(kind, value, key)
             if value is _REQUIRED:
                 raise UsageError(f"--{dest} is required for {context}")
-            if isinstance(value, str):
-                value = cast(value, key)
             if allowed is not None and value not in allowed:
                 raise ConfigError(f"'{key}' must be one of {allowed}, got '{value}'")
             values[key] = value
@@ -171,48 +165,47 @@ class _Resolver:
 
 _REQUIRED = object()
 
-# config key -> (flag dest, default, cast, allowed values), for estimate and
-# montecarlo.  A key's flag is --dest with '_' written '-'; an int or float
-# cast gives the flag its type, and a bool cast makes it a switch.  A string
-# value, from a flag or the config file, goes through the cast.
+# config key -> (flag dest, default, kind, allowed values), for estimate and
+# montecarlo.  A key's flag is --dest with '_' written '-', and cross_fit and
+# McConfig take its value by the keyword dest.  An int or float kind gives the
+# flag its type, and _boolean makes it a switch.  A string value, from a flag
+# or the config file, goes through _cast.
 _OPTIONS = {
-    "treatment": ("treatment", "a", _cast_str, None),
-    "outcome": ("outcome", "y", _cast_str, None),
-    "covariates": ("covariates", (), _cast_names, None),
-    "instrument": ("instrument", "z", _cast_str, None),
-    "unit": ("unit", "unit", _cast_str, None),
-    "period": ("period", "period", _cast_str, None),
-    "group": ("group", "group", _cast_str, None),
-    "running": ("running", "x", _cast_str, None),
-    "seed": ("seed", 0, _cast_int, None),
-    "level": ("level", 0.95, _cast_float, None),
-    "normalization": ("normalization", "hajek", _cast_str, ("horvitz_thompson", "hajek")),
-    "caliper": ("caliper", None, _cast_float, None),
-    "with_replacement": ("with_replacement", False, _cast_bool, None),
-    "cutoff": ("cutoff", _REQUIRED, _cast_float, None),
-    "bandwidth": ("bandwidth", 1.0, _cast_float, None),
-    "kernel": ("kernel", "rectangular", _cast_str, KERNELS),
-    "placebo": ("placebo", False, _cast_bool, None),
-    "crossfit.k": ("k", 5, _cast_int, None),
-    "crossfit.clip": ("clip", (0.01, 0.99), _cast_pair, None),
-    "propensity.lambda": ("propensity_lambda", 1e-6, _cast_float, None),
-    "outcome.lambda": ("outcome_lambda", 1e-8, _cast_float, None),
-    "propensity.features": ("propensity_features", "linear", _cast_str, FEATURE_MAPS),
-    "outcome.features": ("outcome_features", "linear", _cast_str, FEATURE_MAPS),
+    "treatment": ("treatment", "a", str, None),
+    "outcome": ("outcome", "y", str, None),
+    "covariates": ("covariates", (), _names, None),
+    "instrument": ("instrument", "z", str, None),
+    "unit": ("unit", "unit", str, None),
+    "period": ("period", "period", str, None),
+    "group": ("group", "group", str, None),
+    "running": ("running", "x", str, None),
+    "seed": ("seed", 0, int, None),
+    "level": ("level", 0.95, float, None),
+    "normalization": ("normalization", "hajek", str, ("horvitz_thompson", "hajek")),
+    "caliper": ("caliper", None, float, None),
+    "with_replacement": ("with_replacement", False, _boolean, None),
+    "cutoff": ("cutoff", _REQUIRED, float, None),
+    "bandwidth": ("bandwidth", 1.0, float, None),
+    "kernel": ("kernel", "rectangular", str, KERNELS),
+    "placebo": ("placebo", False, _boolean, None),
+    "crossfit.k": ("k", 5, int, None),
+    "crossfit.clip": ("clip", (0.01, 0.99), _pair, None),
+    "propensity.lambda": ("propensity_lambda", 1e-6, float, None),
+    "outcome.lambda": ("outcome_lambda", 1e-8, float, None),
+    "propensity.features": ("propensity_features", "linear", str, FEATURE_MAPS),
+    "outcome.features": ("outcome_features", "linear", str, FEATURE_MAPS),
     # montecarlo only
-    "scenario": ("scenario", "both_correct", _cast_str, SCENARIOS),
-    "reps": ("reps", 100, _cast_int, None),
-    "n": ("n", 1000, _cast_int, None),
-    "estimators": ("estimators", ("naive", "ipw", "gformula", "aipw"), _cast_names, None),
-    "d": ("d", 1, _cast_int, None),
-    "confounding": ("confounding", 0.0, _cast_float, None),
-    "tau": ("tau", 0.0, _cast_float, None),
-    "noise_sd": ("noise_sd", 1.0, _cast_float, None),
-    "outcome_form": ("outcome_form", "linear", _cast_str, FORMS),
-    "propensity_form": ("propensity_form", "linear", _cast_str, FORMS),
+    "scenario": ("scenario", "both_correct", str, SCENARIOS),
+    "reps": ("reps", 100, int, None),
+    "n": ("n", 1000, int, None),
+    "estimators": ("estimators", ("naive", "ipw", "gformula", "aipw"), _names, None),
+    "d": ("d", 1, int, None),
+    "confounding": ("confounding", 0.0, float, None),
+    "tau": ("tau", 0.0, float, None),
+    "noise_sd": ("noise_sd", 1.0, float, None),
+    "outcome_form": ("outcome_form", "linear", str, FORMS),
+    "propensity_form": ("propensity_form", "linear", str, FORMS),
 }
-
-_FLAG_TYPES = {_cast_int: int, _cast_float: float, _cast_bool: bool}
 
 # flag dest -> help text
 _HELP = {
@@ -220,7 +213,7 @@ _HELP = {
     "running": "running-variable column for rd",
     "k": "cross-fitting folds",
     "clip": "propensity clip bounds 'lo,hi'",
-    "estimators": f"comma-separated subset of {ESTIMATORS}",
+    "estimators": f"comma-separated subset of {tuple(n for n, m in MC_METHODS.items() if m.kind == 'obs')}",
     "tau_x": "comma-separated heterogeneous-effect coefficients",
     "effect": "panel treatment effect",
 }
@@ -228,10 +221,10 @@ _HELP = {
 
 def _add_flag(p: argparse.ArgumentParser, dest: str, kind) -> None:
     """Add the flag --dest, '_' written '-', whose value is None when it is not
-    given; ``kind`` is bool for a switch, a tuple of the allowed values, or an
-    argparse type (None for text)."""
+    given; ``kind`` is _boolean for a switch, a tuple of the allowed values, or
+    an argparse type (None for text)."""
     flag = "--" + dest.replace("_", "-")
-    if kind is bool:
+    if kind is _boolean:
         p.add_argument(flag, action="store_true", default=None, help=_HELP.get(dest))
     elif isinstance(kind, tuple):
         p.add_argument(flag, choices=kind, help=_HELP.get(dest))
@@ -250,8 +243,8 @@ def _add_option_flags(p: argparse.ArgumentParser, keys) -> None:
     """Add the flag of each option key; an unset flag leaves the value to the
     config file or the default."""
     for key in keys:
-        dest, _, cast, allowed = _OPTIONS[key]
-        _add_flag(p, dest, allowed or _FLAG_TYPES.get(cast))
+        dest, _, kind, allowed = _OPTIONS[key]
+        _add_flag(p, dest, allowed or (kind if kind in (int, float, _boolean) else None))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ _SIMULATE_TYPES = {
     "tau_x": _float_tuple,
     "outcome_form": FORMS,
     "propensity_form": FORMS,
-    "allow_defiers": bool,
+    "allow_defiers": _boolean,
     "n_units": int,
     "n_periods": int,
     "first_treated_period": int,
@@ -391,7 +384,7 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
     r = _Resolver(args, _ESTIMATE_CONFIG_KEYS)
-    name = r.get("method", "method", None, _cast_str)
+    name = r.get("method", "method")
     if name is None:
         raise UsageError("--method is required")
     if name not in METHODS:
@@ -399,25 +392,16 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     method = METHODS[name]
     unread = [_OPTIONS[key][0] for key in _ESTIMATE_KEYS if key not in method.keys]
     _check_unread(args, unread, f"--method {name}")
-    input_path = r.get("input", "input", None, _cast_str)
+    input_path = r.get("input", "input")
     if input_path is None:
         raise UsageError("--input is required")
-    out_path = r.get("out", "output", None, _cast_str)
+    out_path = r.get("out", "output")
     values = r.options(method.keys, f"--method {name}")
 
     data = DGPS[method.kind].load(input_path, values)
     fit = None
     if method.nuisance:
-        fit = cross_fit(
-            data,
-            k=values["crossfit.k"],
-            clip=values["crossfit.clip"],
-            propensity_lambda=values["propensity.lambda"],
-            outcome_lambda=values["outcome.lambda"],
-            propensity_features=values["propensity.features"],
-            outcome_features=values["outcome.features"],
-            seed=values["seed"],
-        )
+        fit = cross_fit(data, **{_OPTIONS[key][0]: values[key] for key in (*CROSSFIT_KEYS, "seed")})
     estimate = method.run(data, fit, values["level"], **{k: values[k] for k in method.options})
     if fit is not None:
         estimate.diagnostics.update(
@@ -474,17 +458,11 @@ def _add_montecarlo_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_montecarlo(args: argparse.Namespace) -> None:
     values = _Resolver(args, _MONTECARLO_KEYS).options(_MONTECARLO_KEYS, "montecarlo")
+    by_dest = {_OPTIONS[key][0]: value for key, value in values.items()}
     mc = McConfig(
         dgp=DGPS["obs"].make(values),
-        estimators=values["estimators"],
         replications=values["reps"],
-        seed=values["seed"],
-        scenario=values["scenario"],
-        k=values["crossfit.k"],
-        clip=values["crossfit.clip"],
-        propensity_lambda=values["propensity.lambda"],
-        outcome_lambda=values["outcome.lambda"],
-        level=values["level"],
+        **{f.name: by_dest[f.name] for f in fields(McConfig) if f.name not in ("dgp", "replications")},
     )
     config = {"subcommand": "montecarlo", **values}
     report = {**asdict(run_mc(mc)), "config": config, "version": __version__}

@@ -23,9 +23,10 @@ from .ate_estimators import MatchSpec, aipw, g_formula, ipw, naive_dim, psm_att
 from .data_model import Estimate
 from .quasi_experimental import RdSpec, did, did_placebo, fe_within, iv_wald, rd_local_linear, tsls
 
-__all__ = ["Method", "METHODS"]
+__all__ = ["CROSSFIT_KEYS", "Method", "METHODS"]
 
-_CROSSFIT = (
+# the keys that set a cross-fit, whose flag dests are cross_fit's keywords
+CROSSFIT_KEYS = (
     "crossfit.k",
     "crossfit.clip",
     "propensity.lambda",
@@ -75,7 +76,7 @@ def _did(data, fit, level: float, placebo: bool = False) -> Estimate:
 METHODS: dict[str, Method] = {
     "naive": Method(_OBS, "obs", "ate", lambda data, fit, level: naive_dim(data, level=level)),
     "ipw": Method(
-        _OBS + _CROSSFIT + ("normalization",),
+        _OBS + CROSSFIT_KEYS + ("normalization",),
         "obs",
         "ate",
         lambda data, fit, level, **options: ipw(data, fit.pi_hat, level=level, **options),
@@ -83,14 +84,14 @@ METHODS: dict[str, Method] = {
         nuisance=("propensity",),
     ),
     "gformula": Method(
-        _OBS + _CROSSFIT,
+        _OBS + CROSSFIT_KEYS,
         "obs",
         "ate",
         lambda data, fit, level: g_formula(data, fit.mu0_hat, fit.mu1_hat, level=level),
         nuisance=("outcome",),
     ),
     "psm": Method(
-        _OBS + _CROSSFIT + ("caliper", "with_replacement"),
+        _OBS + CROSSFIT_KEYS + ("caliper", "with_replacement"),
         "obs",
         "att",
         _psm,
@@ -98,7 +99,7 @@ METHODS: dict[str, Method] = {
         nuisance=("propensity",),
     ),
     "aipw": Method(
-        _OBS + _CROSSFIT,
+        _OBS + CROSSFIT_KEYS,
         "obs",
         "ate",
         lambda data, fit, level: aipw(data, fit, level=level),

@@ -32,7 +32,6 @@ from .rng import child_seed
 
 __all__ = [
     "SCENARIOS",
-    "ESTIMATORS",
     "MC_METHODS",
     "McConfig",
     "EstimatorSummary",
@@ -48,9 +47,6 @@ __all__ = [
 ]
 
 SCENARIOS = ("both_correct", "pi_wrong", "mu_wrong", "both_wrong")
-
-# the methods that read observational data, which `causalkit montecarlo` runs
-ESTIMATORS = ("naive", "ipw", "ipw_oracle", "gformula", "psm", "aipw")
 
 # Share of failed replications (per estimator) beyond which a run aborts.
 FAILURE_CEILING = 0.10

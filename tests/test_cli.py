@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+import dataclasses
 import functools
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -13,8 +15,11 @@ import numpy as np
 import pytest
 
 import causalkit
-from causalkit import cross_fit, eif_engine
+from causalkit import McConfig, ObsDgpConfig, cli, cross_fit, eif_engine
 from causalkit.cli import _jsonable, emit_report, main, parse_args
+from causalkit.errors import ConfigError
+from causalkit.methods import CROSSFIT_KEYS, METHODS
+from causalkit.montecarlo import MC_METHODS
 from causalkit.rng import stream
 
 REPORT_KEYS = ["method", "psi_hat", "se", "ci_low", "ci_high", "n", "diagnostics", "config", "version"]
@@ -314,6 +319,99 @@ class TestEstimate:
         assert r1.read_bytes() == r2.read_bytes()
 
 
+class TestConfigValues:
+    """How config-file text becomes each key's value, and the text it rejects."""
+
+    @staticmethod
+    def run_with_config(tmp_path, text, *argv):
+        conf = tmp_path / "run.cfg"
+        conf.write_text(text)
+        return run_cli(*argv, "--config", str(conf))
+
+    @pytest.mark.parametrize("method, text, key, value", [
+        ("psm", "with_replacement = yes\n", "with_replacement", True),
+        ("psm", "with_replacement = 0\n", "with_replacement", False),
+        ("did", "placebo = off\n", "placebo", False),
+        ("did", "placebo = On\n", "placebo", True),
+    ])
+    def test_booleans_from_the_file(self, obs_csv, panel_csv, tmp_path, capsys, method, text, key, value):
+        data = obs_csv if method == "psm" else panel_csv
+        assert self.run_with_config(tmp_path, text, "estimate", "--method", method, "--input", data) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"][key] is value
+        if method == "did":
+            assert report["diagnostics"]["placebo"] is value
+
+    @pytest.mark.parametrize("method, text, message", [
+        ("did", "placebo = maybe\n", "config key 'placebo' must be a boolean, got 'maybe'"),
+        ("aipw", "crossfit.k = 2.5\n", "config key 'crossfit.k' must be an integer, got '2.5'"),
+        ("naive", "level = high\n", "config key 'level' must be a number, got 'high'"),
+        ("aipw", "crossfit.clip = 0.1\n", "config key 'crossfit.clip' must be 'lo,hi', got '0.1'"),
+        ("aipw", "crossfit.clip = 0.1,0.5,0.9\n", "config key 'crossfit.clip' must be 'lo,hi', got '0.1,0.5,0.9'"),
+        ("aipw", "crossfit.clip = 0.1,abc\n", "config key 'crossfit.clip' must be 'lo,hi', got '0.1,abc'"),
+    ])
+    def test_bad_values_are_input_errors(self, obs_csv, tmp_path, capsys, method, text, message):
+        assert self.run_with_config(tmp_path, text, "estimate", "--method", method, "--input", obs_csv) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+    def test_a_text_flag_is_cast_like_a_file_value(self, obs_csv, capsys):
+        assert run_cli("estimate", "--method", "aipw", "--input", obs_csv, "--clip", "0.1") == 2
+        assert capsys.readouterr().err == "error: ConfigError: config key 'crossfit.clip' must be 'lo,hi', got '0.1'\n"
+
+    def test_empty_key(self, obs_csv, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "# k\n = 3\n", "estimate", "--method", "naive", "--input", obs_csv) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {tmp_path / 'run.cfg'}:2: empty key\n"
+
+    def test_a_key_set_twice_is_rejected(self, obs_csv, tmp_path, capsys):
+        text = "seed = 1\n# again\nlevel = 0.9\nseed = 2\n"
+        assert self.run_with_config(tmp_path, text, "estimate", "--method", "naive", "--input", obs_csv) == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {tmp_path / 'run.cfg'}:4: key 'seed' is already set on line 1\n"
+        )
+
+    def test_unreadable_file(self, obs_csv, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert run_cli("estimate", "--method", "naive", "--input", obs_csv, "--config", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: cannot read config file {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
+
+    def test_unknown_method_in_the_file(self, obs_csv, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "method = bogus\n", "estimate", "--input", obs_csv) == 2
+        assert capsys.readouterr().err == "error: ConfigError: unknown method 'bogus'\n"
+
+    def test_missing_input(self, capsys):
+        assert run_cli("estimate", "--method", "naive") == 1
+        assert capsys.readouterr().err == "causalkit: error: --input is required\n"
+
+
+class TestOptionTable:
+    """The option table agrees with every reader of its keys and dests."""
+
+    def test_every_key_read_is_in_the_table_and_every_key_is_read(self):
+        read = {key for method in METHODS.values() for key in method.keys} | set(cli._MONTECARLO_KEYS)
+        assert read <= set(cli._OPTIONS)
+        assert set(cli._OPTIONS) <= read
+
+    def test_cross_fit_keys_are_cross_fit_keywords(self):
+        keywords = inspect.signature(cross_fit).parameters
+        for key in (*CROSSFIT_KEYS, "seed"):
+            assert cli._OPTIONS[key][0] in keywords, key
+
+    def test_each_mc_config_field_is_set_by_one_montecarlo_key(self):
+        dests = [cli._OPTIONS[key][0] for key in cli._MONTECARLO_KEYS]
+        for f in dataclasses.fields(McConfig):
+            if f.name not in ("dgp", "replications"):
+                assert dests.count(f.name) == 1, f.name
+
+    def test_estimators_help_names_the_obs_readers(self):
+        readers = ast.literal_eval(cli._HELP["estimators"].split("subset of ", 1)[1])
+        assert set(readers) == {name for name, method in MC_METHODS.items() if method.kind == "obs"}
+        with pytest.raises(ConfigError) as exc:
+            McConfig(dgp=ObsDgpConfig(n=10), estimators=("did",))
+        assert str(exc.value).endswith(f"expected a subset of {readers}")
+
+
 def _load_golden_script(name):
     """Import tests/golden/<name>.py, a golden regeneration script, as a module."""
     path = Path(__file__).parent / "golden" / f"{name}.py"
@@ -529,6 +627,10 @@ class TestMontecarlo:
         assert run_cli("montecarlo", "--reps", "3", "--n", "200", "--estimators", "naive,naive") == 2
         assert capsys.readouterr().err == (
             "error: ConfigError: estimator list ['naive', 'naive'] names a method more than once\n")
+
+    def test_empty_estimator_list_rejected(self, capsys):
+        assert run_cli("montecarlo", "--reps", "3", "--n", "200", "--estimators", ",") == 2
+        assert capsys.readouterr().err == "error: ConfigError: estimator list must be non-empty\n"
 
     @pytest.mark.parametrize("flags, message", [
         (("--k", "1"), "k must satisfy 2 <= k <= n, got k=1 with n=200"),

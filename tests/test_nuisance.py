@@ -314,34 +314,87 @@ class TestCrossFit:
         assert err_quad < err_lin / 2
 
 
+def _reference_design(x, features):
+    """(n, p): the intercept, then the covariates, then their squares for the quadratic map."""
+    columns = [np.ones((len(x), 1)), x] + ([x * x] if features == "linear_plus_quadratic" else [])
+    return np.hstack(columns)
+
+
+def _reference_logistic(design, a, lam, tol, max_iter):
+    """Newton's method on the ridge-penalized Bernoulli log-likelihood, one problem.
+
+    A step is halved while the log-likelihood falls below
+    ll - 1e-12 max(1, |ll|), down to a scale of 1e-12; convergence is
+    max |gradient| < tol.  Returns the coefficients, the convergence flag and
+    the steps taken.
+    """
+    if lam < 0:
+        raise ConfigError("ridge_lambda must be >= 0")
+    pen = lam * (np.arange(design.shape[1]) > 0)
+
+    def evaluate(beta):
+        eta = np.clip(design @ beta, -30.0, 30.0)
+        prob = 1.0 / (1.0 + np.exp(-eta))
+        ll = a @ eta - np.sum(np.logaddexp(0.0, eta)) - 0.5 * pen @ beta**2
+        return ll, design.T @ (a - prob) - pen * beta, prob
+
+    beta = np.zeros(design.shape[1])
+    ll, grad, prob = evaluate(beta)
+    for it in range(max_iter + 1):
+        converged = bool(np.max(np.abs(grad)) < tol)
+        if converged or it == max_iter:
+            return beta, converged, it
+        weight = np.maximum(prob * (1.0 - prob), 1e-10)
+        step = np.linalg.solve(design.T @ (weight[:, None] * design) + np.diag(pen), grad)
+        floor, scale = ll - 1e-12 * max(1.0, abs(ll)), 1.0
+        ll, grad, prob = evaluate(beta + step)
+        while ll < floor and scale > 1e-12:
+            scale *= 0.5
+            ll, grad, prob = evaluate(beta + scale * step)
+        beta = beta + scale * step
+
+
+def _reference_ridge(design, y, lam):
+    """Least squares on the design stacked over sqrt(lam) rows that penalize all but the intercept."""
+    if lam < 0:
+        raise ConfigError("ridge_lambda must be >= 0")
+    p = design.shape[1]
+    if lam == 0.0 and np.linalg.matrix_rank(design) < p:
+        raise RankDeficiencyError("design matrix is rank deficient; set ridge_lambda > 0 or remove redundant columns")
+    penalty = np.sqrt(lam) * np.eye(p)[1:]
+    beta, *_ = np.linalg.lstsq(np.vstack([design, penalty]), np.concatenate([y, np.zeros(p - 1)]), rcond=None)
+    return beta
+
+
 def _cross_fit_reference(dataset, k=5, *, clip=(0.01, 0.99), propensity_lambda=1e-6, outcome_lambda=1e-8,
                          propensity_features="linear", outcome_features="linear", tol=1e-8, max_iter=100,
                          seed=0):
     """Fold by fold: the three models of fold j fitted on the other folds' rows.
 
-    The oracle for cross_fit, which fits all folds in stacked calls.
+    The oracle for cross_fit, which fits all folds in stacked calls; it
+    fits with plain NumPy, not with the package's learners.
     """
     clip_lo, clip_hi = float(clip[0]), float(clip[1])
     n = dataset.n
     folds = make_folds(n, k, seed)
+    prop_design = _reference_design(dataset.x, propensity_features)
+    out_design = _reference_design(dataset.x, outcome_features)
     pi_raw, mu0, mu1 = np.empty(n), np.empty(n), np.empty(n)
-    props = []
+    converged, iterations = [], []
     for j in range(k):
         test, train = folds.indices(j), folds.complement(j)
-        a_tr = dataset.a[train]
+        a_tr = dataset.a[train].astype(float)
         n_treated = int(a_tr.sum())
         if n_treated == 0 or n_treated == train.size:
             missing = "treated" if n_treated == 0 else "control"
             raise FoldError(f"training complement of fold {j} contains no {missing} units")
-        x_tr, x_te, y_tr = dataset.x[train], dataset.x[test], dataset.y[train]
-        prop = fit_logistic(x_tr, a_tr, propensity_lambda, tol=tol, max_iter=max_iter,
-                            features=propensity_features)
-        m1 = fit_linear(x_tr[a_tr == 1], y_tr[a_tr == 1], outcome_lambda, features=outcome_features)
-        m0 = fit_linear(x_tr[a_tr == 0], y_tr[a_tr == 0], outcome_lambda, features=outcome_features)
-        props.append(prop)
-        pi_raw[test] = prop.predict_proba(x_te)
-        mu1[test] = m1.predict(x_te)
-        mu0[test] = m0.predict(x_te)
+        beta, ok, steps = _reference_logistic(prop_design[train], a_tr, propensity_lambda, tol, max_iter)
+        converged.append(ok)
+        iterations.append(steps)
+        pi_raw[test] = 1.0 / (1.0 + np.exp(-np.clip(prop_design[test] @ beta, -30.0, 30.0)))
+        d_tr, y_tr = out_design[train], dataset.y[train]
+        mu1[test] = out_design[test] @ _reference_ridge(d_tr[a_tr == 1], y_tr[a_tr == 1], outcome_lambda)
+        mu0[test] = out_design[test] @ _reference_ridge(d_tr[a_tr == 0], y_tr[a_tr == 0], outcome_lambda)
     return NuisanceFit(
         pi_hat=np.clip(pi_raw, clip_lo, clip_hi),
         mu0_hat=mu0,
@@ -350,8 +403,8 @@ def _cross_fit_reference(dataset, k=5, *, clip=(0.01, 0.99), propensity_lambda=1
         clip_lo=clip_lo,
         clip_hi=clip_hi,
         clip_count=int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi))),
-        irls_converged=tuple(p.converged for p in props),
-        irls_iterations=tuple(p.iterations for p in props),
+        irls_converged=tuple(converged),
+        irls_iterations=tuple(iterations),
     )
 
 

@@ -42,6 +42,7 @@ from causalkit.errors import (
     IdentificationError,
     InstrumentError,
     InsufficientDataError,
+    RankDeficiencyError,
 )
 from causalkit.dgp import DGPS
 from causalkit.methods import METHODS
@@ -266,6 +267,16 @@ class TestRd:
         with pytest.raises(BandwidthError, match="left=1"):
             rd_local_linear(make_rd(x, y), RdSpec(cutoff=0.0, bandwidth=1.0))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bandwidth": 0.0}, "bandwidth must be > 0"),
+        ({"bandwidth": -1.0}, "bandwidth must be > 0"),
+        ({"kernel": "gaussian"}, "unknown kernel 'gaussian', expected one of ('rectangular', 'triangular')"),
+    ])
+    def test_bad_spec_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            RdSpec(**kwargs)
+        assert str(exc.value) == message
+
     def test_nonzero_cutoff(self):
         x = np.array([1.2, 1.4, 1.6, 1.8, 2.1, 2.3, 2.5, 2.7])
         a = (x >= 2.0).astype(int)
@@ -412,6 +423,23 @@ class TestTsls:
         with_x = tsls(IvDataset(z=z, a=a, y=y, x=x.reshape(-1, 1)))
         without_x = tsls(IvDataset(z=z, a=a, y=y))
         assert abs(with_x.psi_hat - 1.0) < abs(without_x.psi_hat - 1.0)
+
+    def test_collinear_first_stage(self):
+        # the covariate repeats the instrument
+        z = np.array([0, 1] * 4)
+        ds = IvDataset(z=z, a=z, y=np.arange(8.0), x=z.reshape(-1, 1))
+        with pytest.raises(RankDeficiencyError) as exc:
+            tsls(ds)
+        assert str(exc.value) == "collinear design in first stage"
+
+    def test_collinear_second_stage(self):
+        # the covariate is the treatment and independent of z, so fitted a is the covariate
+        z = np.array([0, 0, 1, 1] * 2)
+        x = np.array([0, 1] * 4)
+        ds = IvDataset(z=z, a=x, y=np.arange(8.0), x=x.reshape(-1, 1))
+        with pytest.raises(RankDeficiencyError) as exc:
+            tsls(ds)
+        assert str(exc.value) == "collinear second stage: fitted treatment is collinear with covariates"
 
 
 class TestFeWithin:
