@@ -54,7 +54,6 @@ from .eif_engine import (
     DiscreteMeasure,
     Functional,
     Mean,
-    ScoreVector,
     central_identity_check,
     closed_form_eif,
     eif_table,
@@ -156,7 +155,6 @@ __all__ = [
     "RdSpec",
     # eif engine
     "DiscreteMeasure",
-    "ScoreVector",
     "Functional",
     "Mean",
     "CondMean",

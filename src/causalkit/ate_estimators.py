@@ -136,7 +136,7 @@ class MatchSpec:
     with_replacement: bool = False
 
     def __post_init__(self) -> None:
-        if self.caliper is not None and self.caliper < 0:
+        if self.caliper is not None and not self.caliper >= 0:  # NaN fails too
             raise ConfigError("caliper must be >= 0")
 
 

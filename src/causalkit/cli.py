@@ -119,6 +119,16 @@ def _cast(kind, text: str, key: str):
         raise ConfigError(f"config key '{key}' must be {_KIND_TEXT[kind]}, got '{text}'") from None
 
 
+def _checked(key: str, value):
+    """The value of option key ``key``, cast from text and checked against its allowed values."""
+    _, _, kind, allowed = _OPTIONS[key]
+    if isinstance(value, str):
+        value = _cast(kind, value, key)
+    if allowed is not None and value not in allowed:
+        raise ConfigError(f"'{key}' must be one of {allowed}, got '{value}'")
+    return value
+
+
 def _float_tuple(text: str) -> tuple[float, ...] | None:
     """argparse type of a comma-separated list of numbers; an empty list is None."""
     try:
@@ -128,7 +138,7 @@ def _float_tuple(text: str) -> tuple[float, ...] | None:
 
 
 class _Resolver:
-    """Flag > config-file entry > default, with strict unknown-key checking."""
+    """Flag > config-file entry > default; a file's unknown keys are rejected, its known ones cast and checked."""
 
     def __init__(self, args: argparse.Namespace, known_keys: tuple[str, ...]):
         entries = _load_config_file(args.config) if args.config else {}
@@ -136,7 +146,7 @@ class _Resolver:
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; expected a subset of {sorted(known_keys)}")
         self.args = args
-        self.entries = entries
+        self.entries = {key: _checked(key, text) if key in _OPTIONS else text for key, text in entries.items()}
 
     def get(self, dest: str, key: str):
         flag_value = getattr(self.args, dest)
@@ -148,17 +158,13 @@ class _Resolver:
         options reads a seed, which is checked even where no stream is drawn."""
         values = {}
         for key in keys:
-            dest, default, kind, allowed = _OPTIONS[key]
+            dest, default = _OPTIONS[key][:2]
             value = self.get(dest, key)
             if value is None:
                 value = default
-            if isinstance(value, str):
-                value = _cast(kind, value, key)
             if value is _REQUIRED:
                 raise UsageError(f"--{dest} is required for {context}")
-            if allowed is not None and value not in allowed:
-                raise ConfigError(f"'{key}' must be one of {allowed}, got '{value}'")
-            values[key] = value
+            values[key] = _checked(key, value)
         check_seed(values["seed"])
         return values
 
@@ -494,13 +500,13 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
     eps = step_schedule(f, measure)
     phi_num, err = eif_table(f, measure, eps)
     phi_cf = closed_form_eif(f, measure)
-    scores = [random_score(measure, stream(args.seed, i)).values for i in range(args.scores)]
+    scores = [random_score(measure, stream(args.seed, i)) for i in range(args.scores)]
     lhs = pathwise_derivative(f, measure, np.reshape(scores, (args.scores, measure.m)))
     gaps = [abs(d - float(measure.probs @ (phi_num * s))) for d, s in zip(lhs, scores)]
     r2_block = None
     if args.estimated:
         estimated = DiscreteMeasure.from_csv(args.estimated, args.prob_column)
-        res = second_order_remainder(measure, estimated, functional=f.label)
+        res = second_order_remainder(measure, estimated, functional=f)
         r2_block = {
             "r2": res.r2,
             "bound": res.bound,

@@ -155,9 +155,12 @@ class IvDgpConfig:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         probs = (self.p_always, self.p_complier, self.p_never, self.p_defier)
-        if any(p < 0 for p in probs):
-            raise ConfigError("compliance-type probabilities must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not all(p >= 0 for p in probs):  # NaN fails too
+            raise ConfigError(
+                "compliance-type probabilities must be non-negative, "
+                f"got (p_always, p_complier, p_never, p_defier) = {probs}"
+            )
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ConfigError(f"compliance-type probabilities must sum to 1, got {sum(probs)!r}")
         if self.p_defier > 0 and not self.allow_defiers:
             raise ConfigError("p_defier > 0 requires allow_defiers=True (monotonicity violation study)")

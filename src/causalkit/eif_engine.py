@@ -53,7 +53,6 @@ __all__ = [
     "EPS_MASS_RATIO",
     "RICHARDSON_RTOL",
     "DiscreteMeasure",
-    "ScoreVector",
     "Functional",
     "Mean",
     "CondMean",
@@ -176,10 +175,12 @@ def _point_as_row(measure_names: tuple[str, ...], z: Mapping[str, float] | Seque
         extra = [n for n in z if n not in measure_names]
         if extra:
             raise ValidationError(f"point has unknown coordinates {extra}")
-        return np.asarray([float(z[n]) for n in measure_names])
+        z = [z[n] for n in measure_names]
     row = np.asarray(list(z), dtype=float)
     if row.shape != (len(measure_names),):
         raise ValidationError(f"point must have {len(measure_names)} coordinates")
+    if not np.all(np.isfinite(row)):
+        raise ValidationError("point contains non-finite coordinates")
     return row
 
 
@@ -246,11 +247,9 @@ class LinearForms(NamedTuple):
         mu = np.divide(ny, pax, out=np.zeros_like(ny), where=pax != 0.0)
         return px * mu, (pax == 0.0) & (px != 0.0)
 
-    def raise_undefined(self, zero_total: bool, bad: np.ndarray) -> None:
-        """Raise for an evaluation whose total is zero or whose (G, arms) terms
-        are undefined at ``bad``, naming the first cell of the first arm."""
-        if zero_total:
-            raise EvaluabilityError("total mass is zero")
+    def raise_undefined(self, bad: np.ndarray) -> None:
+        """Raise for an evaluation whose (G, arms) terms are undefined at
+        ``bad``, naming the first cell of the first arm."""
         k, c = divmod(_first(bad.T), len(self.labels))
         raise EvaluabilityError(
             self.message or f"cell with covariates {self.labels[c]} has zero mass on arm {self.arms[k]}"
@@ -264,13 +263,14 @@ def _combine(sums: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(forms: LinearForms, tables: np.ndarray) -> np.ndarray:
-    """Values of a (B, G, k) block of tables; raises at the first undefined one."""
+    """Values of a (B, G, k) block of tables; raises at the first undefined one.
+    No total is zero: a score step zeroes one only through a denominator mass,
+    which ``_check_signs`` rejects first."""
     terms, bad = forms.terms(tables)
-    total = tables[..., 0].sum(axis=1)
-    r = _first((total == 0.0) | bad.any(axis=(1, 2)))
+    r = _first(bad.any(axis=(1, 2)))
     if r is not None:
-        forms.raise_undefined(total[r] == 0.0, bad[r])
-    return _combine(terms.sum(axis=1), total)
+        forms.raise_undefined(bad[r])
+    return _combine(terms.sum(axis=1), tables[..., 0].sum(axis=1))
 
 
 class Functional:
@@ -479,28 +479,19 @@ def mix(p: DiscreteMeasure, g: DiscreteMeasure, eps: float) -> DiscreteMeasure:
     return DiscreteMeasure(names=p.names, support=union, probs=probs)
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-support-point score values s(z) = ptilde(z)/p(z) - 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValidationError("score values must form a vector")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("score values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+def _checked_score(p: DiscreteMeasure, s: np.ndarray, stack: bool = False) -> np.ndarray:
+    """s as floats, one finite value per support point of p (or rows of them, with ``stack``)."""
+    values = np.asarray(s, dtype=float)
+    if values.ndim not in ((1, 2) if stack else (1,)) or values.shape[-1] != p.m:
+        what = "a vector or a stack of rows" if stack else "a vector"
+        raise ValidationError(f"score must be {what} of length {p.m}, the support size; got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("score values must be finite")
+    return values
 
 
-def _score_values(s: ScoreVector | np.ndarray) -> np.ndarray:
-    return s.values if isinstance(s, ScoreVector) else np.asarray(s, dtype=float)
-
-
-def score_of_path(p: DiscreteMeasure, ptilde: DiscreteMeasure) -> ScoreVector:
-    """Score of the likelihood-ratio path from p toward ptilde.
+def score_of_path(p: DiscreteMeasure, ptilde: DiscreteMeasure) -> np.ndarray:
+    """Score array s(z) = ptilde(z)/p(z) - 1 on p's support: the likelihood-ratio path toward ptilde.
 
     Requires domination: ptilde may not place mass outside p's support.
     The result has p-mean zero by construction.
@@ -522,34 +513,31 @@ def score_of_path(p: DiscreteMeasure, ptilde: DiscreteMeasure) -> ScoreVector:
     ratio = np.zeros(p.m)
     keep = base > 0.0
     ratio[pos[keep]] = ptilde.probs[keep] / base[keep]
-    return ScoreVector(values=ratio - 1.0)
+    return ratio - 1.0
 
 
-def random_score(p: DiscreteMeasure, rng: np.random.Generator) -> ScoreVector:
-    """A random mean-zero score, bounded so small-eps paths stay valid."""
+def random_score(p: DiscreteMeasure, rng: np.random.Generator) -> np.ndarray:
+    """A random mean-zero score array on p's support, bounded so small-eps paths stay valid."""
     raw = rng.uniform(-1.0, 1.0, size=p.m)
-    centered = raw - float(p.probs @ raw)  # probs sum to 1, so this centers exactly
-    return ScoreVector(values=centered)
+    return raw - float(p.probs @ raw)  # probs sum to 1, so this centers exactly
 
 
 def factorize_score(
-    p: DiscreteMeasure, s: ScoreVector | np.ndarray, given: Sequence[str]
-) -> tuple[ScoreVector, ScoreVector]:
-    """Split a score into a marginal part and a conditional part.
+    p: DiscreteMeasure, s: np.ndarray, given: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split a score array s on p's support into a marginal and a conditional part array.
 
     The marginal part is the conditional expectation E_p[s | given-coords],
     constant on each group; the conditional part is the remainder.  Both are
     themselves valid mean-zero scores, and the pathwise derivative along s
     is the sum of the derivatives along the parts.
     """
-    values = _score_values(s)
-    if values.shape != (p.m,):
-        raise ValidationError("score length must match the support size")
+    values = _checked_score(p, s)
     cells, inverse = _cells(p.support[:, [_coord_index(p.names, n) for n in given]])
     mass = np.bincount(inverse, p.probs, len(cells))
     total = np.bincount(inverse, p.probs * values, len(cells))
     marginal = np.divide(total, mass, out=np.zeros_like(total), where=mass != 0.0)[inverse]
-    return ScoreVector(values=marginal), ScoreVector(values=values - marginal)
+    return marginal, values - marginal
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +637,11 @@ def _influence_at(
     (terms, bad), (new_terms, new_bad) = forms.terms(table), forms.terms(moved)
     total = (1.0 - steps) * table[:, 0].sum() + steps * unit[:, :1]
     elsewhere = bad.sum(axis=0) - bad[cell] > 0
-    r = _first((total == 0.0) | (elsewhere[:, None, :] | new_bad).any(axis=-1))
+    r = _first((elsewhere[:, None, :] | new_bad).any(axis=-1))
     if r is not None:
         j, s = divmod(r, len(steps))
         bad[cell[j]] = new_bad[j, s]
-        forms.raise_undefined(total[j, s] == 0.0, bad)
+        forms.raise_undefined(bad)
     sums = (1.0 - steps)[:, None] * (terms.sum(axis=0) - terms[cell])[:, None, :] + new_terms
     size = forms.size()
     scale = np.maximum(np.max(size[: p.m][p.probs > 0.0], initial=0.0), size[targets])
@@ -690,22 +678,20 @@ def eif_table(
 def pathwise_derivative(
     f: Functional,
     p: DiscreteMeasure,
-    s: ScoreVector | np.ndarray,
+    s: np.ndarray,
     eps_schedule: Sequence[float] = EPS_SCHEDULE,
 ) -> float | np.ndarray:
-    """d/deps f(measure with masses (1 + eps*s) p) at eps = 0, for a score s
-    or for each row of a (B, m) stack.  A stack's 6B steps share one forms
-    build, table, evaluation and extrapolation; each derivative is its row's
-    own, bit for bit, and a failing stack raises its first failing row's own
-    error.  The schedule is used as given: a step moves each mass by at most
-    eps*max|s| of itself.  An error estimate above RICHARDSON_RTOL *
-    max(1, |derivative|) raises EpsError.
+    """d/deps f(measure with masses (1 + eps*s) p) at eps = 0, for a score array
+    s on p's support (a float) or for each row of a (B, m) stack (an array).
+    A stack's 6B steps share one forms build, table, evaluation and
+    extrapolation; each derivative is its row's own, bit for bit, and a
+    failing stack raises its first failing row's own error.  The schedule is
+    used as given: a step moves each mass by at most eps*max|s| of itself.
+    An error estimate above RICHARDSON_RTOL * max(1, |derivative|) raises EpsError.
     """
-    values = _score_values(s)
-    scores = np.atleast_2d(values)
+    values = np.asarray(s, dtype=float)
     try:
-        if scores.ndim != 2 or scores.shape[1] != p.m:
-            raise ValidationError("score length must match the support size")
+        scores = np.atleast_2d(_checked_score(p, values, stack=True))
         mean_s = max((float(p.probs @ row) for row in scores), key=abs, default=0.0)
         if abs(mean_s) > 1e-10:
             raise ValidationError(f"score must have mean zero under p, got {mean_s!r}")
@@ -725,7 +711,7 @@ def pathwise_derivative(
         what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
         d, _ = _richardson(_evaluate(forms, tables).reshape(-1, len(steps)), eps, scale, what)
     except CausalKitError:
-        for row in scores if values.ndim == 2 else ():
+        for row in values if values.ndim == 2 else ():
             pathwise_derivative(f, p, row, eps_schedule)
         raise
     return float(d[0]) if values.ndim == 1 else d
@@ -741,13 +727,14 @@ class CentralIdentityReport:
 def central_identity_check(
     f: Functional,
     p: DiscreteMeasure,
-    s: ScoreVector | np.ndarray,
+    s: np.ndarray,
     eps_schedule: Sequence[float] = EPS_SCHEDULE,
 ) -> CentralIdentityReport:
-    """Check d/deps psi (score path) = E[phi * s] with numerical phi."""
+    """Check d/deps psi (score path) = E[phi * s] with numerical phi, for one score array s."""
+    s = _checked_score(p, s)
     lhs = pathwise_derivative(f, p, s, eps_schedule)
     phi, _ = eif_table(f, p, eps_schedule)
-    rhs = float(p.probs @ (phi * _score_values(s)))
+    rhs = float(p.probs @ (phi * s))
     return CentralIdentityReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
@@ -858,29 +845,28 @@ def _arm_remainder(forms: LinearForms, tables: np.ndarray, n_true: int, j: int) 
 
 
 def second_order_remainder(
-    p_true: DiscreteMeasure, p_est: DiscreteMeasure, functional: str = "ate"
+    p_true: DiscreteMeasure, p_est: DiscreteMeasure, functional: Functional = Ate()
 ) -> R2Result:
-    """Exact second-order remainder and its Cauchy-Schwarz bound.
+    """Exact second-order remainder and its Cauchy-Schwarz bound of ``functional``, Ate or CounterfactualMean.
 
     For one arm:  r2_a = E_true[(pi_a - pi_hat_a)(mu_a - mu_hat_a)/pi_hat_a];
     for the ATE:  r2 = r2_1 - r2_0, and the bounds add.  r2 vanishes when
     either nuisance is exact (double robustness), and equals the error of
     the population one-step estimator based at p_est.
     """
-    f = make_functional(functional)
-    if not isinstance(f, (CounterfactualMean, Ate)):
+    if not isinstance(functional, (CounterfactualMean, Ate)):
         raise ConfigError(
             "second_order_remainder supports 'ate' and 'counterfactual_mean(a)', "
-            f"got '{functional}'"
+            f"got '{functional.label}'"
         )
     x_true, x_est = _causal_columns(p_true.names)[2], _causal_columns(p_est.names)[2]
     if [p_true.names[i] for i in x_true] != [p_est.names[i] for i in x_est]:
         raise ValidationError("true and estimated measures must share covariate names")
     est = p_est.support[:, [p_est.names.index(n) for n in p_true.names]]
-    forms = f.forms(p_true.names, np.vstack([p_true.support, est]))
+    forms = functional.forms(p_true.names, np.vstack([p_true.support, est]))
     masses = np.stack([np.r_[p_true.probs, np.zeros(p_est.m)], np.r_[np.zeros(p_true.m), p_est.probs]])
     tables = forms.table(masses)
-    parts = [_arm_remainder(forms, tables, p_true.m, k) for k in range(len(f.arms))]
+    parts = [_arm_remainder(forms, tables, p_true.m, k) for k in range(len(functional.arms))]
     if len(parts) == 1:
         return R2Result(*parts[0])
     (r2_1, bound_1, rate_1), (r2_0, bound_0, rate_0) = parts

@@ -136,6 +136,8 @@ def _irls(
     """
     if lam < 0:
         raise ConfigError("ridge_lambda must be >= 0")
+    if not np.isfinite(lam):
+        raise ConfigError(f"ridge_lambda must be finite, got {lam!r}")
     k, p = len(masks), design.shape[0]
     pen = lam * (np.arange(p) > 0)  # the intercept is not penalized
     beta, w = np.zeros((k, p)), masks.astype(float)
@@ -177,6 +179,8 @@ def _ridge(design: np.ndarray, y: np.ndarray, masks: np.ndarray, lam: float) -> 
     """Solve the ridge normal equations over the units of every row of `masks` in one call."""
     if lam < 0:
         raise ConfigError("ridge_lambda must be >= 0")
+    if not np.isfinite(lam):
+        raise ConfigError(f"ridge_lambda must be finite, got {lam!r}")
     p = design.shape[0]
     gram = np.zeros((len(masks), p, p)) + np.diag(lam * (np.arange(p) > 0))
     rhs = np.zeros((len(masks), p))

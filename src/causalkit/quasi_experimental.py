@@ -130,7 +130,7 @@ class RdSpec:
     kernel: str = "rectangular"
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:  # NaN fails too
             raise ConfigError("bandwidth must be > 0")
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel '{self.kernel}', expected one of {KERNELS}")

@@ -310,6 +310,12 @@ class TestPsm:
         assert matches == [(0, 1)]
         assert est.psi_hat == 2.0
 
+    def test_nan_caliper_rejected_and_infinite_allowed(self):
+        with pytest.raises(ConfigError) as exc:
+            MatchSpec(caliper=float("nan"))
+        assert str(exc.value) == "caliper must be >= 0"
+        assert MatchSpec(caliper=float("inf")).caliper == float("inf")
+
     def test_caliper_boundary_inclusive(self):
         ds = ObservationalDataset(x=np.zeros((2, 0)), a=[1, 0], y=[4.0, 1.0])
         pi = np.array([0.5, 0.6])

@@ -354,6 +354,19 @@ class TestConfigValues:
         assert self.run_with_config(tmp_path, text, "estimate", "--method", method, "--input", obs_csv) == 2
         assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("placebo = maybe\n", "config key 'placebo' must be a boolean, got 'maybe'"),
+        ("crossfit.k = many\n", "config key 'crossfit.k' must be an integer, got 'many'"),
+        ("kernel = gaussian\n", "'kernel' must be one of ('rectangular', 'triangular'), got 'gaussian'"),
+    ])
+    def test_bad_values_of_keys_the_method_does_not_read(self, obs_csv, tmp_path, capsys, text, message):
+        assert self.run_with_config(tmp_path, text, "estimate", "--method", "naive", "--input", obs_csv) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+    def test_a_bad_file_value_comes_before_a_missing_input(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "placebo = maybe\n", "estimate", "--method", "naive") == 2
+        assert capsys.readouterr().err == "error: ConfigError: config key 'placebo' must be a boolean, got 'maybe'\n"
+
     def test_a_text_flag_is_cast_like_a_file_value(self, obs_csv, capsys):
         assert run_cli("estimate", "--method", "aipw", "--input", obs_csv, "--clip", "0.1") == 2
         assert capsys.readouterr().err == "error: ConfigError: config key 'crossfit.clip' must be 'lo,hi', got '0.1'\n"

@@ -113,6 +113,14 @@ class TestIv:
         with pytest.raises(ConfigError, match="sum"):
             IvDgpConfig(n=10, p_always=0.5, p_complier=0.4)
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            IvDgpConfig(n=50, p_complier=float("nan"), p_never=0.0)
+        assert str(exc.value) == (
+            "compliance-type probabilities must be non-negative, "
+            "got (p_always, p_complier, p_never, p_defier) = (0.0, nan, 0.0, 0.0)"
+        )
+
     def test_first_stage_strength_cross_checked(self):
         # derived from the type shares, so it cannot be set apart from them
         with pytest.raises(TypeError):

@@ -15,6 +15,7 @@ Hand-derived facts frozen as oracles:
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from causalkit import (
     CondMean,
     CounterfactualMean,
     DiscreteMeasure,
+    Functional,
     Mean,
     central_identity_check,
     closed_form_eif,
@@ -40,13 +42,14 @@ from causalkit import (
     second_order_remainder,
 )
 from causalkit import eif_engine
-from causalkit.eif_engine import EPS_SCHEDULE, RICHARDSON_RTOL, ScoreVector, step_schedule
+from causalkit.eif_engine import EPS_SCHEDULE, RICHARDSON_RTOL, step_schedule
 from causalkit.errors import (
     CausalKitError,
     ConfigError,
     EpsError,
     EvaluabilityError,
     PositivityError,
+    SchemaError,
     SupportError,
     ValidationError,
 )
@@ -213,8 +216,8 @@ class TestPathsAndScores:
             names=("u",), support=np.array([[0.0], [1.0]]), probs=[0.25, 0.75]
         )
         s = score_of_path(p, tilted)
-        assert s.values == pytest.approx([-0.5, 0.5], abs=1e-15)
-        assert float(p.probs @ s.values) == pytest.approx(0.0, abs=1e-15)
+        assert s == pytest.approx([-0.5, 0.5], abs=1e-15)
+        assert float(p.probs @ s) == pytest.approx(0.0, abs=1e-15)
 
     def test_score_requires_domination(self):
         p = DiscreteMeasure(names=("u",), support=np.array([[0.0], [1.0]]), probs=[1.0, 0.0])
@@ -228,19 +231,19 @@ class TestPathsAndScores:
         p = hand_measure()
         for i in range(20):
             s = random_score(p, stream(i))
-            assert abs(float(p.probs @ s.values)) < 1e-12
+            assert abs(float(p.probs @ s)) < 1e-12
 
     def test_factorization_is_additive_and_orthogonal(self):
         p = hand_measure()
         s = random_score(p, stream(5))
         marg, resid = factorize_score(p, s, given=("x",))
-        assert np.allclose(marg.values + resid.values, s.values, atol=1e-12)
+        assert np.allclose(marg + resid, s, atol=1e-12)
         # the marginal part is constant within x-groups
         for xv in (0.0, 1.0):
             rows = p.column("x") == xv
-            assert np.ptp(marg.values[rows]) < 1e-12
+            assert np.ptp(marg[rows]) < 1e-12
             # the residual has zero conditional mean within each group
-            assert abs(float(p.probs[rows] @ resid.values[rows])) < 1e-12
+            assert abs(float(p.probs[rows] @ resid[rows])) < 1e-12
 
     def test_factorized_parts_are_valid_directions(self):
         p = hand_measure()
@@ -297,21 +300,21 @@ class TestGateaux:
         s = np.zeros(8)
         s[j] = 1.0 / PROBS[j]
         s -= 1.0
-        d = pathwise_derivative(f, p, ScoreVector(values=s))
+        d = pathwise_derivative(f, p, s)
         phi = closed_form_eif(f, p)
         assert d == pytest.approx(phi[j], abs=1e-6)
 
     def test_pathwise_rejects_uncentered_score(self):
         p = hand_measure()
         with pytest.raises(ValidationError, match="mean"):
-            pathwise_derivative(Mean("y"), p, ScoreVector(values=np.ones(8)))
+            pathwise_derivative(Mean("y"), p, np.ones(8))
 
     def test_pathwise_rejects_oversized_eps(self):
         p = hand_measure()
         s = np.array([4000.0, -4000.0, 0, 0, 0, 0, 0, 0], dtype=float)
         s -= float(PROBS @ s)
         with pytest.raises(EpsError):
-            pathwise_derivative(Mean("y"), p, ScoreVector(values=s))
+            pathwise_derivative(Mean("y"), p, s)
 
 
 class TestCentralIdentity:
@@ -337,7 +340,7 @@ class TestOneStepAndRemainder:
         for label in ("counterfactual_mean(1)", "ate"):
             f = make_functional(label)
             est = one_step(f, p_est, sample=p_true)
-            r2 = second_order_remainder(p_true, p_est, functional=label).r2
+            r2 = second_order_remainder(p_true, p_est, functional=f).r2
             assert est - f.value(p_true) == pytest.approx(r2, abs=1e-7)
 
     def test_r2_zero_when_propensity_exact(self):
@@ -377,7 +380,7 @@ class TestOneStepAndRemainder:
 
     def test_unsupported_functional_rejected(self):
         with pytest.raises(ConfigError):
-            second_order_remainder(hand_measure(), hand_measure(), functional="mean(y)")
+            second_order_remainder(hand_measure(), hand_measure(), functional=Mean("y"))
 
 
 # ---------------------------------------------------------------------------
@@ -616,14 +619,14 @@ class TestBatchedAgainstReference:
         for seed in range(5):
             probs = stream(seed).dirichlet(np.ones(p.m))
             tilted = DiscreteMeasure(names=NAMES, support=p.support[::-1], probs=probs)
-            assert_close(score_of_path(p, tilted).values, _ref_score_of_path(p, tilted))
+            assert_close(score_of_path(p, tilted), _ref_score_of_path(p, tilted))
         # an off-support point is allowed only without mass
         off = np.vstack([p.support[:3], [[9.0, 0.0, 0.0]]])
         for last in (0.0, 0.1):
             probs = np.array([0.5, 0.3, 0.2 - last, last])
             tilted = DiscreteMeasure(names=NAMES, support=off, probs=probs)
             assert_same_outcome(
-                lambda: score_of_path(p, tilted).values, lambda: _ref_score_of_path(p, tilted)
+                lambda: score_of_path(p, tilted), lambda: _ref_score_of_path(p, tilted)
             )
         # a zero-mass base point may carry no target mass
         base = DiscreteMeasure(names=NAMES, support=GRID, probs=np.r_[PROBS[:7] / PROBS[:7].sum(), 0.0])
@@ -631,7 +634,7 @@ class TestBatchedAgainstReference:
             probs = np.r_[PROBS[:7] * (1.0 - last) / PROBS[:7].sum(), last]
             tilted = DiscreteMeasure(names=NAMES, support=GRID, probs=probs)
             assert_same_outcome(
-                lambda: score_of_path(base, tilted).values, lambda: _ref_score_of_path(base, tilted)
+                lambda: score_of_path(base, tilted), lambda: _ref_score_of_path(base, tilted)
             )
 
     def test_default_schedule_is_shared_by_off_support_points(self):
@@ -750,7 +753,7 @@ DENOMINATOR_ROWS = {
 
 
 def score_stack(p: DiscreteMeasure, b: int = 9) -> np.ndarray:
-    return np.array([random_score(p, stream(31, i)).values for i in range(b)])
+    return np.array([random_score(p, stream(31, i)) for i in range(b)])
 
 
 def error_of(call) -> tuple[type, str]:
@@ -777,7 +780,6 @@ class TestStackedScores:
         p = near_positivity_measure()
         s = score_stack(p, 1)[0]
         assert type(pathwise_derivative(f, p, s)) is float
-        assert type(pathwise_derivative(f, p, ScoreVector(values=s))) is float
 
     def test_empty_stack(self):
         p = hand_measure()
@@ -894,3 +896,142 @@ class TestFormsKeptOnTheMeasure:
         with pytest.raises(ValueError, match="read-only"):
             eif_engine._forms_at(Ate(), p)[1][0, 0] = 1.0
         assert closed_form_eif(Ate(), pickle.loads(pickle.dumps(p))).tobytes() == phi.tobytes()
+
+
+class Median(Functional):
+    """A functional with no closed form in the engine."""
+
+    label = "median(y)"
+
+
+def lacking(rows) -> DiscreteMeasure:
+    """The hand measure without the given support rows, renormalized."""
+    keep = np.setdiff1d(np.arange(8), rows)
+    return DiscreteMeasure(names=NAMES, support=GRID[keep], probs=PROBS[keep] / PROBS[keep].sum())
+
+
+WIDE = "score must be a vector of length 8, the support size; got shape"
+
+
+class TestRejectedInputs:
+    """Each check on an engine input raises its own class and message."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"names": ()}, "coordinate names must be non-empty and distinct"),
+        ({"names": ("u", "u")}, "coordinate names must be non-empty and distinct"),
+        ({"support": np.zeros(2)}, "support must have shape (m, 1), got (2,)"),
+        ({"support": np.zeros((0, 1)), "probs": []}, "support must contain at least one point"),
+        ({"support": [[0.0], [np.nan]]}, "support contains non-finite coordinates"),
+        ({"probs": [1.0]}, "probs must have one entry per support point"),
+    ])
+    def test_discrete_measure(self, kwargs, message):
+        args = {"names": ("u",), "support": [[0.0], [1.0]], "probs": [0.5, 0.5], **kwargs}
+        assert error_of(lambda: DiscreteMeasure(**args)) == (ValidationError, message)
+
+    @pytest.mark.parametrize("columns, message", [
+        ((np.zeros(2),), "one column per coordinate name required"),
+        ((np.zeros(0), np.zeros(0)), "empirical measure needs at least one observation"),
+    ])
+    def test_from_data(self, columns, message):
+        assert error_of(lambda: DiscreteMeasure.from_data(("u", "v"), *columns)) == (ValidationError, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("u,v\n0,1\n", "measure file {path} has no 'prob' column"),
+        ("prob\n1\n", "measure file needs at least one coordinate column plus probabilities"),
+    ])
+    def test_from_csv(self, tmp_path, text, message):
+        path = tmp_path / "measure.csv"
+        path.write_text(text)
+        assert error_of(lambda: DiscreteMeasure.from_csv(str(path))) == (SchemaError, message.format(path=path))
+
+    @pytest.mark.parametrize("z, message", [
+        ({"x": 0.0, "a": 1.0}, "point is missing coordinates ['y']"),
+        ({"x": 0.0, "a": 1.0, "y": 0.0, "w": 1.0}, "point has unknown coordinates ['w']"),
+        ([0.0, 1.0], "point must have 3 coordinates"),
+        ({"x": 0.0, "a": 1.0, "y": np.inf}, "point contains non-finite coordinates"),
+        ({"x": np.nan, "a": 1.0, "y": 0.0}, "point contains non-finite coordinates"),
+        ([0.0, 1.0, -np.inf], "point contains non-finite coordinates"),
+        ((np.nan, 1.0, 0.0), "point contains non-finite coordinates"),
+    ])
+    def test_gateaux_if_point(self, z, message):
+        assert error_of(lambda: gateaux_if(Ate(), hand_measure(), z)) == (ValidationError, message)
+
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda: Mean("w").value(hand_measure()), ValidationError, "measure has no coordinate 'w'"),
+        (lambda: CondMean("y").value(hand_measure()), ValidationError, "cond_mean requires at least one condition"),
+        (lambda: CounterfactualMean(2), ConfigError, "arm must be 0 or 1"),
+        (lambda: make_functional("cond_mean(y|a=x)"), ConfigError, "non-numeric condition value in 'cond_mean(y|a=x)'"),
+    ])
+    def test_functionals(self, call, kind, message):
+        assert error_of(call) == (kind, message)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, q: mix(p, q, 0.5), "measures must share coordinate names to be mixed"),
+        (score_of_path, "measures must share coordinate names"),
+        (lambda p, q: one_step(Ate(), p, q), "estimate and sample must share coordinate names"),
+        (second_order_remainder, "true and estimated measures must share covariate names"),
+    ], ids=["mix", "score_of_path", "one_step", "second_order_remainder"])
+    def test_mismatched_names(self, call, message):
+        renamed = DiscreteMeasure(names=("w", "a", "y"), support=GRID, probs=PROBS)
+        assert error_of(lambda: call(hand_measure(), renamed)) == (ValidationError, message)
+
+    @pytest.mark.parametrize("s, message", [
+        (np.zeros(7), f"{WIDE} (7,)"),
+        (np.zeros((2, 8)), f"{WIDE} (2, 8)"),
+        (np.r_[np.zeros(7), np.nan], "score values must be finite"),
+    ])
+    def test_factorize_score(self, s, message):
+        assert error_of(lambda: factorize_score(hand_measure(), s, given=("x",))) == (ValidationError, message)
+
+    @pytest.mark.parametrize("f, p, kind, message", [
+        (Ate(), lacking([4, 5]), PositivityError, "cell with covariates [1.] has zero mass on arm 0"),
+        (Median(), hand_measure(), ConfigError, "no closed form registered for functional 'median(y)'"),
+    ])
+    def test_closed_form_eif(self, f, p, kind, message):
+        assert error_of(lambda: closed_form_eif(f, p)) == (kind, message)
+
+    @pytest.mark.parametrize("p_est, f, kind, message", [
+        (lacking([4, 5, 6, 7]), Ate(), SupportError, "estimated measure has no mass at covariates [1.0]"),
+        (lacking([4, 5]), Ate(), PositivityError, "estimated measure has zero arm-0 mass at covariates [1.0]"),
+        (hand_measure(), Mean("y"), ConfigError,
+         "second_order_remainder supports 'ate' and 'counterfactual_mean(a)', got 'mean(y)'"),
+    ])
+    def test_second_order_remainder(self, p_est, f, kind, message):
+        assert error_of(lambda: second_order_remainder(hand_measure(), p_est, functional=f)) == (kind, message)
+
+    @pytest.mark.parametrize("f", STACK_FUNCTIONALS, ids=lambda f: f.label)
+    def test_no_score_step_reaches_a_zero_total(self, f):
+        # the mean check and the step bound both let this score through, and its
+        # first step sends every mass, so the total, to zero: a denominator goes first
+        kind, message = error_of(lambda: pathwise_derivative(f, hand_measure(), np.full(8, -1e-10), (1e10, 5e9, 2.5e9)))
+        assert kind is EpsError
+        assert re.fullmatch(
+            r"eps schedule \(10000000000\.0, 5000000000\.0, 2500000000\.0\) "
+            r"moves a denominator mass of \S+ through zero",
+            message,
+        )
+
+    def test_pathwise_derivative_score(self):
+        p = hand_measure()
+        scores = score_stack(p)
+        scores[3, 5] = np.nan
+        finite = (ValidationError, "score values must be finite")
+        assert error_of(lambda: pathwise_derivative(Ate(), p, scores[3])) == finite
+        assert error_of(lambda: pathwise_derivative(Ate(), p, scores)) == finite
+        assert error_of(lambda: pathwise_derivative(Ate(), p, scores[3:, None])) == (
+            ValidationError,
+            "score must be a vector or a stack of rows of length 8, the support size; got shape (6, 1, 8)",
+        )
+        # the first failing row decides, as for the checks made after this one
+        scores[1] += 0.01
+        assert error_of(lambda: pathwise_derivative(Ate(), p, scores)) == error_of(
+            lambda: pathwise_derivative(Ate(), p, scores[1])
+        )
+
+    @pytest.mark.parametrize("s, message", [
+        (np.r_[np.zeros(7), np.nan], "score values must be finite"),
+        (np.zeros((2, 8)), f"{WIDE} (2, 8)"),
+        (np.zeros(9), f"{WIDE} (9,)"),
+    ])
+    def test_central_identity_check_score(self, s, message):
+        assert error_of(lambda: central_identity_check(Ate(), hand_measure(), s)) == (ValidationError, message)

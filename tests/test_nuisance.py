@@ -313,6 +313,13 @@ class TestCrossFit:
         err_quad = np.mean((np.where(ds.a == 1, quad.mu1_hat, quad.mu0_hat) - ds.y) ** 2)
         assert err_quad < err_lin / 2
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["propensity_lambda", "outcome_lambda"])
+    def test_non_finite_lambda_rejected(self, key, lam):
+        with pytest.raises(ConfigError) as exc:
+            cross_fit(_sim_dataset(n=60), k=3, **{key: lam})
+        assert str(exc.value) == f"ridge_lambda must be finite, got {lam!r}"
+
 
 def _reference_design(x, features):
     """(n, p): the intercept, then the covariates, then their squares for the quadratic map."""

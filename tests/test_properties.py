@@ -166,11 +166,11 @@ def _random_measure(seed, m=8):
 def test_scores_are_mean_zero_and_factorization_additive(seed):
     p = _random_measure(seed)
     s = random_score(p, stream(seed, 1))
-    assert abs(float(p.probs @ s.values)) < 1e-12
+    assert abs(float(p.probs @ s)) < 1e-12
     marg, resid = factorize_score(p, s, given=("x",))
-    assert np.allclose(marg.values + resid.values, s.values, atol=1e-12)
-    assert abs(float(p.probs @ marg.values)) < 1e-12
-    assert abs(float(p.probs @ resid.values)) < 1e-12
+    assert np.allclose(marg + resid, s, atol=1e-12)
+    assert abs(float(p.probs @ marg)) < 1e-12
+    assert abs(float(p.probs @ resid)) < 1e-12
 
 
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0, allow_nan=False))
@@ -183,7 +183,7 @@ def test_mix_is_a_measure_and_score_recovers_direction(seed, eps):
     assert np.all(mixed.probs >= 0)
     if eps < 1.0:
         s = score_of_path(p, mixed)
-        assert abs(float(p.probs @ s.values)) < 1e-10
+        assert abs(float(p.probs @ s)) < 1e-10
 
 
 @given(st.integers(0, 10**6))

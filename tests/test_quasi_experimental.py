@@ -271,6 +271,7 @@ class TestRd:
         ({"bandwidth": 0.0}, "bandwidth must be > 0"),
         ({"bandwidth": -1.0}, "bandwidth must be > 0"),
         ({"kernel": "gaussian"}, "unknown kernel 'gaussian', expected one of ('rectangular', 'triangular')"),
+        ({"bandwidth": float("nan")}, "bandwidth must be > 0"),
     ])
     def test_bad_spec_rejected(self, kwargs, message):
         with pytest.raises(ConfigError) as exc:
