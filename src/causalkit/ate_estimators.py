@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     PositivityError,
     ValidationError,
+    check_fields,
 )
 from .nuisance import NuisanceFit
 
@@ -86,7 +87,7 @@ def ipw(
     pi_hat = np.asarray(pi_hat, dtype=float)
     if pi_hat.shape != (dataset.n,):
         raise ValidationError(f"pi_hat must have shape ({dataset.n},), got {pi_hat.shape}")
-    if np.any(pi_hat <= 0.0) or np.any(pi_hat >= 1.0):
+    if not np.all((pi_hat > 0.0) & (pi_hat < 1.0)):  # NaN fails too
         raise PositivityError("propensities must lie strictly inside (0, 1)")
     a = dataset.a.astype(float)
     y = dataset.y
@@ -130,14 +131,13 @@ def g_formula(
 
 @dataclass(frozen=True)
 class MatchSpec:
-    """One-to-one propensity matching options.  caliper=None means unbounded."""
+    """One-to-one propensity matching options.  caliper=None or +inf means unbounded."""
 
     caliper: float | None = None
     with_replacement: bool = False
 
     def __post_init__(self) -> None:
-        if self.caliper is not None and not self.caliper >= 0:  # NaN fails too
-            raise ConfigError("caliper must be >= 0")
+        check_fields(self, inf=("caliper",), caliper=">= 0")
 
 
 def _find(parent: list[int], p: int) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 from .data_model import GroundTruth, IvDataset, ObservationalDataset, PanelDataset, _parse_columns, _write_table
 from .data_model import load_csv, load_iv_csv, load_panel_csv
 from .data_model import write_csv, write_ground_truth_csv, write_iv_csv, write_panel_csv
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .rng import stream
 
 __all__ = [
@@ -94,15 +94,7 @@ class ObsDgpConfig:
     propensity_form: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.d < 0:
-            raise ConfigError(f"d must be >= 0, got {self.d}")
-        if self.outcome_noise_sd < 0:
-            raise ConfigError("outcome_noise_sd must be >= 0")
-        for form in (self.outcome_form, self.propensity_form):
-            if form not in FORMS:
-                raise ConfigError(f"unknown form '{form}', expected one of {FORMS}")
+        check_fields(self, n=">= 1", d=">= 0", outcome_noise_sd=">= 0", outcome_form=FORMS, propensity_form=FORMS)
         if self.tau_x is not None and len(self.tau_x) != self.d:
             raise ConfigError(f"tau_x has {len(self.tau_x)} coefficients, d={self.d}")
 
@@ -152,22 +144,17 @@ class IvDgpConfig:
     noise_sd: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
         probs = (self.p_always, self.p_complier, self.p_never, self.p_defier)
         if not all(p >= 0 for p in probs):  # NaN fails too
             raise ConfigError(
                 "compliance-type probabilities must be non-negative, "
                 f"got (p_always, p_complier, p_never, p_defier) = {probs}"
             )
+        check_fields(self, n=">= 1", instrument_prob="in (0, 1)", noise_sd=">= 0")
         if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ConfigError(f"compliance-type probabilities must sum to 1, got {sum(probs)!r}")
         if self.p_defier > 0 and not self.allow_defiers:
             raise ConfigError("p_defier > 0 requires allow_defiers=True (monotonicity violation study)")
-        if not (0.0 < self.instrument_prob < 1.0):
-            raise ConfigError("instrument_prob must lie in (0, 1)")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
         effects = dict(self.effect_by_type or {})
         for t in COMPLIANCE_TYPES:
             effects.setdefault(t, 0.0)
@@ -228,14 +215,8 @@ class PanelDgpConfig:
     first_treated_period: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_units < 2:
-            raise ConfigError("n_units must be >= 2 (both groups must be non-empty)")
-        if self.n_periods < 2:
-            raise ConfigError("n_periods must be >= 2")
-        if not (0.0 < self.treated_fraction < 1.0):
-            raise ConfigError("treated_fraction must lie in (0, 1)")
-        if self.noise_sd < 0 or self.unit_effect_sd < 0:
-            raise ConfigError("noise and unit-effect standard deviations must be >= 0")
+        check_fields(self, n_units=">= 2", n_periods=">= 2", noise_sd=">= 0", unit_effect_sd=">= 0",
+                     treated_fraction="in (0, 1)")
         first = self.first_treated_period
         if first is None:
             object.__setattr__(self, "first_treated_period", self.n_periods - 1)
@@ -294,12 +275,7 @@ class RdDgpConfig:
     half_width: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if self.half_width <= 0:
-            raise ConfigError("half_width must be > 0")
+        check_fields(self, n=">= 1", noise_sd=">= 0", half_width="> 0")
 
 
 def generate_rd(config: RdDgpConfig, seed: int) -> tuple[ObservationalDataset, GroundTruth, float]:

@@ -119,7 +119,7 @@ class DiscreteMeasure:
         if np.any(probs < 0):
             raise ValidationError("probs must be non-negative")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # NaN and inf fail too
             raise ValidationError(f"probs must sum to 1 within 1e-12, got {total!r}")
         if len(_cells(support)[0]) != support.shape[0]:
             raise ValidationError("support points must be distinct")

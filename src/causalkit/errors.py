@@ -12,6 +12,11 @@ Usage errors (unknown flags etc.) are handled by the CLI layer itself and
 exit with code 1.
 """
 
+import dataclasses
+import math
+import operator
+from typing import Mapping
+
 
 class CausalKitError(Exception):
     """Base class for every error raised by this package."""
@@ -92,3 +97,31 @@ class EpsError(EstimationError):
 
 class InsufficientDataError(EstimationError):
     """Too few observations for the requested computation."""
+
+
+_OPS = {">": operator.gt, ">=": operator.ge}
+
+
+def check_value(name: str, value, rule: str | tuple | None = None, inf: bool = False) -> None:
+    """Raise a ConfigError naming ``name`` unless each float in ``value`` (itself, or each entry
+    of a tuple, list or mapping) is finite, where ``inf`` leaves +-inf and NaN to ``rule``, and
+    each entry keeps ``rule``: a tuple of the allowed values, or ``"> x"``, ``">= x"`` or
+    ``"in (lo, hi)"`` (open), which NaN breaks."""
+    values = value.values() if isinstance(value, Mapping) else value if isinstance(value, (tuple, list)) else (value,)
+    for v in values:
+        if isinstance(v, float) and not inf and not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v!r}")
+        if isinstance(rule, tuple) and v not in rule:
+            raise ConfigError(f"unknown {name} '{v}', expected one of {rule}")
+        if isinstance(rule, str) and v is not None:
+            op, _, bound = rule.partition(" ")
+            lo, _, hi = bound.strip("()").partition(",")
+            if not (float(lo) < v < float(hi) if op == "in" else _OPS[op](v, float(lo))):
+                raise ConfigError(f"{name} must {'lie' if op == 'in' else 'be'} {rule}")
+
+
+def check_fields(config, inf: tuple[str, ...] = (), **rules: str | tuple) -> None:
+    """:func:`check_value` on each field of the dataclass ``config`` in field order, with
+    ``rules`` mapping a field to its rule; a field named in ``inf`` may be +inf."""
+    for f in dataclasses.fields(config):
+        check_value(f.name, getattr(config, f.name), rules.get(f.name), f.name in inf)

@@ -25,7 +25,7 @@ import numpy as np
 from .ate_estimators import ipw
 from .data_model import Estimate, GroundTruth, ObservationalDataset, check_level, normal_quantile, require_both_arms
 from .dgp import DGPS, FORMS, IvDgpConfig, ObsDgpConfig, PanelDgpConfig, RdDgpConfig
-from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError
+from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError, check_fields, check_value
 from .methods import METHODS, Method
 from .nuisance import NuisanceFit, cross_fit_pairs
 from .rng import child_seed
@@ -114,15 +114,12 @@ class McConfig:
     level: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.replications < 2:
-            raise ConfigError("replications must be >= 2")
+        # the clip order and the fold count are checked where the folds are made
+        check_fields(self, replications=">= 2", scenario=SCENARIOS)
         kind = _KINDS.get(type(self.dgp))
         if kind is None:
             raise ConfigError(f"{type(self.dgp).__name__} is not the config of a DGP in {tuple(DGPS)}")
-        if _units(self.dgp) < 2:
-            raise ConfigError("n must be >= 2")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario '{self.scenario}', expected one of {SCENARIOS}")
+        check_value("n", _units(self.dgp), ">= 2")
         if self.scenario != SCENARIOS[0] and kind != "obs":
             raise ConfigError(f"scenario '{self.scenario}' needs feature-map forms, which a {kind} DGP has not")
         estimators = tuple(self.estimators)

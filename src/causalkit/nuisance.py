@@ -14,6 +14,7 @@ import numpy as np
 
 from .data_model import ObservationalDataset
 from .errors import CausalKitError, ConfigError, FoldError, RankDeficiencyError, SeparationError, ValidationError
+from .errors import check_value
 from .rng import stream
 
 __all__ = [
@@ -134,10 +135,7 @@ def _irls(
     probabilities only for a problem that goes on to take a step, so the
     per-problem Hessians equal the Newton steps taken.
     """
-    if lam < 0:
-        raise ConfigError("ridge_lambda must be >= 0")
-    if not np.isfinite(lam):
-        raise ConfigError(f"ridge_lambda must be finite, got {lam!r}")
+    check_value("ridge_lambda", lam, ">= 0")
     k, p = len(masks), design.shape[0]
     pen = lam * (np.arange(p) > 0)  # the intercept is not penalized
     beta, w = np.zeros((k, p)), masks.astype(float)
@@ -177,10 +175,7 @@ def _irls(
 
 def _ridge(design: np.ndarray, y: np.ndarray, masks: np.ndarray, lam: float) -> np.ndarray:
     """Solve the ridge normal equations over the units of every row of `masks` in one call."""
-    if lam < 0:
-        raise ConfigError("ridge_lambda must be >= 0")
-    if not np.isfinite(lam):
-        raise ConfigError(f"ridge_lambda must be finite, got {lam!r}")
+    check_value("ridge_lambda", lam, ">= 0")
     p = design.shape[0]
     gram = np.zeros((len(masks), p, p)) + np.diag(lam * (np.arange(p) > 0))
     rhs = np.zeros((len(masks), p))
@@ -329,7 +324,7 @@ class NuisanceFit:
                 raise ValidationError(f"{name} must have one value per unit")
         if not (0.0 < self.clip_lo < self.clip_hi < 1.0):
             raise ValidationError("clip bounds must satisfy 0 < lo < hi < 1")
-        if self.pi_hat.size and (self.pi_hat.min() < self.clip_lo or self.pi_hat.max() > self.clip_hi):
+        if self.pi_hat.size and not (self.pi_hat.min() >= self.clip_lo and self.pi_hat.max() <= self.clip_hi):
             raise ValidationError("pi_hat outside clip bounds after clipping")
 
 

@@ -24,12 +24,12 @@ from .data_model import Estimate, IvDataset, ObservationalDataset, PanelDataset
 from .errors import (
     BandwidthError,
     CellError,
-    ConfigError,
     IdentificationError,
     InstrumentError,
     InsufficientDataError,
     RankDeficiencyError,
     ValidationError,
+    check_fields,
 )
 
 __all__ = [
@@ -130,10 +130,7 @@ class RdSpec:
     kernel: str = "rectangular"
 
     def __post_init__(self) -> None:
-        if not self.bandwidth > 0:  # NaN fails too
-            raise ConfigError("bandwidth must be > 0")
-        if self.kernel not in KERNELS:
-            raise ConfigError(f"unknown kernel '{self.kernel}', expected one of {KERNELS}")
+        check_fields(self, inf=("bandwidth",), bandwidth="> 0", kernel=KERNELS)
 
 
 def _wls_line(u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

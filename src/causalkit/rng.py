@@ -20,8 +20,8 @@ __all__ = ["stream", "child_seed", "check_seed"]
 
 
 def check_seed(seed: int) -> None:
-    """A negative seed, from a flag, a config file or a caller, is a ConfigError."""
-    if seed < 0:
+    """A seed that is not an integer >= 0, from a flag, a config file or a caller, is a ConfigError."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
 

@@ -251,6 +251,12 @@ class TestIpw:
         with pytest.raises(PositivityError):
             ipw(ds, np.array([1.0, 0.5]))
 
+    def test_nan_propensity_fails_positivity(self):
+        ds = ObservationalDataset(x=np.zeros((2, 0)), a=[1, 0], y=[1.0, 0.0])
+        with pytest.raises(PositivityError) as exc:
+            ipw(ds, np.array([np.nan, 0.5]))
+        assert str(exc.value) == "propensities must lie strictly inside (0, 1)"
+
     def test_unknown_normalization_rejected(self):
         ds = ObservationalDataset(x=np.zeros((2, 0)), a=[1, 0], y=[1.0, 0.0])
         with pytest.raises(ConfigError):

@@ -755,6 +755,12 @@ class TestEifCheck:
         m.write_text("x,a,y,prob\n0,0,0,0.9\n0,0,1,0.2\n")
         assert run_cli("eif-check", "--measure", str(m), "--functional", "ate") == 2
 
+    def test_nan_probability_rejected_as_probs(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text(MEASURE.replace("0.15", "nan", 1))
+        assert run_cli("eif-check", "--measure", str(m), "--functional", "ate") == 2
+        assert capsys.readouterr().err == "error: ValidationError: probs must sum to 1 within 1e-12, got nan\n"
+
 
 class TestNegativeSeed:
     """A negative seed is a ConfigError (exit 2) from the one check in rng, flag or config file,
@@ -803,6 +809,48 @@ class TestNegativeSeed:
         argv = ("eif-check", "--measure", str(m), "--functional", "ate", "--scores", "0", "--seed", "-1")
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err == self.ERR
+
+
+class TestSeedType:
+    """The one seed check in rng takes Python and NumPy integers >= 0, nothing else."""
+
+    @pytest.mark.parametrize("seed", [float("nan"), 1.5])
+    def test_stream_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError) as exc:
+            stream(seed)
+        assert str(exc.value) == "seed must be a non-negative integer"
+
+    def test_numpy_integer_seed_gives_the_same_stream(self):
+        assert stream(np.int64(7), 2).random() == stream(7, 2).random()
+
+
+class TestNonFiniteParameters:
+    """NaN or +-inf in a parameter is a ConfigError (exit 2) that names its config field,
+    raised when the config is built, before any draw or fit."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--dgp", "obs", "--tau", "inf"), "tau must be finite, got inf"),
+        (("--dgp", "obs", "--noise-sd", "nan"), "outcome_noise_sd must be finite, got nan"),
+        (("--dgp", "panel", "--time-trend", "nan"), "time_trend must be finite, got nan"),
+        (("--dgp", "rd", "--half-width", "nan"), "half_width must be finite, got nan"),
+    ])
+    def test_simulate(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d.csv"
+        assert run_cli("simulate", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not out.exists()
+
+    def test_estimate_rd_cutoff(self, tmp_path, capsys):
+        rd = tmp_path / "rd.csv"
+        assert run_cli("simulate", "--dgp", "rd", "--n", "100", "--out", str(rd)) == 0
+        capsys.readouterr()
+        assert run_cli("estimate", "--method", "rd", "--input", str(rd), "--cutoff", "nan") == 2
+        assert capsys.readouterr().err == "error: ConfigError: cutoff must be finite, got nan\n"
+
+    def test_montecarlo_propensity_lambda(self, capsys):
+        argv = ("montecarlo", "--reps", "2", "--n", "50", "--estimators", "naive", "--propensity-lambda", "nan")
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: ConfigError: propensity_lambda must be finite, got nan\n"
 
 
 class TestTopLevel:

@@ -923,6 +923,7 @@ class TestRejectedInputs:
         ({"support": np.zeros((0, 1)), "probs": []}, "support must contain at least one point"),
         ({"support": [[0.0], [np.nan]]}, "support contains non-finite coordinates"),
         ({"probs": [1.0]}, "probs must have one entry per support point"),
+        ({"probs": [np.nan, 1.0]}, "probs must sum to 1 within 1e-12, got nan"),
     ])
     def test_discrete_measure(self, kwargs, message):
         args = {"names": ("u",), "support": [[0.0], [1.0]], "probs": [0.5, 0.5], **kwargs}

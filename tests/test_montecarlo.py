@@ -221,6 +221,10 @@ class TestRunMc:
         with pytest.raises(ConfigError, match="n must be >= 2"):
             McConfig(dgp=dataclasses.replace(BASE, n=1), replications=3)
 
+    def test_a_fractional_seed_is_rejected_not_truncated(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            run_mc(McConfig(dgp=BASE, estimators=("naive",), replications=2, seed=1.5))
+
     @pytest.mark.parametrize("bad", [dict(k=1), dict(clip=(0.5, 0.4))])
     def test_bad_fold_settings_raise_in_the_first_replication(self, bad, monkeypatch):
         draws = []

@@ -285,6 +285,12 @@ class TestCrossFit:
                 clip_hi=0.99,
             )
 
+    def test_nuisance_fit_rejects_nan_propensity(self):
+        with pytest.raises(ValidationError) as exc:
+            NuisanceFit(pi_hat=np.array([0.5, np.nan, 0.5, 0.5]), mu0_hat=np.zeros(4), mu1_hat=np.zeros(4),
+                        folds=make_folds(4, 2, seed=0), clip_lo=0.01, clip_hi=0.99)
+        assert str(exc.value) == "pi_hat outside clip bounds after clipping"
+
     @pytest.mark.parametrize("features", nuisance.FEATURE_MAPS)
     def test_memory_stays_bounded(self, features):
         # n = 20000, d = 3, k = 5: the input of perfbench's psm_match workload.
