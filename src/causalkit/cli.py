@@ -497,8 +497,7 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
     check_seed(args.seed)
     measure = DiscreteMeasure.from_csv(args.measure, args.prob_column)
     f = make_functional(args.functional)
-    eps = step_schedule(f, measure)
-    phi_num, err = eif_table(f, measure, eps)
+    phi_num, err = eif_table(f, measure)
     phi_cf = closed_form_eif(f, measure)
     scores = [random_score(measure, stream(args.seed, i)) for i in range(args.scores)]
     lhs = pathwise_derivative(f, measure, np.reshape(scores, (args.scores, measure.m)))
@@ -520,7 +519,7 @@ def _cmd_eif_check(args: argparse.Namespace) -> None:
         "phi_numerical": phi_num,
         "phi_closed_form": phi_cf,
         "phi_error_estimates": err,
-        "eps_schedule": list(eps),
+        "eps_schedule": list(step_schedule(f, measure)),
         "max_error_estimate": float(np.max(err)),
         "max_abs_diff": float(np.max(np.abs(phi_num - phi_cf))),
         "numerical_mean": float(measure.probs @ phi_num),

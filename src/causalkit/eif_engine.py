@@ -21,9 +21,11 @@ summed per covariate cell into a (G, k) table p @ L.  A mixture step toward
 row j has forms (1-eps)(p @ L) + eps L[j], and L[j] is nonzero in j's cell
 only, so all six steps toward all m points cost O(m).
 
-The default schedule EPS_SCHEDULE is shrunk on mixture paths to eps0 =
-min(1e-3, mass / EPS_MASS_RATIO) for the smallest nonzero denominator mass;
-any other schedule is used as given.  A derivative whose error estimate
+The steps are the engine's own.  Mixture paths always shrink EPS_SCHEDULE
+to eps0 = min(1e-3, mass / EPS_MASS_RATIO) for the smallest nonzero
+denominator mass, so no mixture step can move a denominator mass through
+zero; score paths step by EPS_SCHEDULE, and only a score can move one
+through zero, which raises EpsError.  A derivative whose error estimate
 exceeds RICHARDSON_RTOL * max(1, |derivative|) raises EpsError
 (``causalkit eif-check`` exits 3) rather than return a wrong value.
 """
@@ -264,8 +266,8 @@ def _combine(sums: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 def _evaluate(forms: LinearForms, tables: np.ndarray) -> np.ndarray:
     """Values of a (B, G, k) block of tables; raises at the first undefined one.
-    No total is zero: a score step zeroes one only through a denominator mass,
-    which ``_check_signs`` rejects first."""
+    No total is zero: a measure's total is 1, and a score step's is
+    1 + eps * E_p[s], within 1e-13 of 1."""
     terms, bad = forms.terms(tables)
     r = _first(bad.any(axis=(1, 2)))
     if r is not None:
@@ -550,37 +552,14 @@ class DerivativeResult:
     error_estimate: float
 
 
-def _validate_schedule(eps_schedule: Sequence[float]) -> tuple[float, float, float]:
-    eps = tuple(float(e) for e in eps_schedule)
-    if len(eps) != 3 or any(e <= 0 for e in eps):
-        raise ConfigError("eps schedule must be three positive values")
-    if not (eps[0] > eps[1] > eps[2]):
-        raise ConfigError("eps schedule must be strictly decreasing")
-    if any(abs(a / b - 2.0) > 1e-9 for a, b in zip(eps, eps[1:])):
-        raise ConfigError("eps schedule must halve at each step")
-    return eps
-
-
-def step_schedule(
-    f: Functional, p: DiscreteMeasure, eps_schedule: Sequence[float] = EPS_SCHEDULE
-) -> tuple[float, float, float]:
+def step_schedule(f: Functional, p: DiscreteMeasure) -> tuple[float, float, float]:
     """The schedule ``gateaux_if``, ``eif_table`` and ``one_step`` use for f at p:
-    EPS_SCHEDULE shrunk to the smallest nonzero denominator mass, or any other
-    schedule as given."""
+    EPS_SCHEDULE shrunk to the smallest nonzero denominator mass."""
     masses = _forms_at(f, p)[1][:, 1::2]
-    eps = _validate_schedule(eps_schedule)
-    if eps != EPS_SCHEDULE or not np.any(masses > 0.0):
-        return eps
+    if not np.any(masses > 0.0):
+        return EPS_SCHEDULE
     e0 = min(EPS_SCHEDULE[0], float(masses[masses > 0.0].min()) / EPS_MASS_RATIO)
     return e0, e0 / 2.0, e0 / 4.0
-
-
-def _check_signs(base: np.ndarray, moved: np.ndarray, eps) -> None:
-    """Raise EpsError when a step moves a positive denominator mass to zero or below."""
-    bad = (moved[..., 1::2] <= 0.0) & (base[..., 1::2] > 0.0)
-    if np.any(bad):
-        mass = np.broadcast_to(base[..., 1::2], bad.shape)[bad].min()
-        raise EpsError(f"eps schedule {eps} moves a denominator mass of {mass:.3g} through zero")
 
 
 def _richardson(
@@ -610,17 +589,19 @@ def _richardson(
     return value, err
 
 
-def _influence_at(
-    f: Functional, p: DiscreteMeasure, points: np.ndarray | None, eps_schedule: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
+def _influence_at(f: Functional, p: DiscreteMeasure, points: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Influence values and error estimates of f at p for each row t of
     ``points`` (every support point of p, in order, when None), from the
-    mixture paths (1-e) P + e delta_t.
+    mixture paths (1-e) P + e delta_t at ``step_schedule(f, p)``.
 
     Forms are built once on the union support (kept on p if it adds no row).
     A step keeps every cell's terms but t's, scaled by 1-e, so it recomputes
     t's cell alone; it is undefined where t's cell is, or where another cell
     was at P.  The rounding scale of t is that of p's charged rows and of t.
+
+    No step moves a denominator mass through zero: with e <= m/50 for the
+    smallest positive denominator mass m, a mass m' >= m steps to at least
+    (1+e) m' - e >= 49 e, as the unit column is 0 or 1.
     """
     support, targets = (p.support, np.arange(p.m)) if points is None else _union_support(p.support, points)
     if support is p.support:
@@ -628,12 +609,9 @@ def _influence_at(
     else:
         forms = f.forms(p.names, support)
         table = forms.table(np.r_[p.probs, np.zeros(len(support) - p.m)])
-    eps = step_schedule(f, p, eps_schedule)
-    if eps[0] >= 1.0:
-        raise EpsError(f"mixture steps must lie below 1, got eps schedule {eps}")
+    eps = step_schedule(f, p)
     cell, unit, steps = forms.cell[targets], forms.unit[targets], np.ravel([(e, -e) for e in eps])
     moved = (1.0 - steps)[:, None] * table[cell][:, None, :] + steps[:, None] * unit[:, None, :]
-    _check_signs(table[cell][:, None, :], moved, eps)
     (terms, bad), (new_terms, new_bad) = forms.terms(table), forms.terms(moved)
     total = (1.0 - steps) * table[:, 0].sum() + steps * unit[:, :1]
     elsewhere = bad.sum(axis=0) - bad[cell] > 0
@@ -649,44 +627,32 @@ def _influence_at(
     return _richardson(_combine(sums, total), eps, scale, lambda j: f"influence of {f.label} at {point(j)}")
 
 
-def gateaux_if(
-    f: Functional,
-    p: DiscreteMeasure,
-    z: Mapping[str, float] | Sequence[float],
-    eps_schedule: Sequence[float] = EPS_SCHEDULE,
-) -> DerivativeResult:
+def gateaux_if(f: Functional, p: DiscreteMeasure, z: Mapping[str, float] | Sequence[float]) -> DerivativeResult:
     """Influence of point z: d/deps f((1-eps) P + eps delta_z) at eps=0.
 
     Central differences on the mixture path with Richardson extrapolation;
     the error estimate is the disagreement between extrapolation stages
-    plus a rounding bound.  z need not lie in P's support.  The default
-    schedule is shrunk to the smallest denominator mass (see
-    ``step_schedule``); an error estimate above RICHARDSON_RTOL *
-    max(1, |value|) raises EpsError.
+    plus a rounding bound.  z need not lie in P's support.  The steps are
+    shrunk to the smallest denominator mass (see ``step_schedule``); an
+    error estimate above RICHARDSON_RTOL * max(1, |value|) raises EpsError.
     """
-    phi, err = _influence_at(f, p, _point_as_row(p.names, z)[None, :], eps_schedule)
+    phi, err = _influence_at(f, p, _point_as_row(p.names, z)[None, :])
     return DerivativeResult(value=float(phi[0]), error_estimate=float(err[0]))
 
 
-def eif_table(
-    f: Functional, p: DiscreteMeasure, eps_schedule: Sequence[float] = EPS_SCHEDULE
-) -> tuple[np.ndarray, np.ndarray]:
+def eif_table(f: Functional, p: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Numerical influence values and error estimates at every support point."""
-    return _influence_at(f, p, None, eps_schedule)
+    return _influence_at(f, p, None)
 
 
-def pathwise_derivative(
-    f: Functional,
-    p: DiscreteMeasure,
-    s: np.ndarray,
-    eps_schedule: Sequence[float] = EPS_SCHEDULE,
-) -> float | np.ndarray:
+def pathwise_derivative(f: Functional, p: DiscreteMeasure, s: np.ndarray) -> float | np.ndarray:
     """d/deps f(measure with masses (1 + eps*s) p) at eps = 0, for a score array
     s on p's support (a float) or for each row of a (B, m) stack (an array).
     A stack's 6B steps share one forms build, table, evaluation and
     extrapolation; each derivative is its row's own, bit for bit, and a
-    failing stack raises its first failing row's own error.  The schedule is
-    used as given: a step moves each mass by at most eps*max|s| of itself.
+    failing stack raises its first failing row's own error.  The steps are
+    EPS_SCHEDULE: a step moves each mass by at most eps*max|s| of itself, and
+    one that moves a denominator mass to zero or below raises EpsError.
     An error estimate above RICHARDSON_RTOL * max(1, |derivative|) raises EpsError.
     """
     values = np.asarray(s, dtype=float)
@@ -695,24 +661,26 @@ def pathwise_derivative(
         mean_s = max((float(p.probs @ row) for row in scores), key=abs, default=0.0)
         if abs(mean_s) > 1e-10:
             raise ValidationError(f"score must have mean zero under p, got {mean_s!r}")
-        eps = _validate_schedule(eps_schedule)
-        worst = eps[0] * float(np.max(np.abs(scores), initial=0.0))
+        worst = EPS_SCHEDULE[0] * float(np.max(np.abs(scores), initial=0.0))
         if worst > 1.0:
             raise EpsError(
                 "perturbed mass would go negative: max |eps*s| "
-                f"= {worst!r} exceeds 1; shrink the score or the schedule"
+                f"= {worst!r} exceeds 1; shrink the score"
             )
         if not len(scores):
             return np.zeros(0)
-        (forms, base), steps = _forms_at(f, p), np.ravel([(e, -e) for e in eps])
+        (forms, base), steps = _forms_at(f, p), np.ravel([(e, -e) for e in EPS_SCHEDULE])
         tables = forms.table(((1.0 + steps[:, None] * scores[:, None, :]) * p.probs).reshape(-1, p.m))
-        _check_signs(base, tables, eps)
+        through = (tables[..., 1::2] <= 0.0) & (base[:, 1::2] > 0.0)
+        if np.any(through):
+            mass = np.broadcast_to(base[:, 1::2], through.shape)[through].min()
+            raise EpsError(f"eps schedule {EPS_SCHEDULE} moves a denominator mass of {mass:.3g} through zero")
         scale = np.max(forms.size()[p.probs > 0.0], initial=0.0)
         what = lambda j: f"pathwise derivative of {f.label}"  # noqa: E731
-        d, _ = _richardson(_evaluate(forms, tables).reshape(-1, len(steps)), eps, scale, what)
+        d, _ = _richardson(_evaluate(forms, tables).reshape(-1, len(steps)), EPS_SCHEDULE, scale, what)
     except CausalKitError:
         for row in values if values.ndim == 2 else ():
-            pathwise_derivative(f, p, row, eps_schedule)
+            pathwise_derivative(f, p, row)
         raise
     return float(d[0]) if values.ndim == 1 else d
 
@@ -724,16 +692,11 @@ class CentralIdentityReport:
     gap: float
 
 
-def central_identity_check(
-    f: Functional,
-    p: DiscreteMeasure,
-    s: np.ndarray,
-    eps_schedule: Sequence[float] = EPS_SCHEDULE,
-) -> CentralIdentityReport:
+def central_identity_check(f: Functional, p: DiscreteMeasure, s: np.ndarray) -> CentralIdentityReport:
     """Check d/deps psi (score path) = E[phi * s] with numerical phi, for one score array s."""
     s = _checked_score(p, s)
-    lhs = pathwise_derivative(f, p, s, eps_schedule)
-    phi, _ = eif_table(f, p, eps_schedule)
+    lhs = pathwise_derivative(f, p, s)
+    phi, _ = eif_table(f, p)
     rhs = float(p.probs @ (phi * s))
     return CentralIdentityReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
@@ -775,12 +738,7 @@ def closed_form_eif(f: Functional, p: DiscreteMeasure) -> np.ndarray:
 # one-step estimation and the second-order remainder
 
 
-def one_step(
-    f: Functional,
-    p_est: DiscreteMeasure,
-    sample: DiscreteMeasure,
-    eps_schedule: Sequence[float] = EPS_SCHEDULE,
-) -> float:
+def one_step(f: Functional, p_est: DiscreteMeasure, sample: DiscreteMeasure) -> float:
     """Plug-in value at p_est plus the sample mean of its influence function.
 
     ``sample`` is an empirical (or exact) measure; the correction term is
@@ -791,7 +749,7 @@ def one_step(
         raise ValidationError("estimate and sample must share coordinate names")
     plug_in = f.value(p_est)
     charged = sample.probs != 0.0
-    phi, _ = _influence_at(f, p_est, sample.support[charged], eps_schedule)
+    phi, _ = _influence_at(f, p_est, sample.support[charged])
     return plug_in + float(sample.probs[charged] @ phi)
 
 

@@ -14,6 +14,7 @@ exit with code 1.
 
 import dataclasses
 import math
+import numbers
 import operator
 from typing import Mapping
 
@@ -122,6 +123,12 @@ def check_value(name: str, value, rule: str | tuple | None = None, inf: bool = F
 
 def check_fields(config, inf: tuple[str, ...] = (), **rules: str | tuple) -> None:
     """:func:`check_value` on each field of the dataclass ``config`` in field order, with
-    ``rules`` mapping a field to its rule; a field named in ``inf`` may be +inf."""
+    ``rules`` mapping a field to its rule; a field named in ``inf`` may be +inf.  A field
+    annotated ``int`` or ``int | None`` must first hold a Python or NumPy integer, not a bool."""
     for f in dataclasses.fields(config):
-        check_value(f.name, getattr(config, f.name), rules.get(f.name), f.name in inf)
+        value = getattr(config, f.name)
+        if f.type in ("int", "int | None") and value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        check_value(f.name, value, rules.get(f.name), f.name in inf)

@@ -41,7 +41,8 @@ _MAX_LOGIT = 30.0
 # columns x units) temporaries at any n; 2000 units make one block.
 _BLOCK_ROWS = 2048
 
-_TOL, _MAX_ITER = 1e-8, 100  # the IRLS defaults of fit_logistic and every cross-fit
+# The IRLS gradient tolerance and iteration cap of every cross-fit, and fit_logistic's defaults.
+_TOL, _MAX_ITER = 1e-8, 100
 
 
 def apply_feature_map(x: np.ndarray, features: str) -> np.ndarray:
@@ -278,9 +279,6 @@ class FoldAssignment:
     def indices(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.fold_index == j)
 
-    def complement(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_index != j)
-
 
 def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     """Randomly partition n units into k folds, deterministically in seed.
@@ -330,7 +328,7 @@ class NuisanceFit:
 
 def cross_fit_pairs(
     dataset: ObservationalDataset, pairs: list[tuple[str, str]], k: int, *, clip: tuple[float, float],
-    propensity_lambda: float, outcome_lambda: float, seed: int, tol: float = _TOL, max_iter: int = _MAX_ITER,
+    propensity_lambda: float, outcome_lambda: float, seed: int,
 ) -> list[NuisanceFit | CausalKitError]:
     """Cross-fit each (propensity map, outcome map) pair of `pairs` on one set of folds.
 
@@ -360,7 +358,7 @@ def cross_fit_pairs(
         return [exc] * len(pairs)
 
     def propensity(design):
-        beta, converged, iterations = _irls(design, treated.astype(float), train, propensity_lambda, tol, max_iter)
+        beta, converged, iterations = _irls(design, treated.astype(float), train, propensity_lambda, _TOL, _MAX_ITER)
         pi_raw = _sigmoid(np.einsum("ij,ji->i", beta[fold], design))
         return dict(pi_hat=np.clip(pi_raw, clip_lo, clip_hi),
                     clip_count=int(np.sum((pi_raw < clip_lo) | (pi_raw > clip_hi))),
@@ -401,19 +399,19 @@ def cross_fit(
     outcome_lambda: float = 1e-8,
     propensity_features: str = "linear",
     outcome_features: str = "linear",
-    tol: float = _TOL,
-    max_iter: int = _MAX_ITER,
     seed: int = 0,
 ) -> NuisanceFit:
     """Produce out-of-fold propensity and per-arm outcome predictions.
 
     For each fold j, all three models are fitted on the other folds and
     evaluated on fold j only; propensities are clipped to `clip`, counting
-    the clipped units.  This is the one-pair case of :func:`cross_fit_pairs`
+    the clipped units.  Each propensity fit runs IRLS until every gradient
+    component is below 1e-8, for at most 100 Newton steps (``_TOL`` and
+    ``_MAX_ITER``).  This is the one-pair case of :func:`cross_fit_pairs`
     (one design when the two maps agree), raising the pair's error.
     """
-    (fit,) = cross_fit_pairs(dataset, [(propensity_features, outcome_features)], k, clip=clip, seed=seed, tol=tol,
-                             max_iter=max_iter, propensity_lambda=propensity_lambda, outcome_lambda=outcome_lambda)
+    (fit,) = cross_fit_pairs(dataset, [(propensity_features, outcome_features)], k, clip=clip, seed=seed,
+                             propensity_lambda=propensity_lambda, outcome_lambda=outcome_lambda)
     if isinstance(fit, CausalKitError):
         raise fit
     return fit

@@ -3,7 +3,6 @@
 import argparse
 import ast
 import dataclasses
-import functools
 import importlib.util
 import inspect
 import json
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 import causalkit
-from causalkit import McConfig, ObsDgpConfig, cli, cross_fit, eif_engine
+from causalkit import McConfig, ObsDgpConfig, cli, cross_fit, eif_engine, nuisance
 from causalkit.cli import _jsonable, emit_report, main, parse_args
 from causalkit.errors import ConfigError
 from causalkit.methods import CROSSFIT_KEYS, METHODS
@@ -160,7 +159,7 @@ class TestEstimate:
                 assert 0.0 <= diag["mean_match_distance"] <= diag["max_match_distance"]
 
     def test_reports_irls_non_convergence(self, obs_csv, capsys, monkeypatch):
-        monkeypatch.setattr("causalkit.cli.cross_fit", functools.partial(cross_fit, max_iter=1))
+        monkeypatch.setattr(nuisance, "_MAX_ITER", 1)
         code = run_cli(
             "estimate", "--method", "aipw", "--input", obs_csv,
             "--covariates", "x1,x2", "--k", "3",

@@ -1,4 +1,5 @@
-"""Every config dataclass states its fields' bounds, so that NaN and +-inf fail where they are set.
+"""Every config dataclass states its fields' bounds, so that NaN and +-inf, or a fraction in an
+integer field, fail where they are set.
 
 The walk finds the package's dataclasses itself.  One with a float field is
 either a config, built here from valid keywords and walked, or a result type
@@ -11,6 +12,7 @@ import importlib
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import causalkit
@@ -58,6 +60,11 @@ MODULES = [importlib.import_module(f"causalkit.{m.name}") for m in pkgutil.iter_
 def _float_fields(cls) -> set[str]:
     """The fields whose annotation names float, alone or inside a tuple or mapping."""
     return {f.name for f in dataclasses.fields(cls) if "float" in str(f.type)}
+
+
+def _int_fields(cls) -> set[str]:
+    """The fields annotated int, alone or as int | None."""
+    return {f.name for f in dataclasses.fields(cls) if str(f.type).replace(" | None", "") == "int"}
 
 
 def _float_slots(config):
@@ -118,6 +125,29 @@ def test_nan_and_inf_fail_in_every_float_of_every_config_naming_the_field():
     assert outcomes == {"MatchSpec.caliper = inf": "accepted", "RdSpec.bandwidth = inf": "accepted"}
 
 
+def test_an_int_field_takes_only_an_integer_naming_the_field():
+    """2.5 or True in an int field fails as a ConfigError naming the field; a NumPy integer constructs."""
+    outcomes, want = {}, {}
+    for cls, kwargs in CONFIGS.items():
+        config = cls(**kwargs)
+        # the rule reads annotations: every field that holds an int must be found by them
+        ints = {f.name for f in dataclasses.fields(cls) if type(getattr(config, f.name)) is int}
+        assert ints == _int_fields(cls), cls.__name__
+        for name in sorted(ints):
+            dataclasses.replace(config, **{name: np.int64(getattr(config, name))})
+            for bad in (2.5, True):
+                case = f"{cls.__name__}.{name} = {bad!r}"
+                want[case] = f"{name} must be an integer, got {bad!r}"
+                try:
+                    dataclasses.replace(config, **{name: bad})
+                except ConfigError as exc:
+                    outcomes[case] = str(exc)
+                else:
+                    outcomes[case] = "accepted"
+    assert len(want) == 2 * 10  # ten int fields in the seven configs
+    assert outcomes == want
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: ObsDgpConfig(n=0), "n must be >= 1"),
     (lambda: ObsDgpConfig(n=10, d=-1), "d must be >= 0"),
@@ -132,6 +162,10 @@ def test_nan_and_inf_fail_in_every_float_of_every_config_naming_the_field():
     (lambda: MatchSpec(caliper=-math.inf), "caliper must be >= 0"),
     (lambda: McConfig(dgp=ObsDgpConfig(n=10), clip=(0.01, math.nan)), "clip must be finite, got nan"),
     (lambda: McConfig(dgp=ObsDgpConfig(n=10), level=math.inf), "level must be finite, got inf"),
+    (lambda: ObsDgpConfig(n=2.5), "n must be an integer, got 2.5"),
+    (lambda: IvDgpConfig(n=10.0, p_complier=1.0), "n must be an integer, got 10.0"),
+    (lambda: PanelDgpConfig(n_units=4, n_periods=2.5), "n_periods must be an integer, got 2.5"),
+    (lambda: McConfig(dgp=ObsDgpConfig(n=10), replications=3.0), "replications must be an integer, got 3.0"),
 ])
 def test_rule_texts(build, message):
     with pytest.raises(ConfigError) as exc:

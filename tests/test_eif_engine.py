@@ -282,15 +282,6 @@ class TestGateaux:
         # influence of mean at point z is z_y - E[y]
         assert res.value == pytest.approx(5.0 - 0.6, abs=1e-8)
 
-    def test_schedule_validation(self):
-        p = hand_measure()
-        with pytest.raises(ConfigError):
-            gateaux_if(Mean("y"), p, GRID[0], eps_schedule=(1e-3, 5e-4))
-        with pytest.raises(ConfigError):
-            gateaux_if(Mean("y"), p, GRID[0], eps_schedule=(1e-3, 4e-4, 2e-4))
-        with pytest.raises(ConfigError):
-            gateaux_if(Mean("y"), p, GRID[0], eps_schedule=(2.5e-4, 5e-4, 1e-3))
-
     def test_pathwise_matches_mixture_chain_rule(self):
         # moving toward delta_z along the canonical path has score
         # s = 1[z]/p(z) - 1, and its pathwise derivative is the influence value
@@ -604,7 +595,7 @@ class TestBatchedAgainstReference:
                     lambda: f.value(p), lambda: _ref_value(f, p.names, p.support, p.probs)
                 )
                 assert_same_outcome(
-                    lambda: eif_table(f, p, eps)[0],
+                    lambda: eif_table(f, p)[0],
                     lambda: [_ref_gateaux(f, p, row, eps)[0] for row in p.support],
                 )
         with pytest.raises(EvaluabilityError, match=r"covariates \[1.\] has zero mass on arm 1"):
@@ -636,11 +627,6 @@ class TestBatchedAgainstReference:
             assert_same_outcome(
                 lambda: score_of_path(base, tilted), lambda: _ref_score_of_path(base, tilted)
             )
-
-    def test_default_schedule_is_shared_by_off_support_points(self):
-        p = random_measure(8)
-        z = {"x": 0.0, "a": 1.0, "y": 3.0}
-        assert gateaux_if(Ate(), p, z) == gateaux_if(Ate(), p, z, step_schedule(Ate(), p))
 
     def test_large_outcome_without_mass_leaves_other_points_alone(self):
         # a zero-mass support point, or an off-support sample point, with a huge
@@ -687,57 +673,60 @@ class TestStepRule:
         assert step_schedule(Ate(), p) == pytest.approx((2e-5, 1e-5, 5e-6), rel=1e-12)
         assert step_schedule(Mean("y"), p) == EPS_SCHEDULE
         assert step_schedule(Ate(), hand_measure()) == EPS_SCHEDULE
-        # an explicit schedule is used as given
-        assert step_schedule(Ate(), p, (4e-3, 2e-3, 1e-3)) == (4e-3, 2e-3, 1e-3)
 
     def test_small_cell_is_accurate_with_the_default(self):
         p = self.small_cell_measure(1e-3)
         phi, err = eif_table(Ate(), p)
         assert np.max(np.abs(phi - closed_form_eif(Ate(), p))) < 1e-9
 
-    def test_mixture_steps_of_one_or_more_are_refused(self):
-        with pytest.raises(EpsError, match="below 1"):
-            eif_table(Ate(), hand_measure(), (2.0, 1.0, 0.5))
+    def test_rounding_swamping_the_stages_fails_loud(self):
+        # at an arm-by-cell mass of 5.4e-8 the shrunk steps leave the stages
+        # agreeing, and the rounding bound is what raises
+        p = near_positivity_measure(463883, 10.0**-7.264710851554205, arm=0)
+        for call in (lambda: eif_table(Ate(), p), lambda: gateaux_if(Ate(), p, p.support[2])):
+            with pytest.raises(EpsError, match=r"error estimate \S+ exceeds 1e-06 \* max\(1, "):
+                call()
 
-    def test_fixed_large_step_fails_loud(self):
-        p = self.small_cell_measure(1e-3)
-        with pytest.raises(EpsError, match="error estimate .* exceeds"):
-            eif_table(Ate(), p, (0.999e-3, 0.4995e-3, 0.24975e-3))
-        with pytest.raises(EpsError):
-            gateaux_if(Ate(), p, GRID[2], (0.999e-3, 0.4995e-3, 0.24975e-3))
-
-    @given(
-        seed=st.integers(0, 10**6),
-        exponent=st.floats(0.5, 10.0),
-        arm=st.sampled_from((0, 1)),
-        e0=st.one_of(st.none(), st.floats(1e-7, 1e-2)),
-    )
+    @given(seed=st.integers(0, 10**6), exponent=st.floats(0.5, 10.0), arm=st.sampled_from((0, 1)))
     @settings(max_examples=150, deadline=None)
     # rounding swamps the stage disagreement: the rounding bound must raise
-    @example(seed=463883, exponent=7.264710851554205, arm=0, e0=None)
-    # a step far above the cell mass jumps over the pole and looks smooth
-    @example(seed=2797, exponent=10.0, arm=0, e0=0.0078125)
-    def test_near_positivity_is_accurate_or_loud(self, seed, exponent, arm, e0):
+    @example(seed=463883, exponent=7.264710851554205, arm=0)
+    def test_near_positivity_is_accurate_or_loud(self, seed, exponent, arm):
         # one arm-by-cell of a 3-cell measure with real outcomes holds mass 10^-exponent
-        p = outcome_measure(seed)
-        small = (p.support[:, 0] == 0) & (p.support[:, 1] == arm)
-        mass = 10.0**-exponent
-        probs = np.where(small, p.probs * mass / p.probs[small].sum(), p.probs * (1 - mass) / p.probs[~small].sum())
-        p = DiscreteMeasure(names=NAMES, support=p.support, probs=probs)
-        schedule = EPS_SCHEDULE if e0 is None else (e0, e0 / 2, e0 / 4)
+        p = near_positivity_measure(seed, 10.0**-exponent, arm)
         for f in (Ate(), CounterfactualMean(arm)):
             try:
-                phi, _ = eif_table(f, p, schedule)
+                phi, _ = eif_table(f, p)
             except EpsError:
                 continue
             phi_cf = closed_form_eif(f, p)
             assert np.all(np.abs(phi - phi_cf) <= RICHARDSON_RTOL * np.maximum(1.0, np.abs(phi_cf)))
 
+    @given(seed=st.integers(0, 10**6), exponent=st.floats(0.5, 12.0), arm=st.sampled_from((0, 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_no_mixture_step_moves_a_denominator_through_zero(self, seed, exponent, arm):
+        # the shrunk steps are at most 1/50 of the smallest denominator mass, so a
+        # mixture step leaves every positive one positive: each engine call at a
+        # near-empty arm-by-cell returns, or fails its accuracy check
+        p = near_positivity_measure(seed, 10.0**-exponent, arm)
+        z = {"x": 0.0, "a": float(arm), "y": 42.0}  # off the support, in the small arm-by-cell
+        sample = DiscreteMeasure(names=NAMES, support=np.vstack([p.support[:3], [[0.0, arm, 42.0]]]),
+                                 probs=np.full(4, 0.25))
+        for f in (Ate(), CounterfactualMean(arm)):
+            # the step -e0 toward a unit of a cell takes its denominator mass m' to (1+e0) m' - e0 at least
+            e0, masses = step_schedule(f, p)[0], eif_engine._forms_at(f, p)[1][:, 1::2]
+            assert np.all((1.0 + e0) * masses[masses > 0.0] - e0 > 0.0)
+            for call in (lambda: eif_table(f, p), lambda: gateaux_if(f, p, z), lambda: one_step(f, p, sample)):
+                try:
+                    call()
+                except EpsError as exc:
+                    assert re.search(r"error estimate \S+ exceeds", str(exc)), str(exc)
 
-def near_positivity_measure(seed: int = 4, mass: float = 1e-3) -> DiscreteMeasure:
-    """outcome_measure(seed) with its (x=0, a=1) arm-by-cell scaled to total mass `mass`."""
+
+def near_positivity_measure(seed: int = 4, mass: float = 1e-3, arm: int = 1) -> DiscreteMeasure:
+    """outcome_measure(seed) with its (x=0, a=arm) arm-by-cell scaled to total mass `mass`."""
     p = outcome_measure(seed)
-    small = (p.support[:, 0] == 0) & (p.support[:, 1] == 1)
+    small = (p.support[:, 0] == 0) & (p.support[:, 1] == arm)
     probs = np.where(small, p.probs * mass / p.probs[small].sum(), p.probs * (1 - mass) / p.probs[~small].sum())
     return DiscreteMeasure(names=NAMES, support=p.support, probs=probs)
 
@@ -784,8 +773,6 @@ class TestStackedScores:
     def test_empty_stack(self):
         p = hand_measure()
         assert pathwise_derivative(Ate(), p, np.empty((0, p.m))).shape == (0,)
-        with pytest.raises(ConfigError):
-            pathwise_derivative(Ate(), p, np.empty((0, p.m)), (1e-3, 4e-4, 2e-4))
         with pytest.raises(ValidationError, match="length"):
             pathwise_derivative(Ate(), p, np.empty((0, p.m + 1)))
 
@@ -805,26 +792,27 @@ class TestStackedScores:
     @pytest.mark.parametrize("label", sorted(DENOMINATOR_ROWS))
     def test_kth_row_stepping_through_a_zero_denominator(self, label, p, k):
         # s = -1/eps0 on a denominator's rows sends its mass to exactly zero at the step eps0
-        f, schedule = make_functional(label), (0.5, 0.25, 0.125)
+        f = make_functional(label)
         rows = DENOMINATOR_ROWS[label](p.support)
         scores = score_stack(p) * 0.1
-        scores[k] = np.where(rows, -2.0, 2.0 * p.probs[rows].sum() / p.probs[~rows].sum())
-        want = error_of(lambda: pathwise_derivative(f, p, scores[k], schedule))
+        scores[k] = np.where(rows, -1000.0, 1000.0 * p.probs[rows].sum() / p.probs[~rows].sum())
+        want = error_of(lambda: pathwise_derivative(f, p, scores[k]))
         assert want[0] is EpsError and "through zero" in want[1]
-        assert error_of(lambda: pathwise_derivative(f, p, scores, schedule)) == want
+        assert error_of(lambda: pathwise_derivative(f, p, scores)) == want
 
     def test_first_failing_row_decides(self):
         # a row failing in the evaluation comes before a later row failing validation
-        p, f, schedule = hand_measure(), Ate(), (0.5, 0.25, 0.125)
+        p, f = hand_measure(), Ate()
         rows = DENOMINATOR_ROWS["ate"](p.support)
         scores = score_stack(p) * 0.1
-        scores[2] = np.where(rows, -2.0, 2.0 * p.probs[rows].sum() / p.probs[~rows].sum())
+        scores[2] = np.where(rows, -1000.0, 1000.0 * p.probs[rows].sum() / p.probs[~rows].sum())
         scores[4] += 0.01
-        scores[6] = np.where(rows, -2.0, 1.0)
+        scores[6] = np.where(rows, -1000.0, 500.0)
         scores[6] -= float(p.probs @ scores[6])
-        want = error_of(lambda: pathwise_derivative(f, p, scores[2], schedule))
-        assert error_of(lambda: pathwise_derivative(f, p, scores, schedule)) == want
-        assert error_of(lambda: pathwise_derivative(f, p, scores[3:], schedule))[0] is ValidationError
+        want = error_of(lambda: pathwise_derivative(f, p, scores[2]))
+        assert want[0] is EpsError and "through zero" in want[1]
+        assert error_of(lambda: pathwise_derivative(f, p, scores)) == want
+        assert error_of(lambda: pathwise_derivative(f, p, scores[3:]))[0] is ValidationError
 
 
 def _ref_arm_closed_form(p: DiscreteMeasure, arm: int) -> np.ndarray:
@@ -882,7 +870,7 @@ class TestFormsKeptOnTheMeasure:
         calls, build = [], eif_engine._arm_forms
         monkeypatch.setattr(eif_engine, "_arm_forms", lambda *args: calls.append(args[2]) or build(*args))
         p, f = outcome_measure(4), Ate()
-        eif_table(f, p, step_schedule(f, p))
+        eif_table(f, p)
         closed_form_eif(f, p), f.value(p), pathwise_derivative(f, p, score_stack(p))
         assert calls == [(1, 0)]
         closed_form_eif(CounterfactualMean(0), p), Ate().value(p)
@@ -1001,16 +989,21 @@ class TestRejectedInputs:
         assert error_of(lambda: second_order_remainder(hand_measure(), p_est, functional=f)) == (kind, message)
 
     @pytest.mark.parametrize("f", STACK_FUNCTIONALS, ids=lambda f: f.label)
-    def test_no_score_step_reaches_a_zero_total(self, f):
-        # the mean check and the step bound both let this score through, and its
-        # first step sends every mass, so the total, to zero: a denominator goes first
-        kind, message = error_of(lambda: pathwise_derivative(f, hand_measure(), np.full(8, -1e-10), (1e10, 5e9, 2.5e9)))
+    def test_score_step_bound(self, f):
+        # the first step of EPS_SCHEDULE may take a mass to zero but not below it:
+        # max |eps*s| = 1 passes the bound, and a score a hair larger is refused
+        p = hand_measure()
+        rows = DENOMINATOR_ROWS.get(f.label, lambda s: s[:, 0] == 0)(p.support)
+        s = np.where(rows, -1000.0, 1000.0 * p.probs[rows].sum() / p.probs[~rows].sum())
+        assert EPS_SCHEDULE[0] * np.max(np.abs(s)) == 1.0
+        try:
+            pathwise_derivative(f, p, s)
+        except EpsError as exc:
+            assert "through zero" in str(exc), str(exc)
+        kind, message = error_of(lambda: pathwise_derivative(f, p, s * (1.0 + 1e-9)))
         assert kind is EpsError
-        assert re.fullmatch(
-            r"eps schedule \(10000000000\.0, 5000000000\.0, 2500000000\.0\) "
-            r"moves a denominator mass of \S+ through zero",
-            message,
-        )
+        assert re.fullmatch(r"perturbed mass would go negative: max \|eps\*s\| = 1\.00000000\d* exceeds 1; "
+                            r"shrink the score", message), message
 
     def test_pathwise_derivative_score(self):
         p = hand_measure()

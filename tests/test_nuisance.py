@@ -153,7 +153,7 @@ class TestFitLogistic:
         # any absolute threshold near 1e-12, so an absolute acceptance test
         # halved away every step near the optimum and ran to max_iter.
         ds, _ = generate_observational(ObsDgpConfig(n=200000, d=3, confounding_strength=0.5, tau=2.0), 4)
-        train = make_folds(ds.n, 5, seed=2).complement(0)
+        train = np.flatnonzero(make_folds(ds.n, 5, seed=2).fold_index != 0)
         model = fit_logistic(ds.x[train], ds.a[train], ridge_lambda=1e-6, max_iter=40)
         assert model.converged
         assert model.iterations <= 10
@@ -169,12 +169,6 @@ class TestFolds:
         folds = make_folds(17, 4, seed=2)
         all_idx = np.concatenate([folds.indices(j) for j in range(4)])
         assert np.array_equal(np.sort(all_idx), np.arange(17))
-
-    def test_complement_is_set_difference(self):
-        folds = make_folds(12, 3, seed=1)
-        for j in range(3):
-            merged = np.sort(np.concatenate([folds.indices(j), folds.complement(j)]))
-            assert np.array_equal(merged, np.arange(12))
 
     def test_deterministic_in_seed(self):
         f1 = make_folds(30, 5, seed=7)
@@ -231,16 +225,17 @@ class TestCrossFit:
         assert np.array_equal(fit.mu0_hat[idx], fit2.mu0_hat[idx])
         assert np.array_equal(fit.mu1_hat[idx], fit2.mu1_hat[idx])
         assert np.array_equal(fit.pi_hat, fit2.pi_hat)
-        other = fit.folds.complement(j)
+        other = np.flatnonzero(fit.folds.fold_index != j)
         assert not np.array_equal(fit.mu1_hat[other], fit2.mu1_hat[other])
 
-    def test_records_irls_outcome_per_fold(self):
+    def test_records_irls_outcome_per_fold(self, monkeypatch):
         ds = _sim_dataset()
         fit = cross_fit(ds, k=4, seed=0)
         assert fit.irls_converged == (True,) * 4
         assert len(fit.irls_iterations) == 4
         assert all(it >= 1 for it in fit.irls_iterations)
-        capped = cross_fit(ds, k=4, seed=0, max_iter=1)
+        monkeypatch.setattr(nuisance, "_MAX_ITER", 1)
+        capped = cross_fit(ds, k=4, seed=0)
         assert capped.irls_converged == (False,) * 4
         assert capped.irls_iterations == (1,) * 4
 
@@ -395,7 +390,7 @@ def _cross_fit_reference(dataset, k=5, *, clip=(0.01, 0.99), propensity_lambda=1
     pi_raw, mu0, mu1 = np.empty(n), np.empty(n), np.empty(n)
     converged, iterations = [], []
     for j in range(k):
-        test, train = folds.indices(j), folds.complement(j)
+        test, train = folds.indices(j), np.flatnonzero(folds.fold_index != j)
         a_tr = dataset.a[train].astype(float)
         n_treated = int(a_tr.sum())
         if n_treated == 0 or n_treated == train.size:
@@ -433,7 +428,9 @@ def _heavy_tailed_dataset(n=97, seed=3):
 class TestCrossFitAgainstReference:
     @staticmethod
     def assert_same_fit(ds, **kwargs):
-        got, want = cross_fit(ds, **kwargs), _cross_fit_reference(ds, **kwargs)
+        # the reference runs IRLS to the package's tolerance and iteration cap
+        got = cross_fit(ds, **kwargs)
+        want = _cross_fit_reference(ds, tol=nuisance._TOL, max_iter=nuisance._MAX_ITER, **kwargs)
         assert np.array_equal(got.folds.fold_index, want.folds.fold_index)
         assert got.irls_iterations == want.irls_iterations
         assert got.irls_converged == want.irls_converged
@@ -452,8 +449,9 @@ class TestCrossFitAgainstReference:
         self.assert_same_fit(ds, k=k, seed=k, propensity_features=features[0],
                              outcome_features=features[1], outcome_lambda=outcome_lambda)
 
-    def test_one_iteration(self):
-        fit = self.assert_same_fit(_sim_dataset(n=203), k=5, max_iter=1)
+    def test_one_iteration(self, monkeypatch):
+        monkeypatch.setattr(nuisance, "_MAX_ITER", 1)
+        fit = self.assert_same_fit(_sim_dataset(n=203), k=5)
         assert fit.irls_iterations == (1,) * 5
 
     def test_step_halving(self, monkeypatch):
@@ -483,7 +481,8 @@ class TestCrossFitAgainstReference:
             for features in nuisance.FEATURE_MAPS:
                 for max_iter in (2, 100):
                     built.clear()
-                    fit = cross_fit(ds, k=5, seed=1, propensity_features=features, max_iter=max_iter)
+                    monkeypatch.setattr(nuisance, "_MAX_ITER", max_iter)
+                    fit = cross_fit(ds, k=5, seed=1, propensity_features=features)
                     # a problem that converges or runs out of iterations builds no Hessian
                     assert sum(built) == sum(fit.irls_iterations)
 
