@@ -40,7 +40,6 @@ __all__ = [
     "GroundTruth",
     "Estimate",
     "check_level",
-    "normal_quantile",
     "normal_ci",
     "PanelDataset",
     "IvDataset",
@@ -188,17 +187,12 @@ def check_level(level: float) -> None:
         raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
 
 
-def normal_quantile(level: float) -> float:
-    """The z with P(|Z| <= z) = level for a standard normal Z."""
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
-
-
 def normal_ci(psi: float, se: float | None, level: float = 0.95) -> tuple[float | None, float | None]:
-    """psi +/- z*se with z the normal quantile at the level; (None, None) without an se."""
+    """psi +/- z*se with P(|Z| <= z) = level for a standard normal Z; (None, None) without an se."""
     check_level(level)
     if se is None:
         return None, None
-    z = normal_quantile(level)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return float(psi - z * se), float(psi + z * se)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .ate_estimators import ipw
-from .data_model import Estimate, GroundTruth, ObservationalDataset, check_level, normal_quantile, require_both_arms
+from .data_model import Estimate, GroundTruth, ObservationalDataset, check_level, require_both_arms
 from .dgp import DGPS, FORMS, IvDgpConfig, ObsDgpConfig, PanelDgpConfig, RdDgpConfig
 from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError, check_fields, check_value
 from .methods import METHODS, Method
@@ -115,7 +115,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         # the clip order and the fold count are checked where the folds are made
-        check_fields(self, replications=">= 2", scenario=SCENARIOS)
+        check_fields(self, replications=">= 2", seed=">= 0", scenario=SCENARIOS)
         kind = _KINDS.get(type(self.dgp))
         if kind is None:
             raise ConfigError(f"{type(self.dgp).__name__} is not the config of a DGP in {tuple(DGPS)}")
@@ -288,6 +288,7 @@ class _Tally:
         self.ses: dict[str, list[float | None]] = {e: [] for e in estimators}
         self.truths: dict[str, list[float]] = {e: [] for e in estimators}
         self.covered: dict[str, list[bool]] = {e: [] for e in estimators}
+        self.widths: dict[str, list[float]] = {e: [] for e in estimators}
         self.clip_counts: dict[str, list[float]] = {e: [] for e in estimators}
         self.unmatched: dict[str, list[float]] = {e: [] for e in estimators}
         self.failed: dict[str, int] = {e: 0 for e in estimators}
@@ -316,6 +317,7 @@ class _Tally:
         self.truths[name].append(truth)
         if est.ci_low is not None:
             self.covered[name].append(bool(est.ci_low <= truth <= est.ci_high))
+        self.widths[name].append(est.ci_high - est.ci_low if est.ci_low is not None else np.inf)
         if "clip_count" in est.diagnostics:
             self.clip_counts[name].append(float(est.diagnostics["clip_count"]))
         if "unmatched_count" in est.diagnostics:
@@ -508,7 +510,8 @@ def weak_iv_study(
     Each strength s draws `reps` datasets with complier share s (the rest
     split evenly between always- and never-takers), a complier effect of 2
     and unit-variance noise, and summarizes ``iv`` by median estimate,
-    median normal-CI width (2 z se) and median bias against the LATE.
+    median width of each estimate's own interval (inf without one) and
+    median bias against the LATE.
     Replication r of grid point i draws from substream (i, r) of `seed`, so
     rows are reproducible and order-independent.  Failed replications are
     counted, with no ceiling; a grid point where every one fails is an
@@ -527,14 +530,12 @@ def weak_iv_study(
         tally = tallies[config.scenario]
         if not tally.values["iv"]:
             raise InstrumentError(f"every replication failed at strength {s}; grid point unusable")
-        z = normal_quantile(config.level)
-        widths = [2.0 * z * se if se is not None else np.inf for se in tally.ses["iv"]]
         med = float(np.median(tally.values["iv"]))
         rows.append(
             WeakIvRow(
                 first_stage_strength=float(s),
                 median_late=med,
-                median_ci_width=float(np.median(widths)),
+                median_ci_width=float(np.median(tally.widths["iv"])),
                 median_bias=med - true_late,
                 n_failed=tally.failed["iv"],
             )

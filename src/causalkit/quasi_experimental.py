@@ -4,13 +4,13 @@ These designs trade the unconfoundedness-plus-positivity route for structural
 assumptions: parallel trends (DID), continuity at a threshold (RD), exclusion
 and relevance of an instrument (IV), or time-invariant unit heterogeneity
 (FE).  Each returns an :class:`Estimate`, which sets its own interval from
-the standard error the estimator chose, as the ATE estimators do.  DID, RD
-and the Wald ratio build per-unit influence values and take their standard
-error from :func:`eif_se`; DID's units are panel units, so its se is
-clustered by unit.  Two-stage least squares and the within estimator keep
-their homoskedastic textbook standard errors.  This module reads data and
-draws none: Monte Carlo studies of these estimators, the weak-instrument
-sweep among them, run in :mod:`causalkit.montecarlo`.
+the standard error the estimator chose, as the ATE estimators do.  DID, RD,
+the Wald ratio and two-stage least squares build per-unit influence values
+and take their standard error from :func:`eif_se`; DID's units are panel
+units, so its se is clustered by unit.  The within estimator keeps the
+homoskedastic standard error of the dummy-variable regression.  This module
+reads data and draws none: Monte Carlo studies of these estimators, the
+weak-instrument sweep among them, run in :mod:`causalkit.montecarlo`.
 """
 
 from __future__ import annotations
@@ -243,54 +243,46 @@ def iv_wald(iv: IvDataset, level: float = 0.95) -> Estimate:
     )
 
 
-def _ols(design: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise RankDeficiencyError(f"collinear design in {what}")
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return beta
-
-
 def tsls(iv: IvDataset, level: float = 0.95) -> Estimate:
     """Just-identified two-stage least squares.
 
-    Stage 1 regresses a on (1, z, covariates); stage 2 regresses y on
-    (1, fitted a, covariates).  The effect is the stage-2 coefficient on
-    fitted a, and reduced_form is late * first_stage.  With a binary
-    instrument and no covariates this equals the Wald ratio.  The se is the
-    homoskedastic 2SLS one.
+    With instruments Z = (1, z, covariates) and regressors X = (1, a,
+    covariates), the coefficients solve (Z'X) beta = Z'y, which is stage 2's
+    regression of y on (1, fitted a, covariates) after stage 1 regresses a on
+    Z.  The effect is the coefficient on a, first_stage is stage 1's
+    coefficient on z, and reduced_form is late * first_stage.  With a binary
+    instrument and no covariates this equals the Wald ratio.  Unit i's
+    influence value is n [(Z'X)^-1]_1 z_i r_i with r_i = y_i - x_i beta,
+    which gives the heteroskedasticity-robust 2SLS sandwich se; with no
+    residual degrees of freedom the se is None.
     """
-    ones = np.ones(iv.n)
-    z = iv.z.astype(float)
-    a = iv.a.astype(float)
-    if iv.x is not None and iv.x.shape[1] > 0:
-        exog = [ones[:, None], z[:, None], iv.x]
-    else:
-        exog = [ones[:, None], z[:, None]]
-    design1 = np.hstack(exog)
-    beta1 = _ols(design1, a, "first stage")
+    covariates = iv.x if iv.x is not None else np.empty((iv.n, 0))
+    instruments = np.column_stack([np.ones(iv.n), iv.z.astype(float), covariates])
+    k = instruments.shape[1]
+    if np.linalg.matrix_rank(instruments) < k:
+        raise RankDeficiencyError("collinear design in first stage")
+    beta1, *_ = np.linalg.lstsq(instruments, iv.a.astype(float), rcond=None)
     first_stage = float(beta1[1])
-    a_hat = design1 @ beta1
-    design2 = design1.copy()
-    design2[:, 1] = a_hat
-    if np.linalg.matrix_rank(design2) < design2.shape[1]:
+    regressors = instruments.copy()
+    regressors[:, 1] = iv.a
+    # With Z = QR and R invertible, Z'X beta = Z'y is Q'X beta = Q'y, and Q'X
+    # has the singular values of (1, fitted a, covariates), unlike Z'X, whose
+    # condition number is about the square of theirs; the rank test takes
+    # the threshold of that n-row design
+    q = np.linalg.qr(instruments)[0]
+    cross = q.T @ regressors
+    if np.linalg.matrix_rank(cross, rtol=iv.n * np.finfo(float).eps) < k:
         raise RankDeficiencyError(
             "collinear second stage: fitted treatment is collinear with covariates"
         )
-    beta2, *_ = np.linalg.lstsq(design2, iv.y, rcond=None)
-    late = float(beta2[1])
-    # 2SLS residuals use the observed treatment with the stage-2 coefficients
-    design_struct = design1.copy()
-    design_struct[:, 1] = a
-    resid = iv.y - design_struct @ beta2
-    df = iv.n - design2.shape[1]
-    if df > 0:
-        sigma2 = float(resid @ resid) / df
-        cov = sigma2 * np.linalg.inv(design2.T @ design2)
-        se = float(np.sqrt(max(cov[1, 1], 0.0)))
-    else:
-        se = None
+    beta = np.linalg.solve(cross, q.T @ iv.y)
+    late = float(beta[1])
+    # row 1 of (Z'X)^-1 Z' is row 1 of (Q'X)^-1 Q'
+    eif = iv.n * (q @ np.linalg.inv(cross)[1]) * (iv.y - regressors @ beta)
+    eif -= eif.mean()  # zero up to rounding; exact so the centering check holds
+    se = eif_se(eif) if iv.n > k else None
     diagnostics = _iv_diagnostics(first_stage, late * first_stage)
-    return Estimate(late, "tsls", iv.n, se=se, diagnostics=diagnostics, level=level)
+    return Estimate(late, "tsls", iv.n, eif=eif, se=se, diagnostics=diagnostics, level=level)
 
 
 def fe_within(panel: PanelDataset, level: float = 0.95) -> Estimate:

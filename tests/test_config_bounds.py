@@ -162,6 +162,8 @@ def test_an_int_field_takes_only_an_integer_naming_the_field():
     (lambda: MatchSpec(caliper=-math.inf), "caliper must be >= 0"),
     (lambda: McConfig(dgp=ObsDgpConfig(n=10), clip=(0.01, math.nan)), "clip must be finite, got nan"),
     (lambda: McConfig(dgp=ObsDgpConfig(n=10), level=math.inf), "level must be finite, got inf"),
+    (lambda: McConfig(dgp=ObsDgpConfig(n=10), estimators=("naive",), replications=2, seed=-1),
+     "seed must be >= 0"),
     (lambda: ObsDgpConfig(n=2.5), "n must be an integer, got 2.5"),
     (lambda: IvDgpConfig(n=10.0, p_complier=1.0), "n must be an integer, got 10.0"),
     (lambda: PanelDgpConfig(n_units=4, n_periods=2.5), "n_periods must be an integer, got 2.5"),

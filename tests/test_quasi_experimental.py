@@ -301,8 +301,10 @@ KIND_CONFIGS = {
     "panel": PanelDgpConfig(n_units=40, n_periods=3, time_trend=0.5, treatment_effect=1.0),
     "rd": RdDgpConfig(n=300, jump=1.0, slope_left=0.5, slope_right=1.0),
 }
-# the rows whose estimate stores no eif: matching and the two regression se's
-NO_EIF = ("psm", "tsls", "fe")
+# the rows whose estimate stores no eif, each with the ROADMAP item that owns its fix:
+# psm has no influence-vector variance for matching (item 1), and fe keeps the
+# homoskedastic se of the dummy-variable regression (item 2)
+NO_EIF = ("psm", "fe")
 EIF_CASES = ["wald_dataset"] + [name for name in METHODS if name not in NO_EIF]
 
 
@@ -372,7 +374,7 @@ class TestIv:
             assert est.se == eif_se(est.eif)
 
     @pytest.mark.parametrize("name", NO_EIF)
-    def test_matching_and_regression_rows_store_no_eif(self, name):
+    def test_matching_and_within_rows_store_no_eif(self, name):
         _, est = method_estimate(name)
         assert est.eif is None and est.se is not None
 
@@ -390,6 +392,18 @@ class TestIv:
         assert abs(float(np.mean(est.eif))) > 0.0
 
 
+def covariate_iv(seed, n, z_share=0.5, noise_sd=lambda x, z: 1.0):
+    """x ~ N(0, 1) confounds a: 60% of units take a = z, the rest a = 1[x > 0];
+    y = 1.5 a + x + noise_sd(x, z) * N(0, 1).  Returns x, z, a, y and the
+    matrices Z = (1, z, x) and X = (1, a, x)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    z = (rng.random(n) < z_share).astype(int)
+    a = np.where(rng.random(n) < 0.6, z, (x > 0).astype(int))
+    y = 1.5 * a + x + noise_sd(x, z) * rng.normal(size=n)
+    return x, z, a, y, np.column_stack([np.ones(n), z, x]), np.column_stack([np.ones(n), a, x])
+
+
 class TestTsls:
     def test_matches_wald_when_just_identified(self):
         rng = np.random.default_rng(7)
@@ -403,6 +417,44 @@ class TestTsls:
         assert t.diagnostics["reduced_form"] == pytest.approx(
             t.psi_hat * t.diagnostics["first_stage"], abs=1e-12
         )
+        assert np.max(np.abs(t.eif - w.eif)) <= 1e-12 * np.max(np.abs(w.eif))
+        assert t.se == pytest.approx(w.se, rel=1e-12)
+
+    def test_se_is_the_2sls_sandwich(self):
+        n = 500
+        x, z, a, y, zmat, xmat = covariate_iv(21, n, noise_sd=lambda x, z: 0.5 + np.abs(x))
+        est = tsls(IvDataset(z=z, a=a, y=y, x=x.reshape(-1, 1)))
+        # two least-squares stages, then A = Z'X and S = sum r_i^2 z_i z_i'
+        a_hat = zmat @ np.linalg.lstsq(zmat, a.astype(float), rcond=None)[0]
+        beta = np.linalg.lstsq(np.column_stack([np.ones(n), a_hat, x]), y, rcond=None)[0]
+        r = y - xmat @ beta
+        a_inv = np.linalg.inv(zmat.T @ xmat)
+        s = (zmat * r[:, None] ** 2).T @ zmat
+        assert est.psi_hat == pytest.approx(beta[1], rel=1e-10)
+        assert est.se == pytest.approx(np.sqrt(n / (n - 1) * (a_inv @ s @ a_inv.T)[1, 1]), rel=1e-10)
+
+    def test_affine_rescaled_covariate_changes_nothing(self):
+        # (1, z, c + c x) spans the columns of (1, z, x), so late and se are the same;
+        # Z'X itself is singular to working precision at c = 1e9
+        x, z, a, y, _, _ = covariate_iv(5, 2000)
+        plain = tsls(IvDataset(z=z, a=a, y=y, x=x.reshape(-1, 1)))
+        scaled = tsls(IvDataset(z=z, a=a, y=y, x=(1e9 + 1e9 * x).reshape(-1, 1)))
+        assert scaled.psi_hat == pytest.approx(plain.psi_hat, rel=1e-12)
+        assert scaled.se == pytest.approx(plain.se, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_se_matches_jackknife_under_heteroskedasticity(self, seed):
+        # a rare instrument whose arm is six times as noisy; the band is fixed
+        # before the first run, and the homoskedastic 2SLS se reads about half here
+        n = 400
+        x, z, a, y, zmat, xmat = covariate_iv(seed, n, z_share=0.2, noise_sd=lambda x, z: 0.5 + 3.0 * z)
+        est = tsls(IvDataset(z=z, a=a, y=y, x=x.reshape(-1, 1)))
+        # delete-one estimates: unit i leaves Z'X and Z'y by a rank-one update
+        cross = zmat.T @ xmat - zmat[:, :, None] * xmat[:, None, :]
+        rhs = zmat.T @ y - zmat * y[:, None]
+        loo = np.linalg.solve(cross, rhs[:, :, None])[:, 1, 0]
+        jackknife_se = np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
+        assert 0.95 <= est.se / jackknife_se <= 1.05
 
     def test_exact_recovery_with_covariate(self):
         z = np.array([0, 0, 0, 0, 1, 1, 1, 1])
