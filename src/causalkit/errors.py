@@ -121,14 +121,18 @@ def check_value(name: str, value, rule: str | tuple | None = None, inf: bool = F
                 raise ConfigError(f"{name} must {'lie' if op == 'in' else 'be'} {rule}")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` is a Python or NumPy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def check_fields(config, inf: tuple[str, ...] = (), **rules: str | tuple) -> None:
     """:func:`check_value` on each field of the dataclass ``config`` in field order, with
     ``rules`` mapping a field to its rule; a field named in ``inf`` may be +inf.  A field
-    annotated ``int`` or ``int | None`` must first hold a Python or NumPy integer, not a bool."""
+    annotated ``int`` or ``int | None`` must first pass :func:`check_integer`."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.type in ("int", "int | None") and value is not None and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral)
-        ):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("int", "int | None") and value is not None:
+            check_integer(f.name, value)
         check_value(f.name, value, rules.get(f.name), f.name in inf)

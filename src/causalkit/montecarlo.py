@@ -27,7 +27,7 @@ from .data_model import Estimate, GroundTruth, ObservationalDataset, check_level
 from .dgp import DGPS, FORMS, IvDgpConfig, ObsDgpConfig, PanelDgpConfig, RdDgpConfig
 from .errors import CausalKitError, ConfigError, EstimationError, InstrumentError, check_fields, check_value
 from .methods import METHODS, Method
-from .nuisance import NuisanceFit, cross_fit_pairs
+from .nuisance import NuisanceFit, cross_fit_pairs, make_folds
 from .rng import child_seed
 
 __all__ = [
@@ -114,7 +114,7 @@ class McConfig:
     level: float = 0.95
 
     def __post_init__(self) -> None:
-        # the clip order and the fold count are checked where the folds are made
+        # k's range [2, n] is checked where the loop makes the folds, and the clip order where they are fitted
         check_fields(self, replications=">= 2", seed=">= 0", scenario=SCENARIOS)
         kind = _KINDS.get(type(self.dgp))
         if kind is None:
@@ -370,10 +370,12 @@ def _run_scenarios(
     the DGP's first estimand.
 
     Replication r draws its dataset once, through the DGP's row from
-    substream ``(*key, r)``.  If a method needs a fit, one call to
-    ``cross_fit_pairs`` shuffles folds from ``(*key, r, 1)`` once and fits
-    each half once per feature map of the scenarios' distinct pairs; each
-    scenario gets the fit, or the error, of its own ``cross_fit``.
+    substream ``(*key, r)``.  If a method needs a fit, the loop then
+    shuffles folds once, ``make_folds(n, config.k, ...)`` from substream
+    ``(*key, r, 1)``, which raises a bad ``k`` in the first replication; one
+    call to ``cross_fit_pairs`` on those folds fits each half once per
+    feature map of the scenarios' distinct pairs, and each scenario gets the
+    fit, or the error, of its own ``cross_fit``.
     ``config.scenario`` itself is not read.  Each distinct estimate is
     computed once per replication: a method's result, estimate or raised
     CausalKitError, is keyed by its name and the feature map of each fit half
@@ -397,9 +399,12 @@ def _run_scenarios(
 
     for r in range(config.replications):
         draw = dgp.generate(config.dgp, child_seed(config.seed, *key, r))
-        fits = dict(zip(pairs, cross_fit_pairs(
-            draw[0], pairs, config.k, clip=config.clip, propensity_lambda=config.propensity_lambda,
-            outcome_lambda=config.outcome_lambda, seed=child_seed(config.seed, *key, r, 1)) if pairs else ()))
+        fits = {}
+        if pairs:
+            folds = make_folds(draw[0].n, config.k, child_seed(config.seed, *key, r, 1))
+            fits = dict(zip(pairs, cross_fit_pairs(draw[0], pairs, folds, clip=config.clip,
+                                                   propensity_lambda=config.propensity_lambda,
+                                                   outcome_lambda=config.outcome_lambda)))
         results: dict[tuple[str, ...], tuple[Estimate, float] | CausalKitError] = {}
         for scenario in scenarios:
             tally = tallies[scenario]
@@ -450,10 +455,12 @@ def run_mc(config: McConfig) -> McReport:
     the jump.  A method runs with the options its DGP's config fixes, so
     ``rd`` estimates the jump at ``RdDgpConfig.cutoff``, and with its
     estimator's defaults for the rest.  Replication r draws its dataset from
-    substream (r,) and shuffles its folds once, from substream (r, 1), for
-    the one cross-fit its methods share, so reports are bit-identical across
-    re-runs of the same config.  A ConfigError, such as a fold count outside
-    [2, n], is raised at once rather than counted as a replication failure.
+    substream (r,); when a method needs a fit, the harness then draws the
+    folds, ``make_folds(n, config.k, ...)`` from substream (r, 1), and
+    cross-fits once on them for every method, so reports are bit-identical
+    across re-runs of the same config.  A ConfigError, such as a fold count
+    outside [2, n], is raised at once rather than counted as a replication
+    failure.
     """
     return _reports(config, (config.scenario,))[config.scenario]
 
@@ -472,13 +479,14 @@ def dr_suite(
     every scenario, so the r-th replication sees the same dataset and the
     same folds in all four; only the learners' feature maps differ.  Each
     report equals ``run_mc`` on that scenario, but a replication draws its
-    dataset once, shuffles its folds once and fits each nuisance half once
-    per feature map: two propensity fits and two outcome fits serve the four
-    scenarios, each of which gets the fit or the error of its own
-    ``cross_fit``.  Each distinct estimate is computed once per replication
-    and shared by the scenarios that agree on the fit halves it reads:
-    ``naive`` runs once, ``ipw`` and ``psm`` once per propensity map,
-    ``gformula`` once per outcome map and ``aipw`` in every scenario.
+    dataset once, makes its folds once (``make_folds``) and, on those folds,
+    fits each nuisance half once per feature map (``cross_fit_pairs``): two
+    propensity fits and two outcome fits serve the four scenarios, each of
+    which gets the fit or the error of its own ``cross_fit``.  Each distinct
+    estimate is computed once per replication and shared by the scenarios
+    that agree on the fit halves it reads: ``naive`` runs once, ``ipw`` and
+    ``psm`` once per propensity map, ``gformula`` once per outcome map and
+    ``aipw`` in every scenario.
     """
     config = McConfig(
         dgp=replace(base, n=n),

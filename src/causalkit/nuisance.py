@@ -4,17 +4,20 @@ Both learners work on an expanded feature matrix (see :func:`apply_feature_map`)
 with an intercept prepended internally; the ridge penalty never touches it.
 Cross-fitting produces out-of-fold predictions: unit i's nuisance values come
 from models trained on every fold except fold(i), all folds fitted together.
+The folds are an input of :func:`cross_fit_pairs`, so a caller can refit on
+folds of its own; :func:`cross_fit` draws them with :func:`make_folds`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import ObservationalDataset
 from .errors import CausalKitError, ConfigError, FoldError, RankDeficiencyError, SeparationError, ValidationError
-from .errors import check_value
+from .errors import check_integer, check_value
 from .rng import stream
 
 __all__ = [
@@ -259,16 +262,20 @@ class FoldAssignment:
     k: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.fold_index, dtype=np.int64)
+        labels = np.asarray(self.fold_index)
+        if labels.ndim != 1:
+            raise ValidationError("fold_index must be a vector")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise ValidationError(f"k must be an integer >= 1, got {self.k!r}")
+        # a cast would truncate a fractional label and np.bincount reject a negative one
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValidationError(f"fold labels must be integers, got dtype {labels.dtype}")
+        idx = np.asarray(labels, dtype=np.int64)
         idx.setflags(write=False)
         object.__setattr__(self, "fold_index", idx)
-        if idx.ndim != 1:
-            raise ValidationError("fold_index must be a vector")
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
-        counts = np.bincount(idx, minlength=self.k)
         if idx.size and (idx.min() < 0 or idx.max() >= self.k):
             raise ValidationError("fold labels must lie in [0, k)")
+        counts = np.bincount(idx, minlength=self.k)
         if counts.max() - counts.min() > 1:
             raise ValidationError("fold sizes must differ by at most one")
 
@@ -284,8 +291,9 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     """Randomly partition n units into k folds, deterministically in seed.
 
     The first n mod k folds get the extra unit, so n=10, k=3 gives sizes
-    4, 3, 3.
+    4, 3, 3.  This states k's rule for every cross-fit: an integer in [2, n].
     """
+    check_integer("k", k)
     if k < 2 or k > n:
         raise ConfigError(f"k must satisfy 2 <= k <= n, got k={k} with n={n}")
     perm = stream(seed).permutation(n)
@@ -327,26 +335,28 @@ class NuisanceFit:
 
 
 def cross_fit_pairs(
-    dataset: ObservationalDataset, pairs: list[tuple[str, str]], k: int, *, clip: tuple[float, float],
-    propensity_lambda: float, outcome_lambda: float, seed: int,
+    dataset: ObservationalDataset, pairs: list[tuple[str, str]], folds: FoldAssignment, *,
+    clip: tuple[float, float], propensity_lambda: float, outcome_lambda: float,
 ) -> list[NuisanceFit | CausalKitError]:
-    """Cross-fit each (propensity map, outcome map) pair of `pairs` on one set of folds.
+    """Cross-fit each (propensity map, outcome map) pair of `pairs` on the caller's `folds`.
 
-    The pairs share one fold shuffle, one design per feature map, one
-    stacked IRLS per propensity map (the k fold problems, each with its own
-    step halving, convergence flag and iteration count) and one stacked
-    ridge solve per outcome map (the 2k per-arm problems).  Each pair gets
+    The pairs share the folds, one design per feature map, one stacked IRLS
+    per propensity map (the k fold problems, each with its own step halving,
+    convergence flag and iteration count) and one stacked ridge solve per
+    outcome map (the 2k per-arm problems).  Folds of another length than the
+    dataset raise a ValidationError before any fit.  Otherwise each pair gets
     its :class:`NuisanceFit`, or the CausalKitError its own :func:`cross_fit`
-    raises: a clip, fold-count or FoldError for every pair, else the
+    on these folds raises: a clip or FoldError for every pair, else the
     propensity half's error, else the outcome half's, whose map is fitted
     only for a pair whose propensity half succeeded.
     """
+    if folds.n != dataset.n:
+        raise ValidationError(f"folds cover {folds.n} units, dataset has {dataset.n}")
     try:
         clip_lo, clip_hi = float(clip[0]), float(clip[1])
         if not (0.0 < clip_lo < clip_hi < 1.0):
             raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, got {clip!r}")
-        n, folds = dataset.n, make_folds(dataset.n, k, seed)
-        fold = folds.fold_index
+        n, k, fold = dataset.n, folds.k, folds.fold_index
         train = fold != np.arange(k)[:, None]  # row j: the units fold j's models are fitted on
         treated = dataset.a == 1
         n_treated = np.count_nonzero(train & treated, axis=1)
@@ -403,15 +413,16 @@ def cross_fit(
 ) -> NuisanceFit:
     """Produce out-of-fold propensity and per-arm outcome predictions.
 
-    For each fold j, all three models are fitted on the other folds and
-    evaluated on fold j only; propensities are clipped to `clip`, counting
-    the clipped units.  Each propensity fit runs IRLS until every gradient
-    component is below 1e-8, for at most 100 Newton steps (``_TOL`` and
-    ``_MAX_ITER``).  This is the one-pair case of :func:`cross_fit_pairs`
-    (one design when the two maps agree), raising the pair's error.
+    The units are shuffled into ``make_folds(dataset.n, k, seed)``.  For each
+    fold j, all three models are fitted on the other folds and evaluated on
+    fold j only; propensities are clipped to `clip`, counting the clipped
+    units.  Each propensity fit runs IRLS until every gradient component is
+    below 1e-8, for at most 100 Newton steps (``_TOL`` and ``_MAX_ITER``).
+    This is the one-pair case of :func:`cross_fit_pairs` on those folds (one
+    design when the two maps agree), raising the pair's error.
     """
-    (fit,) = cross_fit_pairs(dataset, [(propensity_features, outcome_features)], k, clip=clip, seed=seed,
-                             propensity_lambda=propensity_lambda, outcome_lambda=outcome_lambda)
+    (fit,) = cross_fit_pairs(dataset, [(propensity_features, outcome_features)], make_folds(dataset.n, k, seed),
+                             clip=clip, propensity_lambda=propensity_lambda, outcome_lambda=outcome_lambda)
     if isinstance(fit, CausalKitError):
         raise fit
     return fit

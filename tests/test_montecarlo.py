@@ -26,6 +26,7 @@ from causalkit import (
     dr_suite,
     error_decomposition,
     generate_observational,
+    make_folds,
     naive_dim,
     psm_att,
     run_mc,
@@ -320,7 +321,9 @@ class TestDrSuite:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(dgp, "generate_observational")
-        for name in ("make_folds", "_irls", "_ridge"):
+        # the harness makes the folds and hands them to cross_fit_pairs
+        counted(montecarlo, "make_folds")
+        for name in ("_irls", "_ridge"):
             counted(nuisance, name)
         for name in ("naive_dim", "ipw", "g_formula", "aipw"):
             counted(methods, name)
@@ -402,11 +405,12 @@ class TestDrSuite:
                  ("linear_plus_quadratic", "linear_plus_quadratic")]
         failed = []
         for r, ds in enumerate(draws):
-            settings = dict(clip=cfg.clip, propensity_lambda=cfg.propensity_lambda,
-                            outcome_lambda=cfg.outcome_lambda, seed=child_seed(cfg.seed, r, 1))
-            for pair, got in zip(pairs, nuisance.cross_fit_pairs(ds, pairs, cfg.k, **settings)):
+            seed = child_seed(cfg.seed, r, 1)
+            settings = dict(clip=cfg.clip, propensity_lambda=cfg.propensity_lambda, outcome_lambda=cfg.outcome_lambda)
+            for pair, got in zip(pairs, nuisance.cross_fit_pairs(ds, pairs, make_folds(ds.n, cfg.k, seed), **settings)):
                 try:
-                    want = cross_fit(ds, cfg.k, propensity_features=pair[0], outcome_features=pair[1], **settings)
+                    want = cross_fit(ds, cfg.k, propensity_features=pair[0], outcome_features=pair[1], seed=seed,
+                                     **settings)
                 except CausalKitError as exc:
                     assert (type(got), str(got)) == (type(exc), str(exc))
                     failed.append((pair, str(exc).split(";")[0]))

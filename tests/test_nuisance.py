@@ -31,7 +31,7 @@ from causalkit.errors import (
     SeparationError,
     ValidationError,
 )
-from causalkit.nuisance import NuisanceFit
+from causalkit.nuisance import FoldAssignment, NuisanceFit
 
 
 class TestFeatureMaps:
@@ -183,6 +183,25 @@ class TestFolds:
         with pytest.raises(ConfigError):
             make_folds(3, 4, seed=0)
 
+    def test_fractional_k_is_a_config_error(self):
+        # as McConfig(k=2.5) reports it, not a TypeError from np.array_split
+        with pytest.raises(ConfigError, match=r"^k must be an integer, got 2\.5$"):
+            make_folds(10, 2.5, seed=0)
+        with pytest.raises(ConfigError, match=r"^k must be an integer, got 2\.5$"):
+            cross_fit(_sim_dataset(), k=2.5)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValidationError, match=r"^fold labels must lie in \[0, k\)$"):
+            FoldAssignment(fold_index=np.array([-1, 0, 1]), k=2)
+
+    def test_fractional_label_rejected_not_truncated(self):
+        with pytest.raises(ValidationError, match="^fold labels must be integers, got dtype float64$"):
+            FoldAssignment(np.array([0.5, 1.0]), 2)
+
+    def test_fractional_fold_count_rejected(self):
+        with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got 2\.5$"):
+            FoldAssignment(np.array([0, 1, 2]), 2.5)
+
 
 def _sim_dataset(n=120, seed=0):
     rng = np.random.default_rng(seed)
@@ -260,6 +279,32 @@ class TestCrossFit:
         )
         with pytest.raises(FoldError, match="fold"):
             cross_fit(ds, k=2, seed=0)
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (5, 3), (7, 11)])
+    def test_pairs_on_made_folds_equal_cross_fit(self, k, seed):
+        ds = _sim_dataset(n=203, seed=seed)
+        pairs = [(p, o) for p in nuisance.FEATURE_MAPS for o in nuisance.FEATURE_MAPS]
+        settings = dict(clip=(0.02, 0.98), propensity_lambda=1e-6, outcome_lambda=1e-8)
+        fits = nuisance.cross_fit_pairs(ds, pairs, make_folds(ds.n, k, seed), **settings)
+        for pair, got in zip(pairs, fits):
+            want = cross_fit(ds, k, seed=seed, propensity_features=pair[0], outcome_features=pair[1], **settings)
+            assert np.array_equal(got.folds.fold_index, want.folds.fold_index)
+            for name in ("pi_hat", "mu0_hat", "mu1_hat"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (pair, name)
+            assert (got.clip_count, got.irls_converged, got.irls_iterations) == (
+                want.clip_count, want.irls_converged, want.irls_iterations)
+
+    def test_folds_of_another_length_rejected_before_any_fit(self, monkeypatch):
+        monkeypatch.setattr(nuisance, "_irls", lambda *args: pytest.fail("a fit ran"))
+        ds = _sim_dataset(n=120)
+        with pytest.raises(ValidationError, match="^folds cover 119 units, dataset has 120$"):
+            nuisance.cross_fit_pairs(ds, [("linear", "linear")], make_folds(119, 5, seed=0), clip=(0.01, 0.99),
+                                     propensity_lambda=1e-6, outcome_lambda=1e-8)
+
+    def test_a_bad_k_wins_over_a_bad_clip(self):
+        # the folds are made before cross_fit_pairs reads the clip bounds
+        with pytest.raises(ConfigError, match="^k must satisfy 2 <= k <= n, got k=1 with n=120$"):
+            cross_fit(_sim_dataset(), k=1, clip=(0.5, 0.4))
 
     def test_invalid_clip_rejected(self):
         ds = _sim_dataset()
